@@ -1,30 +1,23 @@
-"""Fast filter-bank Capon per-frame spectral estimation.
+"""Fast filter-bank Capon spectral estimation over all frames at once.
 
 Per frame: biased Toeplitz autocovariance of order m+1, Levinson-Durbin
-solve, Gohberg-Semencul generator vectors for the inverse, diagonal sums
-of the inverse as polynomial coefficients, and one length-Q transform to
-evaluate the denominator on the dense grid.  The PSD is (m+1) over that
-denominator.
+solve, Gohberg-Semencul generator vectors for the inverse, and diagonal
+sums of the inverse as the coefficients x_i of the trigonometric
+polynomial phi_den(omega) = x_0 + 2 sum_i x_i cos(omega i).  The PSD is
+(m+1) over that denominator.  Every stage runs once over the frame axis;
+only the recursions over the order m loop in Python.
 
 The inverted matrix has order M = m + 1 (the filter length, default 11),
-not the frame length; all the displacement machinery runs at that tiny
-order, so the grid transform dominates the cost.
-
-A dense reference path (explicit inverse, per-bin quadratic forms) is
-kept alongside for verification and benchmarking.
+not the frame length, so the displacement machinery is cheap and the
+spectrum evaluation dominates.  The pipeline evaluates the denominator
+only at the in-band bins; capon_psd evaluates the whole grid with one
+inverse FFT, and capon_psd_dense is the explicit-inverse baseline
+`enf bench` compares it against.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import toeplitz
 
-from .errors import (
-    DegenerateInputError,
-    NotPositiveDefiniteError,
-    SpectrumDegeneracyError,
-)
-from .spectral import PsdEstimate, peak_search, refine_quadratic
+from .errors import NotPositiveDefiniteError, SpectrumDegeneracyError
 
 DEFAULT_ORDER = 10
 
@@ -37,234 +30,132 @@ DEFAULT_ORDER = 10
 DEFAULT_LOADING = 1e-5
 
 
-@dataclass(frozen=True)
-class ToeplitzCovariance:
-    """Symmetric Toeplitz autocovariance stored as its first column."""
-
-    first_column: np.ndarray
-
-    def __post_init__(self):
-        col = np.asarray(self.first_column, dtype=np.float64)
-        if col.ndim != 1 or col.size < 2:
-            raise ValueError("first column must be 1-D with at least 2 entries")
-        object.__setattr__(self, "first_column", col)
-
-    @property
-    def order(self):
-        return self.first_column.size
-
-    @property
-    def degenerate(self):
-        return self.first_column[0] <= 0.0
-
-    def matrix(self):
-        return toeplitz(self.first_column)
-
-
-@dataclass(frozen=True)
-class GsFactors:
-    """Gohberg-Semencul generators of the inverse covariance.
-
-    gamma = (1, w) / sqrt(alpha); delta = (0, reversed w) / sqrt(alpha).
-    """
-
-    gamma: np.ndarray
-    delta: np.ndarray
-    alpha: float
-    w: np.ndarray
-
-    @property
-    def order(self):
-        return self.gamma.size
-
-
-@dataclass(frozen=True)
-class CaponDenomCoeffs:
-    """Diagonal sums x_i of the inverse covariance, i = 0..M-1.
-
-    The full coefficient sequence is symmetric (x_{-i} = x_i); only the
-    non-negative half is stored.
-    """
-
-    half: np.ndarray
-
-    @property
-    def order(self):
-        return self.half.size
-
-    def full(self):
-        return np.concatenate([self.half[:0:-1], self.half])
-
-
-def estimate_autocovariance(frame, order=DEFAULT_ORDER):
-    """Biased autocorrelation rho_k = (1/N) sum_t y(t) y(t-k), k = 0..m.
+def estimate_autocovariance(frames, order=DEFAULT_ORDER):
+    """Biased autocorrelation rho_k = (1/N) sum_t y(t) y(t-k), k = 0..m,
+    of every frame along the last axis; returns shape (..., m+1).
 
     The biased estimate is used (rather than averaged outer products)
     because it is guaranteed positive semidefinite and exactly Toeplitz,
     which the Gohberg-Semencul machinery requires.
     """
-    frame = np.asarray(frame, dtype=np.float64)
-    n = frame.size
+    frames = np.asarray(frames, dtype=np.float64)
+    n = frames.shape[-1]
     if not order >= 1:
         raise ValueError("covariance order m must be at least 1")
     if n <= order:
         raise ValueError(f"frame of {n} samples too short for order m={order}")
-    col = np.empty(order + 1)
-    for k in range(order + 1):
-        col[k] = frame[k:] @ frame[: n - k] / n
-    return ToeplitzCovariance(col)
+    lags = [np.einsum("...t,...t->...", frames[..., k:], frames[..., : n - k])
+            for k in range(order + 1)]
+    return np.stack(lags, axis=-1) / n
 
 
-def sample_covariance(frame, order=DEFAULT_ORDER):
-    """Averaged-outer-product covariance estimate (dense reference mode).
+def levinson_solve(rho):
+    """Levinson-Durbin solve of R_{M-1} w = -rho[1:] for every
+    autocovariance row rho (..., M), looping over the order only.
 
-    Not exactly Toeplitz for finite frames; provided for comparison
-    against the Toeplitz-constrained estimate.
+    Returns (w, alpha, valid): w (..., M-1), the final prediction-error
+    power alpha = rho_0 + rho[1:] . w, and a mask that is False where
+    rho_0 or an intermediate error power is non-positive, which happens
+    iff the Toeplitz matrix is not positive definite.  Invalid rows keep
+    the last valid w and alpha (1 when rho_0 <= 0), so later stages stay
+    finite.
     """
-    frame = np.asarray(frame, dtype=np.float64)
-    n = frame.size
-    if n <= order:
-        raise ValueError(f"frame of {n} samples too short for order m={order}")
-    lagged = np.stack([frame[order - j : n - j] for j in range(order + 1)])
-    return lagged @ lagged.T / (n - order)
-
-
-def levinson_solve(cov):
-    """Levinson-Durbin solve of R_{M-1} w = -rho_{M-1}.
-
-    Returns (w, alpha) where w has length M-1 and alpha is the final
-    prediction-error power rho_0 + rho[1:] . w.  Raises
-    NotPositiveDefiniteError as soon as an intermediate error power is
-    non-positive, which happens iff the dense matrix is not positive
-    definite.
-    """
-    rho = cov.first_column
-    if rho[0] <= 0.0:
-        raise NotPositiveDefiniteError(f"rho_0 = {rho[0]:g} is not positive")
-    w = np.empty(0)
-    alpha = rho[0]
-    for k in range(1, rho.size):
-        acc = rho[k] + (w @ rho[k - 1 : 0 : -1] if k > 1 else 0.0)
+    rho = np.asarray(rho, dtype=np.float64)
+    valid = rho[..., 0] > 0.0
+    alpha = np.where(valid, rho[..., 0], 1.0)
+    w = np.zeros(rho.shape[:-1] + (0,))
+    for k in range(1, rho.shape[-1]):
+        acc = rho[..., k] + np.einsum("...i,...i->...", w, rho[..., k - 1 : 0 : -1])
         reflection = -acc / alpha
-        w = np.concatenate([w + reflection * w[::-1], [reflection]])
-        alpha *= 1.0 - reflection * reflection
-        if alpha <= 0.0:
-            raise NotPositiveDefiniteError(
-                f"prediction error became {alpha:g} at recursion step {k}"
-            )
-    return w, float(alpha)
+        step_alpha = alpha * (1.0 - reflection * reflection)
+        valid = valid & (step_alpha > 0.0)
+        reflection = np.where(valid, reflection, 0.0)[..., None]
+        w = np.concatenate([w + reflection * w[..., ::-1], reflection], axis=-1)
+        alpha = np.where(valid, step_alpha, alpha)
+    return w, alpha, valid
 
 
 def gs_factors(w, alpha):
-    """Generator vectors from the Levinson solution."""
-    if alpha <= 0.0:
-        raise NotPositiveDefiniteError(f"alpha = {alpha:g} must be positive")
-    w = np.asarray(w, dtype=np.float64)
-    scale = 1.0 / np.sqrt(alpha)
-    gamma = scale * np.concatenate([[1.0], w])
-    delta = scale * np.concatenate([[0.0], w[::-1]])
-    return GsFactors(gamma, delta, float(alpha), w)
-
-
-def _krylov(vec):
-    """Krylov matrix of vec with the lag-1 lower shift: lower-triangular
-    Toeplitz with first column vec."""
-    return toeplitz(vec, np.zeros(vec.size))
-
-
-def inverse_from_gs(factors):
-    """Dense inverse K(gamma)K(gamma)^T - K(delta)K(delta)^T.
-
-    Small-order reference; the fast path never materializes this matrix.
+    """Gohberg-Semencul generators of each inverse covariance:
+    gamma = (1, w) / sqrt(alpha), delta = (0, reversed w) / sqrt(alpha).
     """
-    kg = _krylov(factors.gamma)
-    kd = _krylov(factors.delta)
-    return kg @ kg.T - kd @ kd.T
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if not np.all(alpha > 0.0):
+        raise NotPositiveDefiniteError("prediction-error power alpha must be positive")
+    w = np.asarray(w, dtype=np.float64)
+    scale = (1.0 / np.sqrt(alpha))[..., None]
+    edge = np.ones(w.shape[:-1] + (1,))
+    gamma = scale * np.concatenate([edge, w], axis=-1)
+    delta = scale * np.concatenate([np.zeros_like(edge), w[..., ::-1]], axis=-1)
+    return gamma, delta
 
 
 def _diagonal_sums(vec):
     # For K(v)K(v)^T with the lower shift, the sum of the i-th diagonal
     # reduces to sum_a (M - i - a) v[a] v[a+i].
-    m = vec.size
-    out = np.empty(m)
-    for i in range(m):
-        weights = np.arange(m - i, 0, -1, dtype=np.float64)
-        out[i] = weights @ (vec[: m - i] * vec[i:])
-    return out
+    m = vec.shape[-1]
+    sums = [(vec[..., : m - i] * vec[..., i:]) @ np.arange(m - i, 0, -1, dtype=np.float64)
+            for i in range(m)]
+    return np.stack(sums, axis=-1)
 
 
-def denom_coeffs(factors):
-    """Polynomial coefficients x_i = sum of the i-th diagonal of the inverse."""
-    return CaponDenomCoeffs(
-        _diagonal_sums(factors.gamma) - _diagonal_sums(factors.delta)
-    )
+def denom_coeffs(gamma, delta):
+    """Diagonal sums x_i, i = 0..M-1, of each inverse
+    K(gamma)K(gamma)^T - K(delta)K(delta)^T.  The full sequence is
+    symmetric (x_{-i} = x_i); only the non-negative half is returned.
+    """
+    return _diagonal_sums(gamma) - _diagonal_sums(delta)
 
 
-def capon_psd(coeffs, grid_size, sample_rate_hz):
-    """Capon PSD (m+1)/phi_den on the dense grid via one transform.
+def capon_band_power(frames, bins, grid_size, order=DEFAULT_ORDER):
+    """Capon PSD (m+1)/phi_den of every frame (K, N) at the grid bins
+    omega_q = 2 pi q / Q listed in bins, as one (M x B) cosine sum.
+
+    Returns (power, valid); a frame is invalid when it has no energy,
+    fails a Levinson step, or has a non-positive denominator at a bin.
+    """
+    rho = estimate_autocovariance(frames, order)
+    rho[..., 0] *= 1.0 + DEFAULT_LOADING
+    w, alpha, valid = levinson_solve(rho)
+    coeffs = denom_coeffs(*gs_factors(w, alpha))
+    lags = np.arange(order + 1)
+    phase = 2.0 * np.pi * (np.outer(lags, bins) % grid_size) / grid_size
+    phi_den = coeffs @ (np.where(lags == 0, 1.0, 2.0)[:, None] * np.cos(phase))
+    valid = valid & np.all(phi_den > 0.0, axis=-1)
+    with np.errstate(divide="ignore"):
+        return (order + 1) / phi_den, valid
+
+
+def capon_psd(coeffs, grid_size):
+    """Capon PSD (m+1)/phi_den on the whole grid q = 0..Q-1 via one transform.
 
     phi_den(omega_q) = sum_i x_i exp(+j 2 pi q i / Q), evaluated for all
     q at once by an inverse FFT of the circularly index-shifted
     coefficient sequence.
     """
-    m_plus_1 = coeffs.order
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    m_plus_1 = coeffs.size
     if grid_size < 2 * m_plus_1 - 1:
         raise ValueError(
             f"grid size {grid_size} smaller than 2M-1 = {2 * m_plus_1 - 1}"
         )
     padded = np.zeros(grid_size)
-    padded[:m_plus_1] = coeffs.half
-    padded[grid_size - m_plus_1 + 1 :] = coeffs.half[:0:-1]
+    padded[:m_plus_1] = coeffs
+    padded[grid_size - m_plus_1 + 1 :] = coeffs[:0:-1]
     phi_den = np.fft.ifft(padded).real * grid_size
     bad = np.flatnonzero(phi_den <= 0.0)
     if bad.size:
         raise SpectrumDegeneracyError(int(bad[0]), float(phi_den[bad[0]]))
-    return PsdEstimate(m_plus_1 / phi_den, sample_rate_hz)
+    return m_plus_1 / phi_den
 
 
-def capon_psd_dense(cov_matrix, grid_size, sample_rate_hz):
-    """Reference/benchmark path: explicit inverse, per-bin quadratic form."""
+def capon_psd_dense(cov_matrix, grid_size):
+    """Benchmark baseline: explicit inverse and the quadratic form
+    a*(omega) R^-1 a(omega) at every grid bin in one contraction."""
     m_plus_1 = cov_matrix.shape[0]
     inverse = np.linalg.inv(cov_matrix)
-    lags = np.arange(m_plus_1)
-    values = np.empty(grid_size)
-    for q in range(grid_size):
-        steering = np.exp(-2j * np.pi * q * lags / grid_size)
-        values[q] = m_plus_1 / np.real(steering.conj() @ inverse @ steering)
-    return PsdEstimate(values, sample_rate_hz)
-
-
-def denominator_quadratic_form(cov_matrix, omega):
-    """Direct a*(omega) R^-1 a(omega) evaluation (oracle helper)."""
-    inverse = np.linalg.inv(cov_matrix)
-    steering = np.exp(-1j * omega * np.arange(cov_matrix.shape[0]))
-    return float(np.real(steering.conj() @ inverse @ steering))
-
-
-def capon_estimate_frame(frame, sample_rate_hz, band, order=DEFAULT_ORDER,
-                         pad_factor=4, interpolate=True,
-                         loading=DEFAULT_LOADING):
-    """Full per-frame Capon estimate in Hz.
-
-    Raises DegenerateInputError for frames whose covariance is singular
-    or not positive definite (e.g. all-zero frames); callers record a
-    missing estimate instead of a number.
-    """
-    frame = np.asarray(frame, dtype=np.float64)
-    cov = estimate_autocovariance(frame, order)
-    if cov.degenerate:
-        raise DegenerateInputError("frame has no energy (rho_0 = 0)")
-    if loading:
-        col = cov.first_column.copy()
-        col[0] *= 1.0 + loading
-        cov = ToeplitzCovariance(col)
-    try:
-        w, alpha = levinson_solve(cov)
-    except NotPositiveDefiniteError as exc:
-        raise DegenerateInputError(f"covariance not positive definite: {exc}") from exc
-    factors = gs_factors(w, alpha)
-    psd = capon_psd(denom_coeffs(factors), pad_factor * frame.size, sample_rate_hz)
-    q_max = peak_search(psd, band)
-    if not interpolate:
-        return psd.bin_hz(q_max)
-    return refine_quadratic(psd, q_max).freq_hz
+    steering = np.exp(
+        -2j * np.pi * np.outer(np.arange(grid_size), np.arange(m_plus_1)) / grid_size
+    )
+    quad = np.einsum("qi,ij,qj->q", steering.conj(), inverse, steering)
+    return m_plus_1 / quad.real

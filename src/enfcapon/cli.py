@@ -6,7 +6,6 @@ Exit codes: 0 success, 2 bad arguments, 3 degenerate input.
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .bench import run_bench
-from .errors import DegenerateInputError, EnfError
+from .errors import DegenerateInputError, EnfError, UndefinedCorrelationError
 from .matching import best_lag, fisher_test
 from .pipeline import ESTIMATORS, PipelineConfig, extract_enf
 from .signal_io import SampledSignal, read_wav, write_wav
@@ -97,25 +96,18 @@ def pipeline_options(fn):
                      help="Grid density Q = pad * N.  [default: 4]"),
         click.option("--no-interpolate", "interpolate", flag_value=False, default=None,
                      help="Disable sub-bin quadratic interpolation."),
-        click.option("--threads", type=int, default=None,
-                     help="Frame-level worker threads (env ENF_THREADS)."),
     ]
     for opt in reversed(opts):
         fn = opt(fn)
     return fn
 
 
-def _gather_config(mode, nominal_hz, window, threads, **kw):
+def _gather_config(mode, nominal_hz, window, **kw):
     if nominal_hz is not None:
         nominal_hz = float(nominal_hz)
     if window is not None:
         window = _window_kind(window)
-    if threads is None:
-        env = os.environ.get("ENF_THREADS")
-        threads = int(env) if env else None
-    return _config_from_options(
-        mode, nominal_hz=nominal_hz, window=window, threads=threads, **kw
-    )
+    return _config_from_options(mode, nominal_hz=nominal_hz, window=window, **kw)
 
 
 @click.group()
@@ -288,9 +280,11 @@ def compare_windows(wav, reference, windows, frame_lengths, output, plot_data,
                 result = best_lag(track.freq_hz, ref.freq_hz, centered=centered)
                 cells.append(result.correlation)
             rows.append((win, cells))
-    except DegenerateInputError as exc:
+    except (DegenerateInputError, UndefinedCorrelationError) as exc:
         click.echo(f"error: degenerate input: {exc}", err=True)
         sys.exit(EXIT_DEGENERATE)
+    except EnfError as exc:
+        raise click.UsageError(str(exc))
 
     header = "window," + ",".join(f"{length:g}" for length in lengths)
     lines = [header]

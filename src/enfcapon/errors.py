@@ -21,8 +21,14 @@ class DegenerateInputError(EnfError):
     """Input is structurally valid but carries no usable information."""
 
 
+class IncompatibleInputError(EnfError, ValueError):
+    """Inputs or settings that cannot be used together: a sample rate that
+    is not a multiple of the working rate, an estimation band too narrow
+    for the frequency grid, a query track longer than its reference."""
+
+
 class NotPositiveDefiniteError(EnfError):
-    """Toeplitz covariance failed the positive-definiteness check."""
+    """Prediction-error power handed to the generator step is not positive."""
 
 
 class SpectrumDegeneracyError(EnfError):

@@ -40,23 +40,12 @@ def plan_frames(signal_len, frame_len_s, shift_s, sample_rate_hz):
     return FramePlan(frame_len, shift, count, sample_rate_hz)
 
 
-def frame_slice(signal, plan, k):
-    """Raw samples of frame k: indices [k*shift, k*shift + N)."""
-    if not 0 <= k < plan.frame_count:
-        raise IndexError(f"frame {k} out of range [0, {plan.frame_count})")
-    start = k * plan.shift
-    return signal.samples[start : start + plan.frame_len]
-
-
-def windowed_frame(signal, plan, k, window):
-    """Elementwise product of frame k with the window taps."""
+def frame_matrix(signal, plan, window):
+    """(K, N) matrix of every frame times the window taps; row k holds
+    samples [k*shift, k*shift + N)."""
     if len(window) != plan.frame_len:
         raise ValueError(
             f"window length {len(window)} does not match frame length {plan.frame_len}"
         )
-    return frame_slice(signal, plan, k) * window.taps
-
-
-def iter_windowed_frames(signal, plan, window):
-    for k in range(plan.frame_count):
-        yield k, windowed_frame(signal, plan, k, window)
+    frames = np.lib.stride_tricks.sliding_window_view(signal.samples, plan.frame_len)
+    return frames[:: plan.shift][: plan.frame_count] * window.taps

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .errors import UndefinedCorrelationError
+from .errors import IncompatibleInputError, UndefinedCorrelationError
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,9 @@ def best_lag(f, g, centered=False):
     g = np.asarray(g, dtype=np.float64)
     k = f.size
     if g.size < k:
-        raise ValueError(f"reference length {g.size} shorter than track length {k}")
+        raise IncompatibleInputError(
+            f"reference length {g.size} shorter than track length {k}"
+        )
     best = None
     for lag in range(g.size - k + 1):
         seg = g[lag : lag + k]

@@ -1,19 +1,19 @@
 """End-to-end ENF extraction: decimate, band-pass, frame, estimate, map.
 
-The estimation band handed to the per-frame estimator is the filter
+The estimation band handed to the frame estimator is the filter
 passband widened by two transition bandwidths, so numerical peaks in the
 deep stopband can never win the argmax.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import capon, spectral
 from .bandpass import apply_zero_phase, design_bandpass
-from .errors import DegenerateInputError
-from .framing import plan_frames, windowed_frame
+from .errors import DegenerateInputError, IncompatibleInputError
+from .framing import frame_matrix, plan_frames
 from .signal_io import decimate
 from .track import EnfTrack
 from .windowing import DEFAULT_KAISER_BETA, make_window
@@ -40,17 +40,32 @@ class PipelineConfig:
     pad_factor: int = 4
     working_rate_hz: float = 441.0
     interpolate: bool = True
-    threads: int = 1
 
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}")
         if self.harmonic < 1:
             raise ValueError("harmonic must be a positive integer")
-        if self.harmonic * self.nominal_hz >= self.working_rate_hz / 2.0:
+        nyquist = self.working_rate_hz / 2.0
+        half = self.passband_hz / 2.0
+        if not 0.0 < self.center_hz - half < self.center_hz + half < nyquist:
             raise ValueError(
-                f"harmonic band {self.harmonic * self.nominal_hz:g} Hz is not "
-                f"below the working Nyquist {self.working_rate_hz / 2.0:g} Hz"
+                f"harmonic band {self.center_hz:g} +/- {half:g} Hz is not inside "
+                f"the working band (0, {nyquist:g}) Hz"
+            )
+        if self.taps < 3 or self.taps % 2 == 0:
+            raise ValueError("taps must be odd and at least 3")
+        if self.window == "kaiser" and not 0.0 <= self.kaiser_beta < math.inf:
+            raise ValueError("Kaiser beta must be non-negative and finite")
+        if self.capon_order < 1 or self.pad_factor < 1:
+            raise ValueError("capon order and pad factor must be at least 1")
+        frame_len = self.frame_len_s * self.working_rate_hz
+        shift = self.shift_s * self.working_rate_hz
+        if not (math.isfinite(frame_len + shift) and min(round(frame_len), round(shift)) >= 1):
+            raise ValueError("frame length and shift must round to at least 1 sample")
+        if self.estimator == "capon" and round(frame_len) <= self.capon_order:
+            raise ValueError(
+                f"{round(frame_len)}-sample frames are shorter than capon order + 1"
             )
 
     @property
@@ -72,7 +87,7 @@ def _decimation_factor(sample_rate_hz, working_rate_hz):
     ratio = sample_rate_hz / working_rate_hz
     factor = int(round(ratio))
     if factor < 1 or abs(ratio - factor) > 1e-9:
-        raise ValueError(
+        raise IncompatibleInputError(
             f"sample rate {sample_rate_hz:g} Hz is not an integer multiple of "
             f"the working rate {working_rate_hz:g} Hz"
         )
@@ -90,6 +105,25 @@ def estimation_band(flt):
     )
 
 
+def estimate_frames(frames, sample_rate_hz, band, estimator="capon",
+                    order=capon.DEFAULT_ORDER, pad_factor=spectral.DEFAULT_PAD_FACTOR,
+                    interpolate=True):
+    """Peak frequency in band, in Hz, of every row of frames (K, N).
+
+    The spectrum of the chosen estimator is evaluated only at the in-band
+    bins of the Q = pad_factor * N grid.  NaN marks a frame with no usable
+    estimate.
+    """
+    grid_size = pad_factor * frames.shape[-1]
+    bins = spectral.band_bins(band, grid_size, sample_rate_hz)
+    if estimator == "capon":
+        power, valid = capon.capon_band_power(frames, bins, grid_size, order)
+    else:
+        power, valid = spectral.stft_band_power(frames, bins, grid_size)
+    freqs, _ = spectral.band_peak(power, bins, grid_size, sample_rate_hz, interpolate)
+    return np.where(valid, freqs, np.nan)
+
+
 def extract_enf(signal, config):
     """Extract the per-frame ENF track, mapped to the fundamental.
 
@@ -98,14 +132,14 @@ def extract_enf(signal, config):
     """
     factor = _decimation_factor(signal.sample_rate_hz, config.working_rate_hz)
     working = decimate(signal, factor)
+    if len(working) <= config.taps:
+        raise DegenerateInputError(
+            f"signal of {len(working)} samples at the working rate is not longer "
+            f"than the {config.taps}-tap filter"
+        )
     flt = design_bandpass(
         working.sample_rate_hz, config.center_hz, config.passband_hz, config.taps
     )
-    if len(working) < config.taps:
-        raise DegenerateInputError(
-            f"signal of {len(working)} samples at the working rate is shorter "
-            f"than the {config.taps}-tap filter"
-        )
     filtered = apply_zero_phase(flt, working)
     plan = plan_frames(
         len(filtered), config.frame_len_s, config.shift_s, filtered.sample_rate_hz
@@ -116,59 +150,33 @@ def extract_enf(signal, config):
             f"{plan.frame_len}-sample frame"
         )
     window = make_window(config.window, plan.frame_len, config.kaiser_beta)
-    band = estimation_band(flt)
-    rate = filtered.sample_rate_hz
-
-    def estimate(k):
-        frame = windowed_frame(filtered, plan, k, window)
-        try:
-            if config.estimator == "capon":
-                return capon.capon_estimate_frame(
-                    frame, rate, band,
-                    order=config.capon_order,
-                    pad_factor=config.pad_factor,
-                    interpolate=config.interpolate,
-                )
-            return spectral.estimate_frame_stft(
-                frame, rate, band,
-                pad_factor=config.pad_factor,
-                interpolate=config.interpolate,
-            )
-        except DegenerateInputError:
-            return np.nan
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            freqs = np.fromiter(
-                pool.map(estimate, range(plan.frame_count)),
-                dtype=np.float64,
-                count=plan.frame_count,
-            )
-    else:
-        freqs = np.fromiter(
-            (estimate(k) for k in range(plan.frame_count)),
-            dtype=np.float64,
-            count=plan.frame_count,
-        )
+    frames = frame_matrix(filtered, plan, window)
+    rate, origin_s = filtered.sample_rate_hz, filtered.origin_offset_s
+    # The frame matrix holds every sample the estimators need; releasing
+    # the filtered signal first keeps peak memory at one filtered copy.
+    del filtered
+    freqs = estimate_frames(
+        frames,
+        rate,
+        estimation_band(flt),
+        config.estimator,
+        order=config.capon_order,
+        pad_factor=config.pad_factor,
+        interpolate=config.interpolate,
+    )
 
     indices = np.arange(plan.frame_count, dtype=np.int64)
-    times = filtered.origin_offset_s + indices * plan.shift_s
-    raw = EnfTrack(
+    times = origin_s + indices * plan.shift_s
+    track = EnfTrack(
         indices, times, freqs,
         frame_len_s=plan.frame_len_s,
         shift_s=plan.shift_s,
         harmonic=config.harmonic,
         nominal_hz=config.nominal_hz,
-    )
-    track = to_fundamental(raw)
+    ).to_fundamental()
     out_of_envelope = np.abs(track.freq_hz - config.nominal_hz) > VALID_ENVELOPE_HZ
     if np.any(out_of_envelope & track.valid):
         freqs = track.freq_hz.copy()
         freqs[out_of_envelope] = np.nan
         track = replace(track, freq_hz=freqs)
     return track
-
-
-def to_fundamental(track):
-    """Divide a harmonic-band track down to the fundamental."""
-    return track.to_fundamental()

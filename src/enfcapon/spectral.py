@@ -1,104 +1,82 @@
-"""Periodogram-based per-frame frequency estimation.
+"""Band-limited peak estimation shared by the STFT and Capon estimators.
 
-Zero-padded periodogram, in-band peak search, and sub-bin refinement by
-fitting a parabola to three log-spectrum samples around the maximum.
-The refinement and peak search are shared with the Capon estimator,
-which produces the same PsdEstimate type.
+Both estimators evaluate their spectrum, for all frames at once, only at
+the bins q of the grid omega_q = 2*pi*q/Q that lie in the estimation
+band, plus one neighbour on each side.  The peak is the largest in-band
+bin, refined by fitting a parabola to three log-spectrum samples around
+it.
 """
 
-from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
+
+from .errors import IncompatibleInputError
 
 DEFAULT_PAD_FACTOR = 4
 
 
-@dataclass(frozen=True)
-class PsdEstimate:
-    """Power values on the dense grid omega_q = 2*pi*q/Q, q = 0..Q-1."""
+def band_bins(band, grid_size, sample_rate_hz):
+    """Bins q < Q/2 whose frequency q*Fs/Q lies in band, plus one
+    neighbour on each side.
 
-    values: np.ndarray
-    sample_rate_hz: float
-
-    @property
-    def grid_size(self):
-        return self.values.size
-
-    @property
-    def grid_hz(self):
-        q = self.values.size
-        return np.arange(q) * (self.sample_rate_hz / q)
-
-    def bin_hz(self, q):
-        return q * self.sample_rate_hz / self.values.size
-
-
-class RefinedPeak(NamedTuple):
-    freq_hz: float
-    refined: bool
-
-
-def periodogram(frame, sample_rate_hz, pad_factor=DEFAULT_PAD_FACTOR):
-    """|DFT|^2 / N of the frame zero-padded to Q = pad_factor * N."""
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.size == 0:
-        raise ValueError("empty frame")
-    if pad_factor < 1:
-        raise ValueError("pad_factor must be at least 1")
-    n = frame.size
-    grid = pad_factor * n
-    spectrum = np.abs(np.fft.fft(frame, grid)) ** 2 / n
-    return PsdEstimate(spectrum, sample_rate_hz)
-
-
-def peak_search(psd, band):
-    """Index of the largest PSD value whose grid frequency lies in band.
-
-    Ties resolve to the lowest index.  The band must contain at least
-    three grid points so quadratic refinement has a neighborhood.
+    The band must contain at least three grid points so quadratic
+    refinement has a neighbourhood.
     """
     f_lo, f_hi = band
-    nyquist = psd.sample_rate_hz / 2.0
+    nyquist = sample_rate_hz / 2.0
     if not (0.0 < f_lo < f_hi < nyquist):
-        raise ValueError(f"band ({f_lo:g}, {f_hi:g}) Hz outside (0, {nyquist:g}) Hz")
-    grid = psd.grid_hz
-    half = psd.grid_size // 2
-    in_band = np.flatnonzero((grid[:half] >= f_lo) & (grid[:half] <= f_hi))
+        raise IncompatibleInputError(
+            f"band ({f_lo:g}, {f_hi:g}) Hz outside (0, {nyquist:g}) Hz"
+        )
+    grid = np.arange(grid_size // 2) * (sample_rate_hz / grid_size)
+    in_band = np.flatnonzero((grid >= f_lo) & (grid <= f_hi))
     if in_band.size < 3:
-        raise ValueError("band contains fewer than 3 grid points")
-    return int(in_band[np.argmax(psd.values[in_band])])
+        raise IncompatibleInputError(
+            f"band ({f_lo:g}, {f_hi:g}) Hz contains fewer than 3 grid points "
+            f"of the {grid_size}-point grid; use longer frames or a larger "
+            f"pad factor"
+        )
+    return np.arange(in_band[0] - 1, in_band[-1] + 2)
 
 
-def refine_quadratic(psd, q_max):
-    """Sub-bin peak frequency from a parabola fit on the log spectrum.
+def stft_band_power(frames, bins, grid_size):
+    """|DFT|^2 / N of every frame (K, N) zero-padded to Q, at the given
+    bins, as one (N x B) DFT sub-matrix.
 
-    With alpha, beta, gamma the log power at bins q_max-1..q_max+1, the
-    vertex offset is 0.5*(alpha - gamma)/(alpha - 2*beta + gamma),
-    clamped to [-0.5, 0.5].  Falls back to the raw bin frequency (with
-    refined=False) when a fit point has zero power or the peak sits at
-    the grid boundary.
+    Returns (power, valid); a frame with no energy has no peak.
     """
-    grid = psd.grid_size
-    if not 1 <= q_max <= grid // 2 - 2:
-        return RefinedPeak(psd.bin_hz(q_max), False)
-    triple = psd.values[q_max - 1 : q_max + 2]
-    if np.any(triple <= 0.0):
-        return RefinedPeak(psd.bin_hz(q_max), False)
-    log_a, log_b, log_c = np.log(triple)
-    denom = log_a - 2.0 * log_b + log_c
-    if denom == 0.0:
-        offset = 0.0
-    else:
-        offset = float(np.clip(0.5 * (log_a - log_c) / denom, -0.5, 0.5))
-    return RefinedPeak((q_max + offset) * psd.sample_rate_hz / grid, True)
+    frames = np.asarray(frames, dtype=np.float64)
+    n = frames.shape[-1]
+    if n == 0:
+        raise ValueError("empty frames")
+    phase = 2.0 * np.pi * (np.outer(np.arange(n), bins) % grid_size) / grid_size
+    power = ((frames @ np.cos(phase)) ** 2 + (frames @ np.sin(phase)) ** 2) / n
+    return power, np.einsum("...t,...t->...", frames, frames) > 0.0
 
 
-def estimate_frame_stft(frame, sample_rate_hz, band, pad_factor=DEFAULT_PAD_FACTOR,
-                        interpolate=True):
-    """Full per-frame STFT estimate: periodogram -> peak -> refinement."""
-    psd = periodogram(frame, sample_rate_hz, pad_factor)
-    q_max = peak_search(psd, band)
+def band_peak(power, bins, grid_size, sample_rate_hz, interpolate=True):
+    """Peak frequency in Hz of every row of power, sampled at bins: the
+    search bins plus one neighbour on each side, as band_bins returns.
+
+    The peak is the largest search bin; ties resolve to the lowest.  The
+    refinement moves it by the parabola vertex offset
+    0.5*(a - c)/(a - 2b + c) of the log power a, b, c at the peak and its
+    neighbours, clamped to [-0.5, 0.5].  It falls back to the raw bin
+    frequency when a fit point has no positive power or the peak sits at
+    the grid boundary.  Returns (freq_hz, refined).
+    """
+    power = np.asarray(power, dtype=np.float64)
+    j = np.argmax(power[..., 1:-1], axis=-1)
+    q_max = bins[1 + j]
+    raw = q_max * sample_rate_hz / grid_size
     if not interpolate:
-        return psd.bin_hz(q_max)
-    return refine_quadratic(psd, q_max).freq_hz
+        return raw, np.zeros(raw.shape, dtype=bool)
+    triple = np.take_along_axis(power, j[..., None] + np.arange(3), axis=-1)
+    refined = (
+        (q_max >= 1) & (q_max <= grid_size // 2 - 2) & np.all(triple > 0.0, axis=-1)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_a, log_b, log_c = np.moveaxis(np.log(triple), -1, 0)
+        denom = log_a - 2.0 * log_b + log_c
+        offset = np.clip(0.5 * (log_a - log_c) / denom, -0.5, 0.5)
+    offset = np.where(denom == 0.0, 0.0, offset)
+    return np.where(refined, (q_max + offset) * sample_rate_hz / grid_size, raw), refined

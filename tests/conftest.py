@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from enfcapon.capon import ToeplitzCovariance
-
 
 def random_pd_toeplitz(rng, order, near_singular=False):
     """First column of a random positive-definite symmetric Toeplitz matrix.
@@ -31,4 +29,4 @@ def rng():
 
 @pytest.fixture
 def pd_cov(rng):
-    return ToeplitzCovariance(random_pd_toeplitz(rng, 11))
+    return random_pd_toeplitz(rng, 11)

@@ -17,21 +17,19 @@ from scipy.linalg import toeplitz
 from conftest import make_tone, random_pd_toeplitz
 from enfcapon.bench import run_bench
 from enfcapon.capon import (
-    ToeplitzCovariance,
-    capon_estimate_frame,
     capon_psd,
     denom_coeffs,
-    denominator_quadratic_form,
     estimate_autocovariance,
     gs_factors,
-    inverse_from_gs,
     levinson_solve,
 )
 from enfcapon.matching import best_lag, correlation, fisher_test
-from enfcapon.pipeline import power_config, extract_enf
-from enfcapon.spectral import PsdEstimate, refine_quadratic
+from enfcapon.pipeline import estimate_frames, extract_enf, power_config
+from enfcapon.signal_io import SampledSignal
+from enfcapon.spectral import band_peak
 from enfcapon.synthetic import ground_truth_for_track, make_power_fixture
 from enfcapon.windowing import WINDOW_KINDS, make_window
+from oracle import inverse_from_gs, per_frame_track
 
 FIXTURE_SEED = 20260823
 PSD_GRID = 64
@@ -77,30 +75,33 @@ def fixture_runs(power_fixture):
 def test_criterion_1_gs_correctness(gs_suite):
     t0 = time.perf_counter()
     omegas = 2.0 * np.pi * np.arange(PSD_GRID) / PSD_GRID
-    for col in gs_suite:
-        w, alpha = levinson_solve(ToeplitzCovariance(col))
-        factors = gs_factors(w, alpha)
+    w, alpha, valid = levinson_solve(np.array(gs_suite))
+    assert np.all(valid)
+    gammas, deltas = gs_factors(w, alpha)
+    coeffs = denom_coeffs(gammas, deltas)
+    for col, gamma, delta, half in zip(gs_suite, gammas, deltas, coeffs):
         dense_matrix = toeplitz(col)
 
-        gs_inverse = inverse_from_gs(factors)
+        gs_inverse = inverse_from_gs(gamma, delta)
         dense_inverse = np.linalg.inv(dense_matrix)
         rel = np.linalg.norm(gs_inverse - dense_inverse) / np.linalg.norm(dense_inverse)
         assert rel < 1e-8
 
-        psd = capon_psd(denom_coeffs(factors), PSD_GRID, 1.0)
+        psd = capon_psd(half, PSD_GRID)
         inv_steering = np.exp(-1j * np.outer(omegas, np.arange(11)))
         direct_den = np.real(
             np.einsum("qi,ij,qj->q", inv_steering.conj(), dense_inverse, inv_steering)
         )
-        np.testing.assert_allclose(psd.values, 11.0 / direct_den, rtol=1e-9)
+        np.testing.assert_allclose(psd, 11.0 / direct_den, rtol=1e-9)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     report(1, f"GS correctness (1000 matrices, {elapsed:.1f}s)")
 
 
 def test_criterion_2_levinson_correctness(gs_suite):
-    for col in gs_suite:
-        w, alpha = levinson_solve(ToeplitzCovariance(col))
+    ws, alphas, valid = levinson_solve(np.array(gs_suite))
+    assert np.all(valid)
+    for col, w, alpha in zip(gs_suite, ws, alphas):
         dense_w = np.linalg.solve(toeplitz(col[:-1]), -col[1:])
         np.testing.assert_allclose(w, dense_w, rtol=1e-10, atol=1e-13)
         dense_alpha = col[0] + col[1:] @ dense_w
@@ -129,6 +130,26 @@ def test_criterion_5_stft_with_parzen(fixture_runs):
     report(5, f"STFT+Parzen end-to-end (corr={corr:.4f})")
 
 
+def test_batched_matches_per_frame_oracle(power_fixture):
+    samples = power_fixture.signal.samples.copy()
+    samples[600 * 441 : 660 * 441] = 0.0  # a one-minute dropout
+    spliced = SampledSignal(samples, power_fixture.signal.sample_rate_hz)
+    worst = 0.0
+    for signal in (power_fixture.signal, spliced):
+        for estimator, window in (
+            ("capon", "parzen"),
+            ("capon", "rectangular"),
+            ("stft", "parzen"),
+        ):
+            config = power_config(estimator=estimator, window=window)
+            batched = extract_enf(signal, config).freq_hz
+            oracle = per_frame_track(signal, config)
+            np.testing.assert_array_equal(np.isnan(batched), np.isnan(oracle))
+            worst = max(worst, float(np.nanmax(np.abs(batched - oracle))))
+    assert worst <= 1e-9
+    report(10, f"batched track equals per-frame oracle (max |df| {worst:.1e} Hz)")
+
+
 def test_criterion_6_quadratic_interpolation_exactness():
     rng = np.random.default_rng(6)
     grid = np.arange(256, dtype=float)
@@ -137,8 +158,8 @@ def test_criterion_6_quadratic_interpolation_exactness():
         q0 = int(rng.integers(10, 110))
         curvature = rng.uniform(0.1, 3.0)
         log_values = -curvature * (grid - (q0 + offset)) ** 2 + rng.uniform(-1, 1)
-        psd = PsdEstimate(np.exp(log_values), 256.0)
-        recovered = refine_quadratic(psd, q0).freq_hz
+        bins = np.arange(q0 - 4, q0 + 5)  # peak search over q0 +/- 3
+        recovered, _ = band_peak(np.exp(log_values)[bins], bins, 256, 256.0)
         assert abs(recovered - (q0 + offset)) < 1e-6
     report(6, "quadratic interpolation exactness (100 offsets)")
 
@@ -200,13 +221,11 @@ class TestCriterion9Properties:
     def test_scale_equivariance(self, seed, scale):
         rng = np.random.default_rng(seed)
         frame = rng.normal(size=64)
-        cov = estimate_autocovariance(frame, 4)
-        cov_scaled = estimate_autocovariance(scale * frame, 4)
-        np.testing.assert_allclose(
-            cov_scaled.first_column, scale**2 * cov.first_column, rtol=1e-9
-        )
-        w, alpha = levinson_solve(cov)
-        w_scaled, alpha_scaled = levinson_solve(cov_scaled)
+        rho = estimate_autocovariance(frame, 4)
+        rho_scaled = estimate_autocovariance(scale * frame, 4)
+        np.testing.assert_allclose(rho_scaled, scale**2 * rho, rtol=1e-9)
+        w, alpha, _ = levinson_solve(rho)
+        w_scaled, alpha_scaled, _ = levinson_solve(rho_scaled)
         np.testing.assert_allclose(w_scaled, w, rtol=1e-8, atol=1e-12)
         assert alpha_scaled == pytest.approx(scale**2 * alpha, rel=1e-8)
 
@@ -215,22 +234,25 @@ class TestCriterion9Properties:
     def test_denominator_coefficient_symmetry(self, seed):
         rng = np.random.default_rng(seed)
         col = random_pd_toeplitz(rng, 6)
-        w, alpha = levinson_solve(ToeplitzCovariance(col))
-        full = denom_coeffs(gs_factors(w, alpha)).full()
-        np.testing.assert_array_equal(full, full[::-1])
+        w, alpha, _ = levinson_solve(col)
+        gamma, delta = gs_factors(w, alpha)
+        half = denom_coeffs(gamma, delta)
+        dense = inverse_from_gs(gamma, delta)
+        lower = [np.trace(dense, offset=-i) for i in range(6)]
+        np.testing.assert_allclose(lower, half, rtol=1e-9, atol=1e-12)
 
     @settings(max_examples=500, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_frame_estimate_determinism(self, seed):
         rng = np.random.default_rng(seed)
         frame = make_tone(25.0, 100, 0.8) + rng.normal(0.0, 0.3, 80)
-        first = capon_estimate_frame(frame, 100.0, (20.0, 30.0), order=6)
-        second = capon_estimate_frame(frame, 100.0, (20.0, 30.0), order=6)
-        assert first == second
+        first = estimate_frames(frame[None, :], 100.0, (20.0, 30.0), order=6)
+        second = estimate_frames(frame[None, :], 100.0, (20.0, 30.0), order=6)
+        np.testing.assert_array_equal(first, second)
 
     def test_pipeline_determinism(self):
         fixture = make_power_fixture(99, duration_s=60.0)
         a = extract_enf(fixture.signal, power_config())
-        b = extract_enf(fixture.signal, power_config(threads=2))
+        b = extract_enf(fixture.signal, power_config())
         np.testing.assert_array_equal(a.freq_hz, b.freq_hz)
         report(9, "property suites (500 cases each)")

@@ -3,10 +3,13 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from enfcapon.cli import main
+from conftest import make_tone
+from enfcapon.cli import WINDOW_CHOICES, main
 from enfcapon.signal_io import SampledSignal, write_wav
-from enfcapon.track import read_track
+from enfcapon.track import EnfTrack, read_track, write_track
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +78,33 @@ class TestExtract:
         )
         assert result.exit_code == 2
 
+    def test_rate_not_multiple_of_working_rate_exit_code(self, runner, tmp_path):
+        wav = tmp_path / "48k.wav"
+        write_wav(SampledSignal(0.5 * make_tone(180.0, 48000, 1.0), 48000.0), wav)
+        result = runner.invoke(main, ["extract", str(wav), "-o", str(tmp_path / "x.csv")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "not an integer multiple" in result.output
+
+    def test_signal_exactly_taps_long_exit_code(self, runner, tmp_path):
+        wav = tmp_path / "taps.wav"
+        write_wav(SampledSignal(0.5 * make_tone(180.0, 441, 1001 / 441), 441.0), wav)
+        result = runner.invoke(main, ["extract", str(wav), "-o", str(tmp_path / "x.csv")])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("estimator", ["capon", "stft"])
+    def test_frames_too_short_exit_code(self, runner, fixture_files, tmp_path, estimator):
+        wav, _ = fixture_files
+        result = runner.invoke(
+            main,
+            ["extract", str(wav), "-o", str(tmp_path / "x.csv"),
+             "--frame-seconds", "0.01", "--estimator", estimator],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Error" in result.output
+
 
 class TestMatch:
     def test_match_json(self, runner, fixture_files, tmp_path):
@@ -87,6 +117,15 @@ class TestMatch:
         assert payload["centered"] is True
         assert payload["correlation"] > 0.9
         assert payload["lag"] >= 1
+
+    def test_query_longer_than_reference_exit_code(self, runner, fixture_files, tmp_path):
+        _, ref = fixture_files
+        short = tmp_path / "short.csv"
+        write_track(EnfTrack(np.arange(5), np.arange(5.0), np.full(5, 60.0)), short)
+        result = runner.invoke(main, ["match", str(ref), str(short)])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "shorter than track length" in result.output
 
 
 class TestFisher:
@@ -144,6 +183,20 @@ class TestCompareWindows:
         )
         assert cell == pytest.approx(json.loads(match.output)["correlation"])
 
+    def test_undefined_correlation_exit_code(self, runner, fixture_files, tmp_path):
+        wav, _ = fixture_files
+        flat = tmp_path / "flat.csv"
+        n = 200
+        write_track(EnfTrack(np.arange(n), np.arange(float(n)), np.full(n, 60.0)), flat)
+        result = runner.invoke(
+            main,
+            ["compare-windows", str(wav), "--reference", str(flat), "--windows", "parzen",
+             "--frame-lengths", "1", "--centered", "-o", str(tmp_path / "x.csv")],
+        )
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "undefined" in result.output
+
     def test_unknown_window_rejected(self, runner, fixture_files, tmp_path):
         wav, ref = fixture_files
         result = runner.invoke(
@@ -188,3 +241,50 @@ class TestSynthDeterminism:
             assert result.exit_code == 0
             outputs.append((wav.read_bytes(), ref.read_text()))
         assert outputs[0] == outputs[1]
+
+
+@pytest.fixture(scope="module")
+def short_wav(tmp_path_factory):
+    path = tmp_path_factory.mktemp("short") / "tone.wav"
+    rng = np.random.default_rng(4)
+    samples = 0.3 * make_tone(180.02, 441, 20.0) + rng.normal(0.0, 0.05, 20 * 441)
+    write_wav(SampledSignal(samples, 441.0), path)
+    return path
+
+
+def optional(strategy):
+    return st.none() | strategy
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    mode=st.sampled_from(["power", "speech"]),
+    options=st.fixed_dictionaries({
+        "--nominal-hz": optional(st.sampled_from(["50", "60"])),
+        "--harmonic": optional(st.integers(0, 4)),
+        "--frame-seconds": optional(st.floats(0.0, 25.0)),
+        "--shift-seconds": optional(st.floats(0.0, 5.0)),
+        "--window": optional(st.sampled_from(WINDOW_CHOICES)),
+        "--kaiser-beta": optional(st.floats(-1.0, 20.0)),
+        "--estimator": optional(st.sampled_from(["capon", "stft"])),
+        "--taps": optional(st.integers(0, 4500).map(lambda k: 2 * k + 1)),
+        "--passband-hz": optional(st.floats(0.0, 3.0)),
+        "--capon-order": optional(st.integers(0, 40)),
+        "--pad-factor": optional(st.integers(0, 8)),
+        "--skip-seconds": optional(st.floats(-1.0, 25.0)),
+    }),
+    no_interpolate=st.booleans(),
+)
+def test_extract_option_space_never_crashes(short_wav, tmp_path, mode, options,
+                                            no_interpolate):
+    args = ["extract", str(short_wav), "-o", str(tmp_path / "t.csv"), "--mode", mode]
+    for name, value in options.items():
+        if value is not None:
+            args += [name, str(value)]
+    if no_interpolate:
+        args.append("--no-interpolate")
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 2, 3), (args, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit), args
+    assert "Traceback" not in result.output

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from enfcapon.framing import frame_slice, iter_windowed_frames, plan_frames, windowed_frame
+from enfcapon.framing import frame_matrix, plan_frames
 from enfcapon.signal_io import SampledSignal
 from enfcapon.windowing import make_window
 
@@ -48,47 +48,49 @@ class TestWindowedFrame:
         signal = self.make_signal()
         plan = plan_frames(len(signal), 1.0, 1.0, 441.0)
         window = make_window("rectangular", plan.frame_len)
-        out = windowed_frame(signal, plan, 3, window)
-        np.testing.assert_array_equal(out, frame_slice(signal, plan, 3))
+        frames = frame_matrix(signal, plan, window)
+        np.testing.assert_array_equal(frames[3], signal.samples[3 * 441 : 4 * 441])
 
     def test_zero_frame(self):
         signal = SampledSignal(np.zeros(1000), 441.0)
         plan = plan_frames(1000, 1.0, 1.0, 441.0)
         window = make_window("parzen", plan.frame_len)
-        assert np.all(windowed_frame(signal, plan, 0, window) == 0.0)
+        assert np.all(frame_matrix(signal, plan, window) == 0.0)
 
     def test_parzen_on_ones_returns_taps(self):
         signal = SampledSignal(np.ones(1000), 441.0)
         plan = plan_frames(1000, 1.0, 1.0, 441.0)
         window = make_window("parzen", plan.frame_len)
-        np.testing.assert_array_equal(
-            windowed_frame(signal, plan, 0, window), window.taps
-        )
+        frames = frame_matrix(signal, plan, window)
+        assert frames.shape == (plan.frame_count, plan.frame_len)
+        np.testing.assert_array_equal(frames[0], window.taps)
 
     def test_out_of_range_and_mismatch(self):
         signal = self.make_signal()
         plan = plan_frames(len(signal), 1.0, 1.0, 441.0)
         window = make_window("parzen", plan.frame_len)
         with pytest.raises(IndexError):
-            windowed_frame(signal, plan, plan.frame_count, window)
+            frame_matrix(signal, plan, window)[plan.frame_count]
         with pytest.raises(ValueError):
-            windowed_frame(signal, plan, 0, make_window("parzen", 100))
+            frame_matrix(signal, plan, make_window("parzen", 100))
 
     def test_frame_starts_and_overlap(self):
         signal = self.make_signal()
         plan = plan_frames(len(signal), 2.0, 1.0, 441.0)
-        for k in range(plan.frame_count):
-            frame = frame_slice(signal, plan, k)
-            assert frame[0] == signal.samples[k * plan.shift]
-            assert frame.size == plan.frame_len
-        first = frame_slice(signal, plan, 0)
-        second = frame_slice(signal, plan, 1)
+        frames = frame_matrix(signal, plan, make_window("rectangular", plan.frame_len))
+        assert frames.shape == (plan.frame_count, plan.frame_len)
+        starts = signal.samples[:: plan.shift][: plan.frame_count]
+        np.testing.assert_array_equal(frames[:, 0], starts)
         overlap = plan.frame_len - plan.shift
-        np.testing.assert_array_equal(first[plan.shift :], second[:overlap])
+        np.testing.assert_array_equal(frames[0, plan.shift :], frames[1, :overlap])
 
     def test_iterator_matches_direct(self):
         signal = self.make_signal()
-        plan = plan_frames(len(signal), 1.0, 1.0, 441.0)
+        plan = plan_frames(len(signal), 1.5, 0.7, 441.0)
         window = make_window("hamming", plan.frame_len)
-        for k, frame in iter_windowed_frames(signal, plan, window):
-            np.testing.assert_array_equal(frame, windowed_frame(signal, plan, k, window))
+        frames = frame_matrix(signal, plan, window)
+        assert len(frames) == plan.frame_count
+        for k, frame in enumerate(frames):
+            start = k * plan.shift
+            direct = signal.samples[start : start + plan.frame_len] * window.taps
+            np.testing.assert_array_equal(frame, direct)
