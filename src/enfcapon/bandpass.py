@@ -11,7 +11,7 @@ would square it).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve, firwin
+from scipy.signal import firwin, oaconvolve
 
 from .signal_io import SampledSignal
 
@@ -77,7 +77,15 @@ def apply_zero_phase(flt, signal):
             f"signal of {len(signal)} samples is not longer than the "
             f"{n_taps}-tap filter"
         )
-    filtered = fftconvolve(signal.samples, flt.coeffs, mode="valid")
+    filtered = oaconvolve(signal.samples, flt.coeffs, mode="valid")
+    # FFT convolution spreads roundoff (~1e-15) into stretches of digital
+    # silence, which the estimators would read as signal.  An output whose
+    # whole input window lies in a run of zeros is exactly zero.
+    runs = np.flatnonzero(
+        np.diff(signal.samples == 0.0, prepend=False, append=False)
+    ).reshape(-1, 2)
+    for start, end in runs[runs[:, 1] - runs[:, 0] >= n_taps]:
+        filtered[start : end - n_taps + 1] = 0.0
     return SampledSignal(
         filtered,
         signal.sample_rate_hz,

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 bad arguments, 3 degenerate input.
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -19,7 +20,7 @@ from .matching import best_lag, fisher_test
 from .pipeline import ESTIMATORS, PipelineConfig, extract_enf
 from .signal_io import SampledSignal, read_wav, write_wav
 from .synthetic import make_power_fixture
-from .track import EnfTrack, read_track, write_track
+from .track import CADENCE_TOL_S, EnfTrack, read_track, write_track
 from .windowing import WINDOW_KINDS
 
 MANIFEST_SCHEMA = 1
@@ -128,6 +129,9 @@ def main():
 @pipeline_options
 def extract(wav, output, fmt, skip_seconds, as_json, **kw):
     """Extract an ENF track from a WAV recording."""
+    if not 0.0 <= skip_seconds < math.inf:
+        raise click.BadParameter("must be finite and non-negative",
+                                 param_hint="'--skip-seconds'")
     config = _gather_config(**kw)
     timings = {}
     try:
@@ -165,6 +169,20 @@ def extract(wav, output, fmt, skip_seconds, as_json, **kw):
         )
 
 
+def _check_cadences(query, reference):
+    """Usage error unless both tracks have uniformly spaced times at the
+    same frame shift (a one-row track has no cadence and passes)."""
+    for name, track in (("query", query), ("reference", reference)):
+        if track.shift_s is None and len(track) > 1:
+            raise click.UsageError(f"{name} track times are not uniformly spaced")
+    if (query.shift_s is not None and reference.shift_s is not None
+            and abs(query.shift_s - reference.shift_s) > CADENCE_TOL_S):
+        raise click.UsageError(
+            f"query frame shift {query.shift_s:g} s differs from reference "
+            f"frame shift {reference.shift_s:g} s"
+        )
+
+
 @main.command()
 @click.argument("extracted", type=click.Path(exists=True, dir_okay=False))
 @click.argument("reference", type=click.Path(exists=True, dir_okay=False))
@@ -175,13 +193,15 @@ def match(extracted, reference, centered):
     try:
         f = read_track(extracted)
         g = read_track(reference)
+        _check_cadences(f, g)
         result = best_lag(f.freq_hz, g.freq_hz, centered=centered)
     except EnfError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DEGENERATE)
+    # A defined correlation needs two pairs, so g.shift_s is known here.
     click.echo(json.dumps({
         "lag": result.lag_one_based,
-        "lag_seconds": float(result.best_lag * (g.shift_s or 1.0)),
+        "lag_seconds": float(result.best_lag * g.shift_s),
         "correlation": result.correlation,
         "centered": result.centered,
         "n_used": result.n_used,
@@ -267,11 +287,11 @@ def compare_windows(wav, reference, windows, frame_lengths, output, plot_data,
     base_window = kw.pop("window", None)  # superseded by --windows
     base_frame = kw.pop("frame_len_s", None)
     del base_window, base_frame
-    signal = read_wav(wav)
-    ref = read_track(reference)
 
     rows = []
     try:
+        signal = read_wav(wav)
+        ref = read_track(reference)
         for win in window_list:
             cells = []
             for length in lengths:

@@ -24,7 +24,8 @@ class DegenerateInputError(EnfError):
 class IncompatibleInputError(EnfError, ValueError):
     """Inputs or settings that cannot be used together: a sample rate that
     is not a multiple of the working rate, an estimation band too narrow
-    for the frequency grid, a query track longer than its reference."""
+    for the frequency grid, a query track longer than its reference, a
+    skip interval that is not finite."""
 
 
 class NotPositiveDefiniteError(EnfError):

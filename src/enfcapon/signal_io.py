@@ -4,13 +4,14 @@ WAV input is restricted to PCM 16-bit; anything else is rejected loudly
 rather than silently re-quantized.
 """
 
+import math
 import wave
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve, firwin
+from scipy.signal import firwin, upfirdn
 
-from .errors import DegenerateInputError, UnsupportedFormatError
+from .errors import DegenerateInputError, IncompatibleInputError, UnsupportedFormatError
 
 PCM16_FULL_SCALE = 32768.0
 
@@ -45,6 +46,8 @@ class SampledSignal:
 
     def skip_head(self, seconds):
         """Drop the first `seconds` of the signal, tracking the offset."""
+        if not math.isfinite(seconds):
+            raise IncompatibleInputError(f"skip interval {seconds} s is not finite")
         n = int(round(seconds * self.sample_rate_hz))
         if n <= 0:
             return self
@@ -61,10 +64,13 @@ def read_wav(path):
     """Read a PCM 16-bit WAV file into a normalized mono SampledSignal.
 
     Stereo channels are averaged.  Amplitudes are scaled by 1/32768 so the
-    full negative scale maps to -1.0.
+    full negative scale maps to -1.0.  A partial sample frame at the end
+    of a truncated file is dropped.
     """
     try:
         reader = wave.open(str(path), "rb")
+    except EOFError as exc:
+        raise UnsupportedFormatError(f"{path}: file ends inside the WAV header") from exc
     except (OSError, wave.Error) as exc:
         raise UnsupportedFormatError(f"cannot read WAV file {path}: {exc}") from exc
     with reader:
@@ -78,13 +84,18 @@ def read_wav(path):
                 f"{8 * reader.getsampwidth()}-bit"
             )
         n_channels = reader.getnchannels()
-        n_frames = reader.getnframes()
         rate = reader.getframerate()
-        raw = reader.readframes(n_frames)
-    data = np.frombuffer(raw, dtype="<i2").astype(np.float64)
+        raw = reader.readframes(reader.getnframes())
+    if rate <= 0:
+        raise UnsupportedFormatError(f"{path}: sample rate {rate} Hz in header")
+    n_frames = len(raw) // (2 * n_channels)
+    if n_frames == 0:
+        raise DegenerateInputError(f"{path}: no audio frames")
+    data = np.frombuffer(raw, dtype="<i2", count=n_frames * n_channels)
     if n_channels > 1:
         data = data.reshape(-1, n_channels).mean(axis=1)
-    return SampledSignal(data / PCM16_FULL_SCALE, float(rate))
+    # One float64 pass; scaling by the power of two 1/32768 is exact.
+    return SampledSignal(data * (1.0 / PCM16_FULL_SCALE), float(rate))
 
 
 def write_wav(signal, path):
@@ -125,9 +136,14 @@ def decimate(signal, factor):
             f"signal of {len(signal)} samples is too short for the "
             f"{taps.size}-tap anti-alias filter"
         )
-    filtered = fftconvolve(signal.samples, taps, mode="same")
+    # Polyphase filtering computes only the kept outputs.  Output j of
+    # upfirdn is the full convolution at input index j * factor; the
+    # filter delay (taps.size - 1) // 2 = 5 * factor is a whole number
+    # of output samples, so dropping delay // factor outputs aligns them.
+    start = (taps.size - 1) // 2 // factor
+    n_out = -(-len(signal) // factor)
     return SampledSignal(
-        filtered[::factor],
+        upfirdn(taps, signal.samples, 1, factor)[start : start + n_out],
         signal.sample_rate_hz / factor,
         signal.origin_offset_s,
     )

@@ -16,6 +16,9 @@ from .errors import TrackFormatError
 
 CSV_HEADER = "frame_index,time_s,freq_hz"
 
+# Frame times spaced equally to within this many seconds define a cadence.
+CADENCE_TOL_S = 1e-9
+
 
 @dataclass(frozen=True)
 class EnfTrack:
@@ -85,7 +88,11 @@ def write_track(track, path, format="csv"):
 
 
 def read_track(path):
-    """Load a track written by write_track; format inferred from content."""
+    """Load a track written by write_track; format inferred from content.
+
+    shift_s is inferred from time_s when the times are uniformly spaced,
+    and is None otherwise (or for fewer than two rows).
+    """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
@@ -108,7 +115,7 @@ def _parse_json(text):
             freqs.append(math.nan if f is None else float(f))
         except (KeyError, TypeError, ValueError) as exc:
             raise TrackFormatError(f"bad entry {n}: {exc}") from exc
-    return EnfTrack(np.array(idx, dtype=np.int64), np.array(times), np.array(freqs))
+    return _track(idx, times, freqs)
 
 
 def _parse_csv(text):
@@ -128,4 +135,22 @@ def _parse_csv(text):
             freqs.append(float(parts[2]))
         except ValueError as exc:
             raise TrackFormatError(str(exc), line=n) from exc
-    return EnfTrack(np.array(idx, dtype=np.int64), np.array(times), np.array(freqs))
+    return _track(idx, times, freqs)
+
+
+def _track(idx, times, freqs):
+    times = np.array(times, dtype=np.float64)
+    return EnfTrack(
+        np.array(idx, dtype=np.int64), times, np.array(freqs, dtype=np.float64),
+        shift_s=_uniform_shift(times),
+    )
+
+
+def _uniform_shift(times):
+    if times.size < 2:
+        return None
+    shift = (times[-1] - times[0]) / (times.size - 1)
+    # NaN spacings fail the comparison, so they leave the cadence undefined.
+    if not (0.0 < shift < math.inf and np.all(np.abs(np.diff(times) - shift) <= CADENCE_TOL_S)):
+        return None
+    return float(shift)

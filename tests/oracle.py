@@ -6,18 +6,42 @@ spectrum only inside the estimation band.  The per-frame chain here
 takes one frame at a time through an explicit inverse, the full-grid
 spectrum, a peak search over the whole band and a scalar quadratic
 refinement.  The dense helpers form the Toeplitz machinery with explicit
-matrices.
+matrices.  The package decimates by polyphase filtering and band-passes
+by overlap-add; the full-rate helpers here convolve the whole signal
+with one FFT and keep the outputs they need.
 """
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, toeplitz
+from scipy.signal import fftconvolve
 
 from enfcapon import capon
-from enfcapon.bandpass import apply_zero_phase, design_bandpass
+from enfcapon.bandpass import design_bandpass
 from enfcapon.framing import plan_frames
 from enfcapon.pipeline import VALID_ENVELOPE_HZ, _decimation_factor, estimation_band
-from enfcapon.signal_io import decimate
+from enfcapon.signal_io import SampledSignal, anti_alias_filter
 from enfcapon.windowing import make_window
+
+
+def decimate_full_rate(signal, factor):
+    """decimate(): anti-alias filter at the full rate, then keep every
+    factor-th output of the delay-compensated convolution."""
+    if factor == 1:
+        return signal
+    taps = anti_alias_filter(factor, signal.sample_rate_hz)
+    filtered = fftconvolve(signal.samples, taps, mode="same")
+    return SampledSignal(filtered[::factor], signal.sample_rate_hz / factor,
+                         signal.origin_offset_s)
+
+
+def apply_zero_phase_full(flt, signal):
+    """apply_zero_phase(): the valid part of one FFT convolution, exactly
+    zero where the whole input window is zero."""
+    filtered = fftconvolve(signal.samples, flt.coeffs, mode="valid")
+    nonzero_count = fftconvolve(signal.samples != 0.0, np.ones(len(flt)), mode="valid")
+    filtered[nonzero_count < 0.5] = 0.0
+    return SampledSignal(filtered, signal.sample_rate_hz,
+                         signal.origin_offset_s + flt.delay_samples / signal.sample_rate_hz)
 
 
 def peak_search(values, sample_rate_hz, band):
@@ -76,11 +100,11 @@ def capon_estimate_frame(frame, sample_rate_hz, band, order=10, pad_factor=4,
 
 def per_frame_track(signal, config):
     """freq_hz of extract_enf(signal, config), estimated one frame at a time."""
-    working = decimate(signal, _decimation_factor(signal.sample_rate_hz,
-                                                  config.working_rate_hz))
+    working = decimate_full_rate(signal, _decimation_factor(signal.sample_rate_hz,
+                                                            config.working_rate_hz))
     flt = design_bandpass(working.sample_rate_hz, config.center_hz,
                           config.passband_hz, config.taps)
-    filtered = apply_zero_phase(flt, working)
+    filtered = apply_zero_phase_full(flt, working)
     rate = filtered.sample_rate_hz
     plan = plan_frames(len(filtered), config.frame_len_s, config.shift_s, rate)
     taps = make_window(config.window, plan.frame_len, config.kaiser_beta).taps

@@ -4,6 +4,7 @@ import pytest
 from conftest import make_tone
 from enfcapon.bandpass import apply_zero_phase, design_bandpass
 from enfcapon.signal_io import SampledSignal
+from oracle import apply_zero_phase_full
 
 
 def response_by_summation(coeffs, freq_hz, sample_rate_hz):
@@ -95,6 +96,26 @@ class TestApplyZeroPhase:
             - 1.5 * apply_zero_phase(flt, y).samples
         )
         assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+    @pytest.mark.parametrize("taps", [1001, 4801])
+    def test_matches_full_fft_convolution(self, rng, taps):
+        flt = design_bandpass(441.0, 180.0, 0.1, taps)
+        samples = make_tone(180.01, 441, 1800.0) + rng.normal(0.0, 0.5, 1800 * 441)
+        signal = SampledSignal(samples, 441.0, origin_offset_s=1.5)
+        out = apply_zero_phase(flt, signal)
+        expected = apply_zero_phase_full(flt, signal)
+        assert len(out) == len(expected)
+        assert out.origin_offset_s == expected.origin_offset_s
+        assert np.max(np.abs(out.samples - expected.samples)) <= 1e-12
+
+    def test_silent_stretch_filters_to_exact_zero(self, power_filter):
+        samples = make_tone(180.0, 441, 30.0)
+        samples[5000:8000] = 0.0
+        out = apply_zero_phase(power_filter, SampledSignal(samples, 441.0))
+        # Output i reads input samples i .. i + 1000.
+        assert np.all(out.samples[5000:7000] == 0.0)
+        assert np.all(out.samples[4000:5000] != 0.0)
+        assert np.all(out.samples[7000:8000] != 0.0)
 
     def test_signal_shorter_than_filter(self):
         flt = design_bandpass(441.0, 180.0, 0.1, 1001)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -106,6 +107,40 @@ class TestExtract:
         assert "Error" in result.output
 
 
+    def test_non_wav_file_exit_code(self, runner, tmp_path):
+        junk = tmp_path / "junk.wav"
+        junk.write_bytes(b"RIFF")
+        result = runner.invoke(main, ["extract", str(junk), "-o", str(tmp_path / "x.csv")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "WAV header" in result.output
+
+    def test_wav_without_frames_exit_code(self, runner, tmp_path):
+        empty = tmp_path / "empty.wav"
+        write_wav(SampledSignal(np.zeros(1), 441.0), empty)
+        empty.write_bytes(empty.read_bytes()[:-2])
+        result = runner.invoke(main, ["extract", str(empty), "-o", str(tmp_path / "x.csv")])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "no audio frames" in result.output
+
+    @pytest.mark.parametrize("seconds", ["inf", "nan", "-1"])
+    def test_bad_skip_seconds_exit_code(self, runner, fixture_files, tmp_path, seconds):
+        wav, _ = fixture_files
+        result = runner.invoke(
+            main,
+            ["extract", str(wav), "-o", str(tmp_path / "x.csv"), "--skip-seconds", seconds],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "--skip-seconds" in result.output
+
+
+def write_cadence_track(path, n, shift_s, freqs=None):
+    freqs = np.full(n, 60.0) if freqs is None else freqs
+    write_track(EnfTrack(np.arange(n), 3.0 + shift_s * np.arange(n), freqs), path)
+
+
 class TestMatch:
     def test_match_json(self, runner, fixture_files, tmp_path):
         wav, ref = fixture_files
@@ -126,6 +161,36 @@ class TestMatch:
         assert result.exit_code == 3
         assert isinstance(result.exception, SystemExit)
         assert "shorter than track length" in result.output
+
+    def test_mismatched_cadence_exit_code(self, runner, fixture_files, tmp_path):
+        _, ref = fixture_files
+        query = tmp_path / "half.csv"
+        write_cadence_track(query, 40, 0.5, 60.0 + 0.01 * np.sin(np.arange(40.0)))
+        result = runner.invoke(main, ["match", str(query), str(ref)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "differs from reference frame shift 1 s" in result.output
+
+    def test_non_uniform_reference_exit_code(self, runner, tmp_path):
+        query, ref = tmp_path / "q.csv", tmp_path / "r.csv"
+        write_cadence_track(query, 5, 1.0)
+        write_track(EnfTrack(np.arange(3), np.array([0.0, 1.0, 3.0]), np.full(3, 60.0)), ref)
+        result = runner.invoke(main, ["match", str(query), str(ref)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "not uniformly spaced" in result.output
+
+    def test_lag_seconds_uses_track_cadence(self, runner, tmp_path):
+        rng = np.random.default_rng(9)
+        freqs = 60.0 + 0.01 * rng.normal(size=200)
+        query, ref = tmp_path / "q.csv", tmp_path / "r.csv"
+        write_cadence_track(ref, 200, 0.5, freqs)
+        write_cadence_track(query, 60, 0.5, freqs[40:100])
+        result = runner.invoke(main, ["match", str(query), str(ref), "--centered"])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["lag"] == 41
+        assert payload["lag_seconds"] == (payload["lag"] - 1) * 0.5
 
 
 class TestFisher:
@@ -197,6 +262,18 @@ class TestCompareWindows:
         assert isinstance(result.exception, SystemExit)
         assert "undefined" in result.output
 
+    def test_non_wav_file_exit_code(self, runner, fixture_files, tmp_path):
+        _, ref = fixture_files
+        junk = tmp_path / "junk.wav"
+        junk.write_bytes(b"RIFF")
+        result = runner.invoke(
+            main,
+            ["compare-windows", str(junk), "--reference", str(ref), "-o", str(tmp_path / "x.csv")],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "WAV header" in result.output
+
     def test_unknown_window_rejected(self, runner, fixture_files, tmp_path):
         wav, ref = fixture_files
         result = runner.invoke(
@@ -256,6 +333,10 @@ def optional(strategy):
     return st.none() | strategy
 
 
+def float_option(lo, hi):
+    return optional(st.floats(lo, hi) | st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
@@ -263,16 +344,16 @@ def optional(strategy):
     options=st.fixed_dictionaries({
         "--nominal-hz": optional(st.sampled_from(["50", "60"])),
         "--harmonic": optional(st.integers(0, 4)),
-        "--frame-seconds": optional(st.floats(0.0, 25.0)),
-        "--shift-seconds": optional(st.floats(0.0, 5.0)),
+        "--frame-seconds": float_option(0.0, 25.0),
+        "--shift-seconds": float_option(0.0, 5.0),
         "--window": optional(st.sampled_from(WINDOW_CHOICES)),
-        "--kaiser-beta": optional(st.floats(-1.0, 20.0)),
+        "--kaiser-beta": float_option(-1.0, 20.0),
         "--estimator": optional(st.sampled_from(["capon", "stft"])),
         "--taps": optional(st.integers(0, 4500).map(lambda k: 2 * k + 1)),
-        "--passband-hz": optional(st.floats(0.0, 3.0)),
+        "--passband-hz": float_option(0.0, 3.0),
         "--capon-order": optional(st.integers(0, 40)),
         "--pad-factor": optional(st.integers(0, 8)),
-        "--skip-seconds": optional(st.floats(-1.0, 25.0)),
+        "--skip-seconds": float_option(-1.0, 25.0),
     }),
     no_interpolate=st.booleans(),
 )
@@ -288,3 +369,36 @@ def test_extract_option_space_never_crashes(short_wav, tmp_path, mode, options,
     assert result.exit_code in (0, 2, 3), (args, result.exception)
     assert result.exception is None or isinstance(result.exception, SystemExit), args
     assert "Traceback" not in result.output
+
+
+@st.composite
+def track_rows(draw):
+    """Frame times at a 0.5, 1 or 2 s cadence, optionally jittered, with
+    frequencies that may be missing or constant."""
+    n = draw(st.integers(0, 40))
+    shift_s = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    times = draw(st.floats(0.0, 100.0)) + shift_s * np.arange(n)
+    if draw(st.booleans()):
+        times = times + np.array(draw(st.lists(st.floats(-0.4, 0.4), min_size=n, max_size=n)))
+    freqs = draw(st.lists(st.sampled_from([math.nan, 60.0]) | st.floats(59.9, 60.1),
+                          min_size=n, max_size=n))
+    return EnfTrack(np.arange(n), times, np.array(freqs))
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(query=track_rows(), reference=track_rows(), fmt=st.sampled_from(["csv", "json"]),
+       centered=st.booleans())
+def test_match_track_space_never_crashes(tmp_path, query, reference, fmt, centered):
+    paths = [tmp_path / f"query.{fmt}", tmp_path / f"reference.{fmt}"]
+    write_track(query, paths[0], fmt)
+    write_track(reference, paths[1], fmt)
+    args = ["match", *map(str, paths)] + (["--centered"] if centered else [])
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 2, 3), (args, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit), args
+    assert "Traceback" not in result.output
+    if result.exit_code == 0:
+        payload = json.loads(result.output)
+        shift_s = read_track(paths[1]).shift_s
+        assert payload["lag_seconds"] == (payload["lag"] - 1) * shift_s

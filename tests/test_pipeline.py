@@ -93,6 +93,15 @@ class TestExtract:
         assert len(track) > 0
         assert not np.any(track.valid)
 
+    @pytest.mark.parametrize("rate", [441.0, 4410.0])
+    def test_frames_inside_digital_silence_are_missing(self, rate):
+        samples = make_tone(180.0, rate, 60.0)
+        samples[int(20 * rate) : int(40 * rate)] = 0.0
+        track = extract_enf(SampledSignal(samples, rate), power_config())
+        # Frame k reads input seconds [k, k + 1 + 1000/441) at most.
+        assert not np.any(track.valid[21:37])
+        assert np.all(track.valid[:17]) and np.all(track.valid[41:])
+
     def test_decimation_path(self):
         high = SampledSignal(make_tone(180.0, 4410, 30.0), 4410.0)
         track = extract_enf(high, power_config())

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import make_tone
-from enfcapon.errors import DegenerateInputError, UnsupportedFormatError
+from enfcapon.errors import (
+    DegenerateInputError,
+    IncompatibleInputError,
+    UnsupportedFormatError,
+)
 from enfcapon.signal_io import SampledSignal, decimate, read_wav, write_wav
+from oracle import decimate_full_rate
 
 
 def write_raw_wav(path, pcm, n_channels=1, sampwidth=2, rate=44100):
@@ -52,6 +57,46 @@ class TestReadWav:
     def test_rejects_missing_file(self, tmp_path):
         with pytest.raises(UnsupportedFormatError):
             read_wav(tmp_path / "nope.wav")
+
+    @pytest.mark.parametrize("keep_bytes", [4, 30])
+    def test_rejects_file_ending_inside_header(self, tmp_path, keep_bytes):
+        whole = tmp_path / "whole.wav"
+        write_raw_wav(whole, bytes(400))
+        path = tmp_path / "cut.wav"
+        path.write_bytes(whole.read_bytes()[:keep_bytes])
+        with pytest.raises(UnsupportedFormatError):
+            read_wav(path)
+
+    def test_rejects_zero_rate_header(self, tmp_path):
+        path = tmp_path / "rate0.wav"
+        write_raw_wav(path, bytes(400))
+        data = bytearray(path.read_bytes())
+        data[24:28] = bytes(4)  # the fmt chunk's sample rate field
+        path.write_bytes(bytes(data))
+        with pytest.raises(UnsupportedFormatError):
+            read_wav(path)
+
+    def test_no_frames_is_degenerate(self, tmp_path):
+        path = tmp_path / "empty.wav"
+        write_raw_wav(path, b"")
+        with pytest.raises(DegenerateInputError):
+            read_wav(path)
+
+    def test_partial_last_frame_dropped(self, tmp_path):
+        path = tmp_path / "stereo.wav"
+        write_raw_wav(path, np.arange(400, dtype="<i2").tobytes(), n_channels=2)
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes(path.read_bytes()[:-3])
+        assert np.array_equal(read_wav(cut).samples, read_wav(path).samples[:-1])
+
+    @pytest.mark.parametrize("n_channels", [1, 2])
+    def test_bit_identical_to_two_step_scaling(self, tmp_path, rng, n_channels):
+        pcm = rng.integers(-32768, 32768, 3000 * n_channels).astype("<i2")
+        pcm[:2] = (-32768, 32767)
+        path = tmp_path / "pcm.wav"
+        write_raw_wav(path, pcm.tobytes(), n_channels=n_channels)
+        two_step = pcm.astype(np.float64).reshape(-1, n_channels).mean(axis=1) / 32768.0
+        assert read_wav(path).samples.tobytes() == two_step.tobytes()
 
 
 class TestDecimate:
@@ -111,6 +156,20 @@ class TestDecimate:
         with pytest.raises(DegenerateInputError):
             decimate(signal, 10)
 
+    @pytest.mark.parametrize("factor", [2, 3, 7, 100])
+    @pytest.mark.parametrize("length", [
+        lambda f: 10 * f + 2,
+        lambda f: 37 * f + 1,
+        lambda f: 400 * f - 1,
+    ], ids=["taps_plus_one", "not_a_multiple", "long_not_a_multiple"])
+    def test_matches_full_rate_filtering(self, rng, factor, length):
+        signal = SampledSignal(rng.normal(size=length(factor)), 441.0 * factor, 2.5)
+        out = decimate(signal, factor)
+        expected = decimate_full_rate(signal, factor)
+        assert len(out) == len(expected)
+        assert (out.sample_rate_hz, out.origin_offset_s) == (441.0, 2.5)
+        assert np.max(np.abs(out.samples - expected.samples)) <= 1e-12
+
 
 class TestSampledSignal:
     def test_invariants(self):
@@ -126,3 +185,8 @@ class TestSampledSignal:
         assert skipped.samples[0] == 20.0
         with pytest.raises(DegenerateInputError):
             signal.skip_head(100.0)
+
+    @pytest.mark.parametrize("seconds", [np.inf, -np.inf, np.nan])
+    def test_skip_head_rejects_non_finite(self, seconds):
+        with pytest.raises(IncompatibleInputError):
+            SampledSignal(np.ones(100), 10.0).skip_head(seconds)

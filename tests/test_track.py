@@ -75,3 +75,27 @@ def test_to_fundamental():
 def test_non_consecutive_indices_rejected():
     with pytest.raises(ValueError):
         EnfTrack(np.array([0, 2]), np.array([0.0, 2.0]), np.array([60.0, 60.0]))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_read_infers_uniform_cadence(tmp_path, fmt):
+    n = 1000
+    times = 12.3 + 0.5 * np.arange(n)
+    path = tmp_path / f"track.{fmt}"
+    write_track(EnfTrack(np.arange(n), times, np.full(n, 60.0)), path, fmt)
+    assert read_track(path).shift_s == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("times", [
+    [0.0, 1.0, 2.5],
+    [0.0, np.nan, 2.0],
+    [0.0, 0.0, 0.0],
+    [2.0, 1.0, 0.0],
+    [0.0, np.inf],
+    [0.0],
+])
+def test_read_leaves_cadence_undefined(tmp_path, times):
+    n = len(times)
+    path = tmp_path / "track.csv"
+    write_track(EnfTrack(np.arange(n), np.array(times), np.full(n, 60.0)), path)
+    assert read_track(path).shift_s is None
