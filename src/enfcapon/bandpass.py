@@ -1,11 +1,11 @@
 """Narrow zero-phase band-pass FIR filtering around one ENF harmonic.
 
 The passband (default 0.1 Hz) is far narrower than the transition band a
-window-method design can achieve at these tap counts, so the raw design
-is rescaled to exactly unit gain at the band center.  Zero phase is
-realized as linear-phase filtering plus delay trimming in a single pass,
-which keeps the designed magnitude response (forward-backward filtering
-would square it).
+window-method design can achieve at these tap counts, so the design is
+scaled to unit gain at the band center.  Zero phase is realized as
+linear-phase filtering plus delay trimming in a single pass, which keeps
+the designed magnitude response (forward-backward filtering would square
+it).
 """
 
 from dataclasses import dataclass
@@ -37,16 +37,13 @@ class FirFilter:
     def transition_hz(self):
         return HAMMING_TRANSITION_FACTOR * self.sample_rate_hz / self.coeffs.size
 
-    def response_at(self, freq_hz):
-        """Complex frequency response by direct summation."""
-        k = np.arange(self.coeffs.size)
-        return np.sum(
-            self.coeffs * np.exp(-2j * np.pi * freq_hz * k / self.sample_rate_hz)
-        )
-
 
 def design_bandpass(sample_rate_hz, center_hz, passband_hz, taps):
-    """Hamming window-method linear-phase band-pass, unit gain at center."""
+    """Hamming window-method linear-phase band-pass, unit gain at center.
+
+    firwin's default scale=True normalises the gain at the passband
+    center, so the design needs no rescaling here.
+    """
     if taps % 2 == 0 or taps < 3:
         raise ValueError("tap count must be odd and at least 3")
     if passband_hz <= 0:
@@ -59,9 +56,7 @@ def design_bandpass(sample_rate_hz, center_hz, passband_hz, taps):
             f"band edges ({lo:g}, {hi:g}) Hz outside (0, {nyquist:g}) Hz"
         )
     coeffs = firwin(taps, [lo, hi], pass_zero=False, fs=sample_rate_hz, window="hamming")
-    flt = FirFilter(coeffs, center_hz, passband_hz, sample_rate_hz)
-    gain = np.abs(flt.response_at(center_hz))
-    return FirFilter(coeffs / gain, center_hz, passband_hz, sample_rate_hz)
+    return FirFilter(coeffs, center_hz, passband_hz, sample_rate_hz)
 
 
 def apply_zero_phase(flt, signal):

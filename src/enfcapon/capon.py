@@ -11,7 +11,7 @@ The inverted matrix has order M = m + 1 (the filter length, default 11),
 not the frame length, so the displacement machinery is cheap and the
 spectrum evaluation dominates.  The pipeline evaluates the denominator
 only at the in-band bins; capon_psd evaluates the whole grid with one
-inverse FFT, and capon_psd_dense is the explicit-inverse baseline
+Hermitian FFT, and capon_psd_dense is the explicit-inverse baseline
 `enf bench` compares it against.
 """
 
@@ -129,9 +129,8 @@ def capon_band_power(frames, bins, grid_size, order=DEFAULT_ORDER):
 def capon_psd(coeffs, grid_size):
     """Capon PSD (m+1)/phi_den on the whole grid q = 0..Q-1 via one transform.
 
-    phi_den(omega_q) = sum_i x_i exp(+j 2 pi q i / Q), evaluated for all
-    q at once by an inverse FFT of the circularly index-shifted
-    coefficient sequence.
+    phi_den(omega_q) = x_0 + 2 sum_i x_i cos(2 pi q i / Q), evaluated for
+    all q at once as the Hermitian FFT of the non-negative half x_0..x_m.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     m_plus_1 = coeffs.size
@@ -139,10 +138,7 @@ def capon_psd(coeffs, grid_size):
         raise ValueError(
             f"grid size {grid_size} smaller than 2M-1 = {2 * m_plus_1 - 1}"
         )
-    padded = np.zeros(grid_size)
-    padded[:m_plus_1] = coeffs
-    padded[grid_size - m_plus_1 + 1 :] = coeffs[:0:-1]
-    phi_den = np.fft.ifft(padded).real * grid_size
+    phi_den = np.fft.hfft(coeffs, grid_size)
     bad = np.flatnonzero(phi_den <= 0.0)
     if bad.size:
         raise SpectrumDegeneracyError(int(bad[0]), float(phi_den[bad[0]]))

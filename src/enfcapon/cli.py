@@ -17,7 +17,7 @@ from . import __version__
 from .bench import run_bench
 from .errors import DegenerateInputError, EnfError, UndefinedCorrelationError
 from .matching import best_lag, fisher_test
-from .pipeline import ESTIMATORS, PipelineConfig, extract_enf
+from .pipeline import ESTIMATORS, extract_enf, power_config, speech_config
 from .signal_io import SampledSignal, read_wav, write_wav
 from .synthetic import make_power_fixture
 from .track import CADENCE_TOL_S, EnfTrack, read_track, write_track
@@ -28,6 +28,9 @@ MANIFEST_SCHEMA = 1
 WINDOW_CHOICES = ("parzen", "hamming", "kaiser", "rect")
 
 EXIT_DEGENERATE = 3
+
+# Past about +/-3080 dB, 10 ** (snr / 10) or the noise power 0.5 / that overflows.
+MAX_SNR_DB = 3000.0
 
 
 def _window_kind(name):
@@ -57,16 +60,6 @@ def _write_manifest(out_path, command, config, inputs, timings, outputs):
         json.dump(manifest, fh, indent=1)
         fh.write("\n")
     return path
-
-
-def _config_from_options(mode, **kw):
-    base = {"harmonic": 3, "taps": 1001} if mode == "power" else {"harmonic": 2, "taps": 4801}
-    overrides = {k: v for k, v in kw.items() if v is not None}
-    base.update(overrides)
-    try:
-        return PipelineConfig(**base)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
 
 
 def pipeline_options(fn):
@@ -105,10 +98,14 @@ def pipeline_options(fn):
 
 def _gather_config(mode, nominal_hz, window, **kw):
     if nominal_hz is not None:
-        nominal_hz = float(nominal_hz)
+        kw["nominal_hz"] = float(nominal_hz)
     if window is not None:
-        window = _window_kind(window)
-    return _config_from_options(mode, nominal_hz=nominal_hz, window=window, **kw)
+        kw["window"] = _window_kind(window)
+    preset = power_config if mode == "power" else speech_config
+    try:
+        return preset(**{k: v for k, v in kw.items() if v is not None})
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 @click.group()
@@ -217,13 +214,13 @@ def fisher(c1, c2, n, alpha):
     """Fisher-z significance test between two correlation coefficients."""
     try:
         result = fisher_test(c1, c2, n, alpha)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise click.UsageError(str(exc))
     click.echo(json.dumps(dataclasses.asdict(result)))
 
 
 @main.command()
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--duration-seconds", type=float, default=1800.0, show_default=True)
 @click.option("--snr-db", type=float, default=10.0, show_default=True)
 @click.option("--wav", "wav_out", required=True, type=click.Path(dir_okay=False),
@@ -232,6 +229,12 @@ def fisher(c1, c2, n, alpha):
               help="Output CSV path for the ground-truth track.")
 def synth(seed, duration_seconds, snr_db, wav_out, ref_out):
     """Generate a seeded synthetic power-mains fixture plus ground truth."""
+    if not 1.0 <= duration_seconds < math.inf:
+        raise click.BadParameter("must be finite and at least 1",
+                                 param_hint="'--duration-seconds'")
+    if not abs(snr_db) <= MAX_SNR_DB:
+        raise click.BadParameter(f"must be finite and within +/-{MAX_SNR_DB:g} dB",
+                                 param_hint="'--snr-db'")
     fixture = make_power_fixture(seed, duration_s=duration_seconds, snr_db=snr_db)
     signal = fixture.signal
     peak = np.max(np.abs(signal.samples))
@@ -246,7 +249,6 @@ def synth(seed, duration_seconds, snr_db, wav_out, ref_out):
         seconds.astype(np.float64),
         fixture.enf_hz[(seconds * int(rate)).clip(max=len(signal) - 1)],
         shift_s=1.0,
-        nominal_hz=fixture.nominal_hz,
     )
     write_track(truth, ref_out, "csv")
     _write_manifest(ref_out, "synth", None, [], {}, [wav_out, ref_out])
@@ -271,6 +273,10 @@ def synth(seed, duration_seconds, snr_db, wav_out, ref_out):
 def compare_windows(wav, reference, windows, frame_lengths, output, plot_data,
                     centered, **kw):
     """Correlation matrix over window kinds and frame lengths."""
+    for key, flag, superseding in (("window", "--window", "--windows"),
+                                   ("frame_len_s", "--frame-seconds", "--frame-lengths")):
+        if kw.pop(key) is not None:
+            raise click.UsageError(f"{flag} does not apply here; use {superseding}")
     if kw.get("estimator") is None:
         kw["estimator"] = "stft"  # the window study is STFT-based by default
     window_list = [w.strip() for w in windows.split(",") if w.strip()]
@@ -284,10 +290,6 @@ def compare_windows(wav, reference, windows, frame_lengths, output, plot_data,
     if not window_list or not lengths:
         raise click.UsageError("need at least one window and one frame length")
 
-    base_window = kw.pop("window", None)  # superseded by --windows
-    base_frame = kw.pop("frame_len_s", None)
-    del base_window, base_frame
-
     rows = []
     try:
         signal = read_wav(wav)
@@ -297,6 +299,7 @@ def compare_windows(wav, reference, windows, frame_lengths, output, plot_data,
             for length in lengths:
                 config = _gather_config(window=win, frame_len_s=length, **kw)
                 track = extract_enf(signal, config)
+                _check_cadences(track, ref)
                 result = best_lag(track.freq_hz, ref.freq_hz, centered=centered)
                 cells.append(result.correlation)
             rows.append((win, cells))

@@ -48,4 +48,4 @@ def frame_matrix(signal, plan, window):
             f"window length {len(window)} does not match frame length {plan.frame_len}"
         )
     frames = np.lib.stride_tricks.sliding_window_view(signal.samples, plan.frame_len)
-    return frames[:: plan.shift][: plan.frame_count] * window.taps
+    return frames[:: plan.shift][: plan.frame_count] * window

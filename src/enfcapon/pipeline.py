@@ -163,20 +163,11 @@ def extract_enf(signal, config):
         order=config.capon_order,
         pad_factor=config.pad_factor,
         interpolate=config.interpolate,
-    )
+    ) / config.harmonic
+    freqs[np.abs(freqs - config.nominal_hz) > VALID_ENVELOPE_HZ] = np.nan
 
     indices = np.arange(plan.frame_count, dtype=np.int64)
-    times = origin_s + indices * plan.shift_s
-    track = EnfTrack(
-        indices, times, freqs,
-        frame_len_s=plan.frame_len_s,
-        shift_s=plan.shift_s,
-        harmonic=config.harmonic,
-        nominal_hz=config.nominal_hz,
-    ).to_fundamental()
-    out_of_envelope = np.abs(track.freq_hz - config.nominal_hz) > VALID_ENVELOPE_HZ
-    if np.any(out_of_envelope & track.valid):
-        freqs = track.freq_hz.copy()
-        freqs[out_of_envelope] = np.nan
-        track = replace(track, freq_hz=freqs)
-    return track
+    return EnfTrack(
+        indices, origin_s + indices * plan.shift_s, freqs,
+        frame_len_s=plan.frame_len_s, shift_s=plan.shift_s,
+    )

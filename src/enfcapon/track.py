@@ -8,7 +8,7 @@ keys.  Invalid (missing) estimates are stored as NaN and serialized as
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +33,6 @@ class EnfTrack:
     freq_hz: np.ndarray
     frame_len_s: float | None = None
     shift_s: float | None = None
-    harmonic: int = 1
-    nominal_hz: float | None = None
 
     def __post_init__(self):
         idx = np.asarray(self.frame_index, dtype=np.int64)
@@ -54,12 +52,6 @@ class EnfTrack:
     @property
     def valid(self):
         return ~np.isnan(self.freq_hz)
-
-    def to_fundamental(self):
-        """Divide estimates by the harmonic number; NaN entries stay NaN."""
-        if self.harmonic == 1:
-            return self
-        return replace(self, freq_hz=self.freq_hz / self.harmonic, harmonic=1)
 
 
 def write_track(track, path, format="csv"):

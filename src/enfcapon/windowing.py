@@ -1,51 +1,19 @@
 """Temporal windows applied to frames before spectral analysis.
 
 Only temporal windows live here; lag windows (applied to autocovariance
-sequences) are deliberately not implemented.
+sequences) are deliberately not implemented.  The tapers are the
+symmetric forms built by scipy.signal.get_window.
 """
 
-from dataclasses import dataclass
-
-import numpy as np
+from scipy.signal import get_window
 
 WINDOW_KINDS = ("parzen", "hamming", "kaiser", "rectangular")
 
 DEFAULT_KAISER_BETA = 8.6
 
 
-@dataclass(frozen=True)
-class WindowVector:
-    kind: str
-    taps: np.ndarray
-    beta: float | None = None
-
-    def __len__(self):
-        return self.taps.size
-
-
-def parzen_taps(n_points):
-    """Parzen taper on the symmetric index n in [-(N-1)/2, (N-1)/2].
-
-    Piecewise cubic in |n|/(N/2); the inner branch covers
-    0 <= |n| <= (N-1)/4 (boundary point assigned to the inner branch),
-    the outer branch the rest of the support.
-    """
-    n = np.arange(n_points) - (n_points - 1) / 2.0
-    a = np.abs(n) / (n_points / 2.0)
-    inner = 1.0 - 6.0 * a**2 + 6.0 * a**3
-    outer = 2.0 * (1.0 - a) ** 3
-    return np.where(np.abs(n) <= (n_points - 1) / 4.0, inner, outer)
-
-
-def hamming_taps(n_points):
-    if n_points == 1:
-        return np.ones(1)
-    k = np.arange(n_points)
-    return 0.54 - 0.46 * np.cos(2.0 * np.pi * k / (n_points - 1))
-
-
 def make_window(kind, n_points, beta=None):
-    """Build an N-point taper of the given kind.
+    """N-point symmetric taper of the given kind, as an array.
 
     beta applies to the Kaiser window only (default 8.6).
     """
@@ -53,16 +21,12 @@ def make_window(kind, n_points, beta=None):
         raise ValueError(f"unknown window kind {kind!r}, expected one of {WINDOW_KINDS}")
     if n_points < 1:
         raise ValueError("window length must be at least 1")
-    if kind == "parzen":
-        taps = parzen_taps(n_points)
-    elif kind == "hamming":
-        taps = hamming_taps(n_points)
-    elif kind == "kaiser":
+    if kind == "kaiser":
         if beta is None:
             beta = DEFAULT_KAISER_BETA
         if beta < 0:
             raise ValueError("Kaiser beta must be non-negative")
-        taps = np.kaiser(n_points, beta)
-    else:
-        taps = np.ones(n_points)
-    return WindowVector(kind, taps, beta if kind == "kaiser" else None)
+        kind = ("kaiser", beta)
+    elif kind == "rectangular":
+        kind = "boxcar"
+    return get_window(kind, n_points, fftbins=False)

@@ -107,7 +107,7 @@ def per_frame_track(signal, config):
     filtered = apply_zero_phase_full(flt, working)
     rate = filtered.sample_rate_hz
     plan = plan_frames(len(filtered), config.frame_len_s, config.shift_s, rate)
-    taps = make_window(config.window, plan.frame_len, config.kaiser_beta).taps
+    taps = make_window(config.window, plan.frame_len, config.kaiser_beta)
     band = estimation_band(flt)
     freqs = np.empty(plan.frame_count)
     for k in range(plan.frame_count):

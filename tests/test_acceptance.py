@@ -200,7 +200,7 @@ class TestCriterion9Properties:
         n_points=st.integers(min_value=1, max_value=2000),
     )
     def test_window_symmetry(self, kind, n_points):
-        taps = make_window(kind, n_points).taps
+        taps = make_window(kind, n_points)
         assert np.max(np.abs(taps - taps[::-1])) < 1e-12
 
     @settings(max_examples=500, deadline=None)

@@ -23,6 +23,14 @@ class TestDesign:
         gain = abs(response_by_summation(power_filter.coeffs, 180.0, 441.0))
         assert 0.9 <= gain <= 1.1
 
+    @pytest.mark.parametrize("rate, center, passband, taps", [
+        (441.0, 180.0, 0.1, 1001), (441.0, 120.0, 0.1, 4801),
+        (441.0, 150.0, 0.1, 1001), (4410.0, 180.0, 0.1, 1001),
+    ])
+    def test_firwin_scaling_gives_exact_unit_gain(self, rate, center, passband, taps):
+        flt = design_bandpass(rate, center, passband, taps)
+        assert abs(abs(response_by_summation(flt.coeffs, center, rate)) - 1.0) <= 1e-12
+
     def test_dc_rejection(self, power_filter):
         assert abs(response_by_summation(power_filter.coeffs, 0.0, 441.0)) <= 0.01
 

@@ -206,6 +206,16 @@ class TestCaponPsd:
             fast_psd(col, 128), capon_psd_dense(toeplitz(col), 128), rtol=1e-9
         )
 
+    @pytest.mark.parametrize("grid_size", [21, 64, 1764, 1765, 3528])
+    def test_matches_symmetric_padding_ifft(self, rng, grid_size):
+        w, alpha, _ = levinson_solve(random_pd_toeplitz(rng, 11))
+        coeffs = denom_coeffs(*gs_factors(w, alpha))
+        padded = np.zeros(grid_size)
+        padded[:11] = coeffs
+        padded[grid_size - 10 :] = coeffs[:0:-1]
+        expected = 11.0 / (np.fft.ifft(padded).real * grid_size)
+        np.testing.assert_allclose(capon_psd(coeffs, grid_size), expected, rtol=1e-12)
+
     def test_grid_too_small(self, pd_cov):
         w, alpha, _ = levinson_solve(pd_cov)
         with pytest.raises(ValueError):
@@ -247,7 +257,7 @@ class TestScaleEquivariance:
 
 class TestEstimateFrame:
     def test_noiseless_tone(self):
-        frame = make_tone(180.0, 441, 1.0) * make_window("parzen", 441).taps
+        frame = make_tone(180.0, 441, 1.0) * make_window("parzen", 441)
         est = estimate_frames(frame[None, :], 441.0, (177.0, 183.0))
         assert est[0] == pytest.approx(180.0, abs=0.05)
 
@@ -263,7 +273,7 @@ class TestEstimateFrame:
         noise_std = np.sqrt(0.5 / 10 ** (20 / 10.0))  # 20 dB SNR
         frames = np.stack([
             (make_tone(180.05, 441, 1.0, phase=rng.uniform(0, 2 * np.pi))
-             + rng.normal(0.0, noise_std, 441)) * window.taps
+             + rng.normal(0.0, noise_std, 441)) * window
             for _ in range(100)
         ])
         errors = np.abs(estimate_frames(frames, 441.0, (177.0, 183.0)) - 180.05)

@@ -274,6 +274,35 @@ class TestCompareWindows:
         assert isinstance(result.exception, SystemExit)
         assert "WAV header" in result.output
 
+    def test_mismatched_cadence_exit_code(self, runner, fixture_files, tmp_path):
+        wav, _ = fixture_files
+        ref = tmp_path / "ref.csv"
+        write_cadence_track(ref, 200, 1.0, 60.0 + 0.01 * np.sin(np.arange(200.0)))
+        result = runner.invoke(
+            main,
+            ["compare-windows", str(wav), "--reference", str(ref), "--windows", "parzen",
+             "--frame-lengths", "1", "--shift-seconds", "0.5", "-o", str(tmp_path / "x.csv")],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "differs from reference frame shift 1 s" in result.output
+
+    @pytest.mark.parametrize("option, value, superseding", [
+        ("--window", "kaiser", "--windows"),
+        ("--frame-seconds", "7", "--frame-lengths"),
+    ])
+    def test_single_run_options_rejected(self, runner, fixture_files, tmp_path, option,
+                                         value, superseding):
+        wav, ref = fixture_files
+        result = runner.invoke(
+            main,
+            ["compare-windows", str(wav), "--reference", str(ref), "--windows", "parzen",
+             option, value, "-o", str(tmp_path / "x.csv")],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert option in result.output and superseding in result.output
+
     def test_unknown_window_rejected(self, runner, fixture_files, tmp_path):
         wav, ref = fixture_files
         result = runner.invoke(
@@ -318,6 +347,37 @@ class TestSynthDeterminism:
             assert result.exit_code == 0
             outputs.append((wav.read_bytes(), ref.read_text()))
         assert outputs[0] == outputs[1]
+
+
+class TestSynthValidation:
+    def run_synth(self, runner, tmp_path, *options):
+        return runner.invoke(
+            main,
+            ["synth", *options, "--wav", str(tmp_path / "s.wav"),
+             "--reference", str(tmp_path / "s.csv")],
+        )
+
+    @pytest.mark.parametrize("seconds", ["nan", "inf", "-5", "0", "0.5"])
+    def test_bad_duration_exit_code(self, runner, tmp_path, seconds):
+        result = self.run_synth(runner, tmp_path, "--duration-seconds", seconds)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "--duration-seconds" in result.output
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("snr_db", ["nan", "inf", "-inf", "1e9"])
+    def test_bad_snr_exit_code(self, runner, tmp_path, snr_db):
+        result = self.run_synth(runner, tmp_path, "--duration-seconds", "2",
+                                "--snr-db", snr_db)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "--snr-db" in result.output
+
+    def test_negative_seed_exit_code(self, runner, tmp_path):
+        result = self.run_synth(runner, tmp_path, "--duration-seconds", "2", "--seed", "-1")
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "--seed" in result.output
 
 
 @pytest.fixture(scope="module")
@@ -402,3 +462,96 @@ def test_match_track_space_never_crashes(tmp_path, query, reference, fmt, center
         payload = json.loads(result.output)
         shift_s = read_track(paths[1]).shift_s
         assert payload["lag_seconds"] == (payload["lag"] - 1) * shift_s
+
+
+
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def option_values(draw, valid, wild):
+    """Every option drawn from its valid strategy, except that at most one
+    option, chosen per example, takes a value from its wild strategy."""
+    values = {name: draw(strategy) for name, strategy in valid.items()}
+    name = draw(st.sampled_from([None, *wild]))
+    if name is not None:
+        values[name] = draw(wild[name])
+    return values
+
+
+def as_args(options):
+    return [str(token) for item in options.items() for token in item]
+
+
+def assert_clean_exit(args):
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 2, 3), (args, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit), args
+    assert "Traceback" not in result.output
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(options=option_values(
+    valid={"--seed": st.integers(0, 2**64), "--duration-seconds": st.floats(1.0, 5.0),
+           "--snr-db": st.floats(-40.0, 60.0)},
+    wild={"--seed": st.integers(max_value=-1),
+          "--duration-seconds": st.floats(max_value=1.0, exclude_max=True) | NON_FINITE,
+          "--snr-db": st.floats() | NON_FINITE},
+))
+def test_synth_option_space_never_crashes(tmp_path, options):
+    assert_clean_exit(["synth", *as_args(options), "--wav", str(tmp_path / "s.wav"),
+                       "--reference", str(tmp_path / "s.csv")])
+
+
+@pytest.fixture(scope="module")
+def long_reference(tmp_path_factory):
+    path = tmp_path_factory.mktemp("reference") / "ref.csv"
+    rng = np.random.default_rng(6)
+    write_cadence_track(path, 60, 1.0, 60.0 + 0.01 * rng.normal(size=60))
+    return path
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(options=option_values(
+    valid={"--windows": st.sampled_from(WINDOW_CHOICES),
+           "--frame-lengths": st.floats(0.5, 10.0),
+           "--mode": st.sampled_from(["power", "speech"]),
+           "--nominal-hz": st.sampled_from(["50", "60"]),
+           "--harmonic": st.integers(1, 3),
+           "--shift-seconds": st.just(1.0),
+           "--kaiser-beta": st.floats(0.0, 20.0),
+           "--estimator": st.sampled_from(["capon", "stft"]),
+           "--taps": st.integers(1, 1500).map(lambda k: 2 * k + 1),
+           "--passband-hz": st.floats(0.05, 2.0),
+           "--capon-order": st.integers(1, 20),
+           "--pad-factor": st.integers(1, 8)},
+    wild={"--frame-lengths": st.floats(-1.0, 25.0) | NON_FINITE,
+          "--harmonic": st.integers(max_value=0) | st.integers(4, 10),
+          "--shift-seconds": st.floats(-1.0, 5.0) | NON_FINITE,
+          "--kaiser-beta": st.floats(max_value=0.0) | NON_FINITE,
+          "--taps": st.integers(-2, 5000),
+          "--passband-hz": st.floats(-1.0, 1e300) | NON_FINITE,
+          "--capon-order": st.integers(-2, 500),
+          "--pad-factor": st.integers(-2, 0)},
+), centered=st.booleans())
+def test_compare_windows_option_space_never_crashes(short_wav, long_reference, tmp_path,
+                                                    options, centered):
+    assert_clean_exit(["compare-windows", str(short_wav), "--reference", str(long_reference),
+                       "-o", str(tmp_path / "cmp.csv"), *as_args(options),
+                       "--centered" if centered else "--uncentered"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(options=option_values(
+    valid={"alpha": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           "c1": st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+           "c2": st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+           "n": st.integers(4, 10**6)},
+    wild={"alpha": st.floats() | NON_FINITE, "c1": st.floats() | NON_FINITE,
+          "c2": st.floats() | NON_FINITE, "n": st.integers() | st.just(10**400)},
+))
+def test_fisher_argument_space_never_crashes(options):
+    assert_clean_exit(["fisher", "--alpha", str(options["alpha"]), "--",
+                       *(str(options[k]) for k in ("c1", "c2", "n"))])

@@ -63,7 +63,7 @@ class TestWindowedFrame:
         window = make_window("parzen", plan.frame_len)
         frames = frame_matrix(signal, plan, window)
         assert frames.shape == (plan.frame_count, plan.frame_len)
-        np.testing.assert_array_equal(frames[0], window.taps)
+        np.testing.assert_array_equal(frames[0], window)
 
     def test_out_of_range_and_mismatch(self):
         signal = self.make_signal()
@@ -92,5 +92,5 @@ class TestWindowedFrame:
         assert len(frames) == plan.frame_count
         for k, frame in enumerate(frames):
             start = k * plan.shift
-            direct = signal.samples[start : start + plan.frame_len] * window.taps
+            direct = signal.samples[start : start + plan.frame_len] * window
             np.testing.assert_array_equal(frame, direct)

@@ -55,7 +55,6 @@ class TestExtract:
         track = extract_enf(tone_signal(180.0), power_config())
         assert np.all(track.valid)
         assert np.all(np.abs(track.freq_hz - 60.0) < 0.01)
-        assert track.harmonic == 1
 
     def test_harmonic_one_matches_frame_estimator(self):
         config = PipelineConfig(harmonic=1, taps=501, estimator="stft")
@@ -123,11 +122,6 @@ class TestToFundamental:
     def test_division(self):
         track = extract_enf(tone_signal(180.03), power_config())
         assert np.all(np.abs(track.freq_hz - 60.01) < 0.01)
-
-    def test_identity_for_first_harmonic(self):
-        config = PipelineConfig(harmonic=1, taps=501)
-        track = extract_enf(tone_signal(60.0), config)
-        assert track.to_fundamental() is track
 
 
 def test_runtime_scales_linearly():

@@ -122,7 +122,7 @@ def test_refinement_beats_raw_bin_for_off_bin_tones():
     window = make_window("parzen", 441)
     band = (177.0, 183.0)
     f_true = rng.uniform(178.0, 182.0, 100)
-    frames = np.stack([make_tone(f, 441, 1.0) * window.taps for f in f_true])
+    frames = np.stack([make_tone(f, 441, 1.0) * window for f in f_true])
     grid = 4 * 441
     bins = band_bins(band, grid, 441.0)
     power, _ = stft_band_power(frames, bins, grid)
@@ -133,6 +133,6 @@ def test_refinement_beats_raw_bin_for_off_bin_tones():
 
 
 def test_estimate_frame_stft_pure_tone():
-    frame = make_tone(180.05, 441, 1.0) * make_window("parzen", 441).taps
+    frame = make_tone(180.05, 441, 1.0) * make_window("parzen", 441)
     est = estimate_frames(frame[None, :], 441.0, (177.0, 183.0), estimator="stft")
     assert est[0] == pytest.approx(180.05, abs=0.02)

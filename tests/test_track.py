@@ -60,18 +60,6 @@ def test_bad_header(tmp_path):
         read_track(path)
 
 
-def test_to_fundamental():
-    track = EnfTrack(
-        np.array([0, 1]), np.array([0.0, 1.0]), np.array([180.03, np.nan]),
-        harmonic=3,
-    )
-    fundamental = track.to_fundamental()
-    assert fundamental.harmonic == 1
-    assert fundamental.freq_hz[0] == pytest.approx(60.01)
-    assert np.isnan(fundamental.freq_hz[1])
-    assert fundamental.to_fundamental() is fundamental
-
-
 def test_non_consecutive_indices_rejected():
     with pytest.raises(ValueError):
         EnfTrack(np.array([0, 2]), np.array([0.0, 2.0]), np.array([60.0, 60.0]))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enfcapon.windowing import WINDOW_KINDS, make_window, parzen_taps
+from enfcapon.windowing import WINDOW_KINDS, make_window
 
 
 def parzen_scalar(n, n_points):
@@ -16,18 +16,17 @@ def parzen_scalar(n, n_points):
 
 def test_parzen_center_tap_is_one():
     for n_points in (1, 9, 441):
-        taps = parzen_taps(n_points)
+        taps = make_window("parzen", n_points)
         assert taps[(n_points - 1) // 2] == 1.0
 
 
 def test_rectangular_all_ones():
     for n_points in (1, 5, 441):
-        window = make_window("rectangular", n_points)
-        assert np.all(window.taps == 1.0)
+        assert np.all(make_window("rectangular", n_points) == 1.0)
 
 
 def test_parzen_n9_against_scalar_oracle():
-    taps = parzen_taps(9)
+    taps = make_window("parzen", 9)
     expected = [parzen_scalar(n, 9) for n in range(-4, 5)]
     np.testing.assert_allclose(taps, expected, rtol=0, atol=1e-15)
     # spot value from the outer branch: n = +-4 gives 2*(1 - 4/4.5)**3
@@ -47,7 +46,7 @@ def test_parzen_branches_nearly_continuous():
 
 def test_parzen_nonnegative_and_monotone_sweep():
     for n_points in range(1, 10001, 7):
-        taps = parzen_taps(n_points)
+        taps = make_window("parzen", n_points)
         assert np.all(taps >= 0.0)
         half = taps[(n_points - 1) // 2 :]
         assert np.all(np.diff(half) <= 1e-15)
@@ -59,10 +58,10 @@ def test_parzen_nonnegative_and_monotone_sweep():
     n_points=st.integers(min_value=1, max_value=1000),
 )
 def test_symmetry_every_kind(kind, n_points):
-    window = make_window(kind, n_points)
-    assert np.max(np.abs(window.taps - window.taps[::-1])) < 1e-12
-    assert np.all(window.taps <= 1.0 + 1e-12)
-    assert np.all(window.taps >= 0.0)
+    taps = make_window(kind, n_points)
+    assert np.max(np.abs(taps - taps[::-1])) < 1e-12
+    assert np.all(taps <= 1.0 + 1e-12)
+    assert np.all(taps >= 0.0)
 
 
 def test_errors():
@@ -74,7 +73,15 @@ def test_errors():
         make_window("boxcar", 10)
 
 
-def test_kaiser_default_beta_recorded():
-    window = make_window("kaiser", 32)
-    assert window.beta == 8.6
-    assert make_window("hamming", 32).beta is None
+def test_kaiser_default_beta():
+    np.testing.assert_array_equal(make_window("kaiser", 32),
+                                  make_window("kaiser", 32, beta=8.6))
+
+
+@pytest.mark.parametrize("n_points", [2, 3, 9, 441, 8820, 17640])
+def test_hamming_and_kaiser_match_closed_forms(n_points):
+    k = np.arange(n_points)
+    hamming = 0.54 - 0.46 * np.cos(2.0 * np.pi * k / (n_points - 1))
+    np.testing.assert_allclose(make_window("hamming", n_points), hamming, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(make_window("kaiser", n_points), np.kaiser(n_points, 8.6),
+                               rtol=0, atol=1e-15)
