@@ -32,6 +32,10 @@ EXIT_DEGENERATE = 3
 # Past about +/-3080 dB, 10 ** (snr / 10) or the noise power 0.5 / that overflows.
 MAX_SNR_DB = 3000.0
 
+# synth builds the whole recording in memory: a day at 441 Hz is 38 M samples,
+# ~300 MB per float64 array.
+MAX_SYNTH_SECONDS = 86400.0
+
 
 def _window_kind(name):
     return "rectangular" if name == "rect" else name
@@ -229,8 +233,8 @@ def fisher(c1, c2, n, alpha):
               help="Output CSV path for the ground-truth track.")
 def synth(seed, duration_seconds, snr_db, wav_out, ref_out):
     """Generate a seeded synthetic power-mains fixture plus ground truth."""
-    if not 1.0 <= duration_seconds < math.inf:
-        raise click.BadParameter("must be finite and at least 1",
+    if not 1.0 <= duration_seconds <= MAX_SYNTH_SECONDS:
+        raise click.BadParameter(f"must lie between 1 and {MAX_SYNTH_SECONDS:g} s",
                                  param_hint="'--duration-seconds'")
     if not abs(snr_db) <= MAX_SNR_DB:
         raise click.BadParameter(f"must be finite and within +/-{MAX_SNR_DB:g} dB",

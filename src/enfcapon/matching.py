@@ -64,6 +64,8 @@ def correlation(f, g_seg, centered=False):
     if norm_f == 0.0 or norm_g == 0.0:
         kind = "constant" if centered else "all-zero"
         raise UndefinedCorrelationError(f"correlation undefined for {kind} vector")
+    if not math.isfinite(norm_f * norm_g):
+        raise UndefinedCorrelationError("correlation undefined for a vector of infinite norm")
     return float(f @ g_seg / (norm_f * norm_g))
 
 
@@ -113,5 +115,7 @@ def fisher_test(c1, c2, n, alpha=0.05):
     z1 = math.atanh(c1)
     z2 = math.atanh(c2)
     q = math.sqrt(n - 3) * (z1 - z2)
-    critical = float(norm.ppf(1.0 - alpha / 2.0))
+    critical = float(norm.isf(alpha / 2.0))
+    if math.isinf(critical):
+        raise ValueError(f"alpha {alpha:g} is too small for a finite critical value")
     return FisherTest(z1, z2, q, n, alpha, critical, abs(q) >= critical)

@@ -13,7 +13,7 @@ import numpy as np
 from . import capon, spectral
 from .bandpass import apply_zero_phase, design_bandpass
 from .errors import DegenerateInputError, IncompatibleInputError
-from .framing import frame_matrix, plan_frames
+from .framing import frame_matrix
 from .signal_io import decimate
 from .track import EnfTrack
 from .windowing import DEFAULT_KAISER_BETA, make_window
@@ -23,6 +23,9 @@ from .windowing import DEFAULT_KAISER_BETA, make_window
 VALID_ENVELOPE_HZ = 1.0
 
 ESTIMATORS = ("capon", "stft")
+
+# The spectral grid holds pad_factor * N bins; denser grids only cost memory.
+MAX_PAD_FACTOR = 64
 
 
 @dataclass(frozen=True)
@@ -59,18 +62,26 @@ class PipelineConfig:
             raise ValueError("Kaiser beta must be non-negative and finite")
         if self.capon_order < 1 or self.pad_factor < 1:
             raise ValueError("capon order and pad factor must be at least 1")
-        frame_len = self.frame_len_s * self.working_rate_hz
-        shift = self.shift_s * self.working_rate_hz
-        if not (math.isfinite(frame_len + shift) and min(round(frame_len), round(shift)) >= 1):
+        if self.pad_factor > MAX_PAD_FACTOR:
+            raise ValueError(f"pad factor must be at most {MAX_PAD_FACTOR}")
+        rate = self.working_rate_hz
+        if not (math.isfinite(self.frame_len_s * rate + self.shift_s * rate)
+                and min(self.frame_samples) >= 1):
             raise ValueError("frame length and shift must round to at least 1 sample")
-        if self.estimator == "capon" and round(frame_len) <= self.capon_order:
+        if self.estimator == "capon" and self.frame_samples[0] <= self.capon_order:
             raise ValueError(
-                f"{round(frame_len)}-sample frames are shorter than capon order + 1"
+                f"{self.frame_samples[0]}-sample frames are shorter than capon order + 1"
             )
 
     @property
     def center_hz(self):
         return self.harmonic * self.nominal_hz
+
+    @property
+    def frame_samples(self):
+        """(frame length, shift) in samples at the working rate."""
+        return (round(self.frame_len_s * self.working_rate_hz),
+                round(self.shift_s * self.working_rate_hz))
 
 
 def power_config(**overrides):
@@ -141,16 +152,14 @@ def extract_enf(signal, config):
         working.sample_rate_hz, config.center_hz, config.passband_hz, config.taps
     )
     filtered = apply_zero_phase(flt, working)
-    plan = plan_frames(
-        len(filtered), config.frame_len_s, config.shift_s, filtered.sample_rate_hz
-    )
-    if plan.frame_count == 0:
+    frame_len, shift = config.frame_samples
+    if len(filtered) < frame_len:
         raise DegenerateInputError(
             f"filtered signal of {len(filtered)} samples is shorter than one "
-            f"{plan.frame_len}-sample frame"
+            f"{frame_len}-sample frame"
         )
-    window = make_window(config.window, plan.frame_len, config.kaiser_beta)
-    frames = frame_matrix(filtered, plan, window)
+    window = make_window(config.window, frame_len, config.kaiser_beta)
+    frames = frame_matrix(filtered.samples, frame_len, shift, window)
     rate, origin_s = filtered.sample_rate_hz, filtered.origin_offset_s
     # The frame matrix holds every sample the estimators need; releasing
     # the filtered signal first keeps peak memory at one filtered copy.
@@ -166,8 +175,9 @@ def extract_enf(signal, config):
     ) / config.harmonic
     freqs[np.abs(freqs - config.nominal_hz) > VALID_ENVELOPE_HZ] = np.nan
 
-    indices = np.arange(plan.frame_count, dtype=np.int64)
+    indices = np.arange(len(frames), dtype=np.int64)
+    shift_s = shift / rate
     return EnfTrack(
-        indices, origin_s + indices * plan.shift_s, freqs,
-        frame_len_s=plan.frame_len_s, shift_s=plan.shift_s,
+        indices, origin_s + indices * shift_s, freqs,
+        frame_len_s=frame_len / rate, shift_s=shift_s,
     )

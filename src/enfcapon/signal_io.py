@@ -40,10 +40,6 @@ class SampledSignal:
     def __len__(self):
         return self.samples.size
 
-    @property
-    def duration_s(self):
-        return self.samples.size / self.sample_rate_hz
-
     def skip_head(self, seconds):
         """Drop the first `seconds` of the signal, tracking the offset."""
         if not math.isfinite(seconds):

@@ -17,9 +17,6 @@ from .signal_io import SampledSignal
 class PowerFixture:
     signal: SampledSignal
     enf_hz: np.ndarray          # instantaneous fundamental, per sample
-    nominal_hz: float
-    harmonic: int
-    seed: int
 
 
 def _folded_walk(rng, steps, step_std, bound):
@@ -64,13 +61,7 @@ def make_power_fixture(seed, duration_s=1800.0, sample_rate_hz=441.0,
     noise_power = 0.5 / 10.0 ** (snr_db / 10.0)
     samples = samples + rng.normal(0.0, np.sqrt(noise_power), n_samples)
 
-    return PowerFixture(
-        SampledSignal(samples, sample_rate_hz),
-        enf,
-        nominal_hz,
-        harmonic,
-        seed,
-    )
+    return PowerFixture(SampledSignal(samples, sample_rate_hz), enf)
 
 
 def ground_truth_for_track(fixture, track):

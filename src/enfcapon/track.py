@@ -104,7 +104,7 @@ def _parse_json(text):
             idx.append(int(row["frame_index"]))
             times.append(float(row["time_s"]))
             f = row["freq_hz"]
-            freqs.append(math.nan if f is None else float(f))
+            freqs.append(math.nan if f is None else _frequency(f))
         except (KeyError, TypeError, ValueError) as exc:
             raise TrackFormatError(f"bad entry {n}: {exc}") from exc
     return _track(idx, times, freqs)
@@ -124,10 +124,18 @@ def _parse_csv(text):
         try:
             idx.append(int(parts[0]))
             times.append(float(parts[1]))
-            freqs.append(float(parts[2]))
+            freqs.append(_frequency(parts[2]))
         except ValueError as exc:
             raise TrackFormatError(str(exc), line=n) from exc
     return _track(idx, times, freqs)
+
+
+def _frequency(value):
+    """A frequency cell as float; NaN marks a missing estimate, inf is rejected."""
+    f = float(value)
+    if math.isinf(f):
+        raise ValueError(f"infinite frequency {value!r}")
+    return f
 
 
 def _track(idx, times, freqs):

@@ -17,7 +17,6 @@ from scipy.signal import fftconvolve
 
 from enfcapon import capon
 from enfcapon.bandpass import design_bandpass
-from enfcapon.framing import plan_frames
 from enfcapon.pipeline import VALID_ENVELOPE_HZ, _decimation_factor, estimation_band
 from enfcapon.signal_io import SampledSignal, anti_alias_filter
 from enfcapon.windowing import make_window
@@ -106,12 +105,13 @@ def per_frame_track(signal, config):
                           config.passband_hz, config.taps)
     filtered = apply_zero_phase_full(flt, working)
     rate = filtered.sample_rate_hz
-    plan = plan_frames(len(filtered), config.frame_len_s, config.shift_s, rate)
-    taps = make_window(config.window, plan.frame_len, config.kaiser_beta)
+    frame_len = round(config.frame_len_s * rate)
+    shift = round(config.shift_s * rate)
+    taps = make_window(config.window, frame_len, config.kaiser_beta)
     band = estimation_band(flt)
-    freqs = np.empty(plan.frame_count)
-    for k in range(plan.frame_count):
-        frame = filtered.samples[k * plan.shift : k * plan.shift + plan.frame_len] * taps
+    freqs = np.empty((len(filtered) - frame_len) // shift + 1)
+    for k in range(freqs.size):
+        frame = filtered.samples[k * shift : k * shift + frame_len] * taps
         if config.estimator == "capon":
             freqs[k] = capon_estimate_frame(frame, rate, band, config.capon_order,
                                             config.pad_factor, config.interpolate)

@@ -150,6 +150,24 @@ def test_batched_matches_per_frame_oracle(power_fixture):
     report(10, f"batched track equals per-frame oracle (max |df| {worst:.1e} Hz)")
 
 
+@pytest.fixture(scope="module")
+def five_minute_fixture():
+    return make_power_fixture(FIXTURE_SEED, duration_s=300.0)
+
+
+@pytest.mark.parametrize("frame_len_s, shift_s", [(2.0, 1.0), (1.5, 0.7)])
+@pytest.mark.parametrize("estimator, window", [("capon", "parzen"), ("stft", "hamming")])
+def test_overlapping_layouts_match_per_frame_oracle(five_minute_fixture, frame_len_s,
+                                                    shift_s, estimator, window):
+    # Overlapping frames and lengths that are not whole multiples of the shift.
+    config = power_config(estimator=estimator, window=window,
+                          frame_len_s=frame_len_s, shift_s=shift_s)
+    batched = extract_enf(five_minute_fixture.signal, config).freq_hz
+    oracle = per_frame_track(five_minute_fixture.signal, config)
+    np.testing.assert_array_equal(np.isnan(batched), np.isnan(oracle))
+    assert float(np.nanmax(np.abs(batched - oracle))) <= 1e-9
+
+
 def test_criterion_6_quadratic_interpolation_exactness():
     rng = np.random.default_rng(6)
     grid = np.arange(256, dtype=float)

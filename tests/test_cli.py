@@ -18,6 +18,15 @@ def runner():
     return CliRunner()
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and +/-Infinity."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 @pytest.fixture(scope="module")
 def fixture_files(tmp_path_factory, runner):
     path = tmp_path_factory.mktemp("fixture")
@@ -107,6 +116,16 @@ class TestExtract:
         assert "Error" in result.output
 
 
+    def test_huge_pad_factor_exit_code(self, runner, fixture_files, tmp_path):
+        wav, _ = fixture_files
+        result = runner.invoke(
+            main,
+            ["extract", str(wav), "-o", str(tmp_path / "x.csv"), "--pad-factor", "1000000000"],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "pad factor must be at most 64" in result.output
+
     def test_non_wav_file_exit_code(self, runner, tmp_path):
         junk = tmp_path / "junk.wav"
         junk.write_bytes(b"RIFF")
@@ -180,6 +199,17 @@ class TestMatch:
         assert isinstance(result.exception, SystemExit)
         assert "not uniformly spaced" in result.output
 
+    def test_infinite_reference_frequency_exit_code(self, runner, tmp_path):
+        query, ref = tmp_path / "q.csv", tmp_path / "r.csv"
+        freqs = 60.0 + 0.01 * np.sin(np.arange(100.0))
+        write_cadence_track(query, 40, 1.0, freqs[50:90])
+        freqs[0] = np.inf
+        write_cadence_track(ref, 100, 1.0, freqs)
+        result = runner.invoke(main, ["match", str(query), str(ref), "--centered"])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "line 2: infinite frequency" in result.output
+
     def test_lag_seconds_uses_track_cadence(self, runner, tmp_path):
         rng = np.random.default_rng(9)
         freqs = 60.0 + 0.01 * rng.normal(size=200)
@@ -203,6 +233,17 @@ class TestFisher:
 
     def test_fisher_bad_args(self, runner):
         assert runner.invoke(main, ["fisher", "1.0", "0.5", "100"]).exit_code == 2
+
+    def test_tiny_alpha_prints_strict_json(self, runner):
+        result = runner.invoke(main, ["fisher", "0.5", "0.4", "100", "--alpha", "1e-320"])
+        assert result.exit_code == 0, result.output
+        assert strict_json(result.output)["critical"] == pytest.approx(38.29, abs=0.01)
+
+    def test_alpha_without_finite_critical_value_exit_code(self, runner):
+        result = runner.invoke(main, ["fisher", "0.5", "0.4", "100", "--alpha", "5e-324"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "finite critical value" in result.output
 
 
 class TestCompareWindows:
@@ -303,6 +344,17 @@ class TestCompareWindows:
         assert isinstance(result.exception, SystemExit)
         assert option in result.output and superseding in result.output
 
+    def test_huge_pad_factor_exit_code(self, runner, fixture_files, tmp_path):
+        wav, ref = fixture_files
+        result = runner.invoke(
+            main,
+            ["compare-windows", str(wav), "--reference", str(ref), "--windows", "parzen",
+             "--frame-lengths", "1", "--pad-factor", "65", "-o", str(tmp_path / "x.csv")],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "pad factor must be at most 64" in result.output
+
     def test_unknown_window_rejected(self, runner, fixture_files, tmp_path):
         wav, ref = fixture_files
         result = runner.invoke(
@@ -357,7 +409,7 @@ class TestSynthValidation:
              "--reference", str(tmp_path / "s.csv")],
         )
 
-    @pytest.mark.parametrize("seconds", ["nan", "inf", "-5", "0", "0.5"])
+    @pytest.mark.parametrize("seconds", ["nan", "inf", "-5", "0", "0.5", "86401", "1e300"])
     def test_bad_duration_exit_code(self, runner, tmp_path, seconds):
         result = self.run_synth(runner, tmp_path, "--duration-seconds", seconds)
         assert result.exit_code == 2
@@ -412,7 +464,7 @@ def float_option(lo, hi):
         "--taps": optional(st.integers(0, 4500).map(lambda k: 2 * k + 1)),
         "--passband-hz": float_option(0.0, 3.0),
         "--capon-order": optional(st.integers(0, 40)),
-        "--pad-factor": optional(st.integers(0, 8)),
+        "--pad-factor": optional(st.integers(0, 8) | st.integers(65, 10**12)),
         "--skip-seconds": float_option(-1.0, 25.0),
     }),
     no_interpolate=st.booleans(),
@@ -434,13 +486,14 @@ def test_extract_option_space_never_crashes(short_wav, tmp_path, mode, options,
 @st.composite
 def track_rows(draw):
     """Frame times at a 0.5, 1 or 2 s cadence, optionally jittered, with
-    frequencies that may be missing or constant."""
+    frequencies that may be missing, constant or infinite."""
     n = draw(st.integers(0, 40))
     shift_s = draw(st.sampled_from([0.5, 1.0, 2.0]))
     times = draw(st.floats(0.0, 100.0)) + shift_s * np.arange(n)
     if draw(st.booleans()):
         times = times + np.array(draw(st.lists(st.floats(-0.4, 0.4), min_size=n, max_size=n)))
-    freqs = draw(st.lists(st.sampled_from([math.nan, 60.0]) | st.floats(59.9, 60.1),
+    freqs = draw(st.lists(st.sampled_from([math.nan, 60.0, math.inf, -math.inf])
+                          | st.floats(59.9, 60.1),
                           min_size=n, max_size=n))
     return EnfTrack(np.arange(n), times, np.array(freqs))
 
@@ -459,7 +512,7 @@ def test_match_track_space_never_crashes(tmp_path, query, reference, fmt, center
     assert result.exception is None or isinstance(result.exception, SystemExit), args
     assert "Traceback" not in result.output
     if result.exit_code == 0:
-        payload = json.loads(result.output)
+        payload = strict_json(result.output)
         shift_s = read_track(paths[1]).shift_s
         assert payload["lag_seconds"] == (payload["lag"] - 1) * shift_s
 
@@ -488,6 +541,7 @@ def assert_clean_exit(args):
     assert result.exit_code in (0, 2, 3), (args, result.exception)
     assert result.exception is None or isinstance(result.exception, SystemExit), args
     assert "Traceback" not in result.output
+    return result
 
 
 @settings(max_examples=40, deadline=None,
@@ -496,7 +550,8 @@ def assert_clean_exit(args):
     valid={"--seed": st.integers(0, 2**64), "--duration-seconds": st.floats(1.0, 5.0),
            "--snr-db": st.floats(-40.0, 60.0)},
     wild={"--seed": st.integers(max_value=-1),
-          "--duration-seconds": st.floats(max_value=1.0, exclude_max=True) | NON_FINITE,
+          "--duration-seconds": st.floats(max_value=1.0, exclude_max=True)
+          | st.floats(min_value=86400.0, exclude_min=True) | NON_FINITE,
           "--snr-db": st.floats() | NON_FINITE},
 ))
 def test_synth_option_space_never_crashes(tmp_path, options):
@@ -534,7 +589,7 @@ def long_reference(tmp_path_factory):
           "--taps": st.integers(-2, 5000),
           "--passband-hz": st.floats(-1.0, 1e300) | NON_FINITE,
           "--capon-order": st.integers(-2, 500),
-          "--pad-factor": st.integers(-2, 0)},
+          "--pad-factor": st.integers(-2, 0) | st.integers(65, 10**12)},
 ), centered=st.booleans())
 def test_compare_windows_option_space_never_crashes(short_wav, long_reference, tmp_path,
                                                     options, centered):
@@ -553,5 +608,7 @@ def test_compare_windows_option_space_never_crashes(short_wav, long_reference, t
           "c2": st.floats() | NON_FINITE, "n": st.integers() | st.just(10**400)},
 ))
 def test_fisher_argument_space_never_crashes(options):
-    assert_clean_exit(["fisher", "--alpha", str(options["alpha"]), "--",
-                       *(str(options[k]) for k in ("c1", "c2", "n"))])
+    result = assert_clean_exit(["fisher", "--alpha", str(options["alpha"]), "--",
+                                *(str(options[k]) for k in ("c1", "c2", "n"))])
+    if result.exit_code == 0:
+        strict_json(result.output)

@@ -50,6 +50,14 @@ class TestCorrelation:
             centered, rel=1e-12
         )
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_infinite_entry_undefined(self, centered):
+        g = np.arange(1.0, 11.0)
+        g[3] = -np.inf
+        with pytest.raises(UndefinedCorrelationError, match="infinite norm"):
+            correlation(np.ones(10) + np.arange(10.0), g, centered=centered)
+
     def test_nan_pairwise_deletion(self):
         f = np.array([1.0, np.nan, 3.0, 4.0])
         g = np.array([1.0, 2.0, 3.0, np.nan])
@@ -78,6 +86,18 @@ class TestBestLag:
         g = np.concatenate([-f, rng.normal(size=5) * 0.01, f])
         result = best_lag(f, g, centered=True)
         assert result.best_lag == 25
+        assert result.correlation == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_infinite_reference_entry_skips_its_lags(self, rng):
+        # The lags whose segment holds g[0] = inf have no correlation; they
+        # used to win with NaN because c > NaN is never true.
+        f = rng.normal(size=40) + 60.0
+        g = rng.normal(size=300) * 0.01 + 60.0
+        g[50:90] = f
+        g[0] = np.inf
+        result = best_lag(f, g, centered=True)
+        assert result.best_lag == 50
         assert result.correlation == pytest.approx(1.0, abs=1e-12)
 
     def test_reference_too_short(self):
@@ -128,6 +148,15 @@ class TestFisher:
 
     def test_critical_value(self):
         assert fisher_test(0.5, 0.4, 100).critical == pytest.approx(1.959963984540054)
+
+    def test_tiny_alpha_gives_finite_critical_value(self):
+        result = fisher_test(0.5, 0.4, 100, alpha=1e-320)
+        assert result.critical == pytest.approx(38.29, abs=0.01)
+        assert not result.reject
+
+    def test_alpha_without_finite_critical_value_rejected(self):
+        with pytest.raises(ValueError, match="finite critical value"):
+            fisher_test(0.5, 0.4, 100, alpha=5e-324)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

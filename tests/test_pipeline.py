@@ -41,6 +41,7 @@ class TestConfig:
         {"window": "kaiser", "kaiser_beta": -1.0},
         {"capon_order": 0},
         {"pad_factor": 0},
+        {"pad_factor": 65},                        # would build a huge grid
     ])
     def test_rejects_unusable_settings(self, overrides):
         with pytest.raises(ValueError):
@@ -68,6 +69,16 @@ class TestExtract:
     def test_zero_frames_is_degenerate(self):
         with pytest.raises(DegenerateInputError):
             extract_enf(tone_signal(180.0, duration_s=3.0), power_config())
+
+    def test_one_frame_after_filter_trim(self):
+        # The 1001-tap filter keeps len - 1000 samples: exactly one frame.
+        samples = np.cos(2.0 * np.pi * 180.0 / 441.0 * np.arange(1000 + 441))
+        track = extract_enf(SampledSignal(samples, 441.0), power_config())
+        assert len(track) == 1
+        assert track.time_s[0] == 500 / 441.0
+        assert (track.frame_len_s, track.shift_s) == (1.0, 1.0)
+        with pytest.raises(DegenerateInputError, match="shorter than one 441-sample frame"):
+            extract_enf(SampledSignal(samples[:-1], 441.0), power_config())
 
     def test_non_integer_rate_ratio_rejected(self):
         signal = SampledSignal(np.ones(1000), 1000.0)

@@ -53,6 +53,23 @@ def test_non_numeric_freq_names_line(tmp_path):
     assert "line 3" in str(err.value)
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "Infinity"])
+def test_infinite_freq_names_line(tmp_path, value):
+    path = tmp_path / "inf.csv"
+    path.write_text(f"frame_index,time_s,freq_hz\n0,0.0,59.98\n1,1.0,{value}\n")
+    with pytest.raises(TrackFormatError) as err:
+        read_track(path)
+    assert err.value.line == 3
+    assert "infinite frequency" in str(err.value)
+
+
+def test_infinite_freq_in_json_rejected(tmp_path):
+    path = tmp_path / "inf.json"
+    path.write_text('[{"frame_index": 0, "time_s": 0.0, "freq_hz": Infinity}]')
+    with pytest.raises(TrackFormatError, match="bad entry 0: infinite frequency"):
+        read_track(path)
+
+
 def test_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n0,0.0,59.98\n")
