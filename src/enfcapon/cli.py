@@ -21,7 +21,6 @@ from .pipeline import ESTIMATORS, extract_enf, power_config, speech_config
 from .signal_io import SampledSignal, read_wav, write_wav
 from .synthetic import make_power_fixture
 from .track import CADENCE_TOL_S, EnfTrack, read_track, write_track
-from .windowing import WINDOW_KINDS
 
 MANIFEST_SCHEMA = 1
 

@@ -62,18 +62,3 @@ def make_power_fixture(seed, duration_s=1800.0, sample_rate_hz=441.0,
     samples = samples + rng.normal(0.0, np.sqrt(noise_power), n_samples)
 
     return PowerFixture(SampledSignal(samples, sample_rate_hz), enf)
-
-
-def ground_truth_for_track(fixture, track):
-    """Per-frame ground-truth fundamental aligned with a track's frames.
-
-    Each value is the mean instantaneous fundamental over the frame's
-    sample support in the fixture signal.
-    """
-    rate = fixture.signal.sample_rate_hz
-    frame_len = int(round(track.frame_len_s * rate))
-    out = np.empty(len(track))
-    for i, t0 in enumerate(track.time_s):
-        start = int(round(t0 * rate))
-        out[i] = fixture.enf_hz[start : start + frame_len].mean()
-    return out

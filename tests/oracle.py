@@ -8,7 +8,9 @@ spectrum, a peak search over the whole band and a scalar quadratic
 refinement.  The dense helpers form the Toeplitz machinery with explicit
 matrices.  The package decimates by polyphase filtering and band-passes
 by overlap-add; the full-rate helpers here convolve the whole signal
-with one FFT and keep the outputs they need.
+with one FFT and keep the outputs they need.  The package matches a
+track by FFT sums that nominate candidate lags; the scan here scores
+every lag through `correlation`.
 """
 
 import numpy as np
@@ -17,6 +19,8 @@ from scipy.signal import fftconvolve
 
 from enfcapon import capon
 from enfcapon.bandpass import design_bandpass
+from enfcapon.errors import IncompatibleInputError, UndefinedCorrelationError
+from enfcapon.matching import MatchResult, correlation
 from enfcapon.pipeline import VALID_ENVELOPE_HZ, _decimation_factor, estimation_band
 from enfcapon.signal_io import SampledSignal, anti_alias_filter
 from enfcapon.windowing import make_window
@@ -143,3 +147,27 @@ def denominator_quadratic_form(cov_matrix, omega):
     """Direct a*(omega) R^-1 a(omega)."""
     steering = np.exp(-1j * omega * np.arange(cov_matrix.shape[0]))
     return float(np.real(steering.conj() @ np.linalg.inv(cov_matrix) @ steering))
+
+
+def best_lag_scan(f, g, centered=False):
+    """best_lag(): `correlation` at every lag, smallest lag on ties."""
+    f = np.asarray(f, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    k = f.size
+    if g.size < k:
+        raise IncompatibleInputError(
+            f"reference length {g.size} shorter than track length {k}"
+        )
+    best = None
+    for lag in range(g.size - k + 1):
+        seg = g[lag : lag + k]
+        try:
+            c = correlation(f, seg, centered=centered)
+        except UndefinedCorrelationError:
+            continue
+        if best is None or c > best.correlation:
+            n_used = int(np.sum(~(np.isnan(f) | np.isnan(seg))))
+            best = MatchResult(lag, c, centered, n_used)
+    if best is None:
+        raise UndefinedCorrelationError("correlation undefined at every lag")
+    return best

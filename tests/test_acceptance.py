@@ -27,7 +27,7 @@ from enfcapon.matching import best_lag, correlation, fisher_test
 from enfcapon.pipeline import estimate_frames, extract_enf, power_config
 from enfcapon.signal_io import SampledSignal
 from enfcapon.spectral import band_peak
-from enfcapon.synthetic import ground_truth_for_track, make_power_fixture
+from enfcapon.synthetic import make_power_fixture
 from enfcapon.windowing import WINDOW_KINDS, make_window
 from oracle import inverse_from_gs, per_frame_track
 
@@ -37,6 +37,21 @@ PSD_GRID = 64
 
 def report(number, name):
     print(f"ACCEPTANCE {number} {name}: PASS")
+
+
+def ground_truth_for_track(fixture, track):
+    """Per-frame ground-truth fundamental aligned with a track's frames.
+
+    Each value is the mean instantaneous fundamental over the frame's
+    sample support in the fixture signal.
+    """
+    rate = fixture.signal.sample_rate_hz
+    frame_len = int(round(track.frame_len_s * rate))
+    out = np.empty(len(track))
+    for i, t0 in enumerate(track.time_s):
+        start = int(round(t0 * rate))
+        out[i] = fixture.enf_hz[start : start + frame_len].mean()
+    return out
 
 
 @pytest.fixture(scope="module")

@@ -2,26 +2,71 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enfcapon.errors import UndefinedCorrelationError
 from enfcapon.matching import best_lag, correlation, fisher_test
+from oracle import best_lag_scan
 
 
-def brute_force_best_lag(f, g, centered=False):
-    """Independent re-scan oracle."""
-    best_lag_idx, best_c = None, -np.inf
-    for lag in range(len(g) - len(f) + 1):
-        seg = g[lag : lag + len(f)]
-        a, b = np.asarray(f, float), np.asarray(seg, float)
-        if centered:
-            a, b = a - a.mean(), b - b.mean()
-        denom = np.linalg.norm(a) * np.linalg.norm(b)
-        if denom == 0:
-            continue
-        c = a @ b / denom
-        if c > best_c:
-            best_lag_idx, best_c = lag, c
-    return best_lag_idx, best_c
+def assert_same_match(f, g, centered):
+    """best_lag equals the scan of every lag, or both find no lag.
+
+    MatchResult reprs hold the float's shortest round-trip form, so equal
+    reprs mean a bit-equal correlation and an int lag.
+    """
+    try:
+        expected = best_lag_scan(f, g, centered)
+    except UndefinedCorrelationError:
+        with pytest.raises(UndefinedCorrelationError):
+            best_lag(f, g, centered)
+        return
+    assert repr(best_lag(f, g, centered)) == repr(expected)
+
+
+def draw_values(draw, rng, kind, size):
+    if kind == "enf":  # 60 Hz with milli-hertz variation
+        return 60.0 + 1e-3 * np.cumsum(rng.normal(size=size))
+    if kind == "periodic":  # exact ties between lags a period apart
+        return np.resize(rng.normal(size=draw(st.integers(1, 12))), size)
+    if kind == "integers":
+        return rng.integers(-3, 4, size=size).astype(np.float64)
+    if kind == "stretch":  # a constant stretch inside ENF values
+        values = 60.0 + 1e-3 * rng.normal(size=size)
+        start, stop = sorted(draw(st.lists(st.integers(0, size), min_size=2, max_size=2)))
+        values[start:stop] = 60.0
+        return values
+    return rng.normal(size=size)
+
+
+def spoil(draw, rng, values):
+    """NaN runs, scattered NaNs and an optional infinity."""
+    values = values.copy()
+    if values.size:
+        start = draw(st.integers(0, values.size - 1))
+        values[start : start + draw(st.integers(0, 50))] = np.nan
+        values[rng.random(values.size) < draw(st.sampled_from([0.0, 0.1, 0.4]))] = np.nan
+        infinity = draw(st.sampled_from([None, np.inf, -np.inf]))
+        if infinity is not None:
+            values[draw(st.integers(0, values.size - 1))] = infinity
+    return values
+
+
+@st.composite
+def match_inputs(draw):
+    k = draw(st.integers(0, 60))
+    g_len = draw(st.integers(k, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["enf", "periodic", "integers", "stretch", "normal"]))
+    g = draw_values(draw, rng, kind, g_len)
+    if draw(st.booleans()):  # a piece of the reference, maybe with noise
+        lag = draw(st.integers(0, g_len - k))
+        noise = draw(st.sampled_from([0.0, 1e-9, 1e-4]))
+        f = g[lag : lag + k] + noise * rng.normal(size=k)
+    else:
+        f = draw_values(draw, rng, kind, k)
+    return spoil(draw, rng, f), spoil(draw, rng, g)
 
 
 class TestCorrelation:
@@ -50,7 +95,6 @@ class TestCorrelation:
             centered, rel=1e-12
         )
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("centered", [False, True])
     def test_infinite_entry_undefined(self, centered):
         g = np.arange(1.0, 11.0)
@@ -88,7 +132,6 @@ class TestBestLag:
         assert result.best_lag == 25
         assert result.correlation == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_infinite_reference_entry_skips_its_lags(self, rng):
         # The lags whose segment holds g[0] = inf have no correlation; they
         # used to win with NaN because c > NaN is never true.
@@ -108,10 +151,52 @@ class TestBestLag:
         for _ in range(100):
             f = rng.normal(size=50)
             g = rng.normal(size=500)
-            result = best_lag(f, g)
-            oracle_lag, oracle_c = brute_force_best_lag(f, g)
-            assert result.best_lag == oracle_lag
-            assert result.correlation == pytest.approx(oracle_c, abs=1e-12)
+            for centered in (False, True):
+                assert_same_match(f, g, centered)
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=match_inputs())
+    def test_matches_scan_on_irregular_tracks(self, inputs):
+        f, g = inputs
+        for centered in (False, True):
+            assert_same_match(f, g, centered)
+
+    def test_copy_planted_next_to_block_edges(self):
+        # For a 40-frame query the lags go through the FFT in blocks of
+        # 8,153; a copy planted at each lag around two block edges is found.
+        rng = np.random.default_rng(4)
+        f = 60.0 + 1e-3 * rng.normal(size=40)
+        for lag in [*range(8149, 8157), *range(16302, 16310)]:
+            g = 60.0 + 1e-3 * rng.normal(size=20000)
+            g[lag : lag + 40] = f
+            for centered in (False, True):
+                assert best_lag(f, g, centered).best_lag == lag
+
+    def test_ties_nans_and_infinities_across_blocks_match_scan(self):
+        rng = np.random.default_rng(3)
+        g = 60.0 + 1e-3 * rng.normal(size=20000)
+        g[8200:] = np.resize(g[8200:8297], 11800)  # period 97: exact ties
+        g[8100:8300] = np.nan
+        g[16250] = np.inf
+        f = g[9000:9040].copy()
+        f[7] = np.nan
+        for centered in (False, True):
+            assert_same_match(f, g, centered)
+            assert_same_match(f + 1e-9 * rng.normal(size=f.size), g, centered)
+
+    def test_day_long_reference_matches_scan(self):
+        # A 30-minute query in a 24-hour reference at 1 s frames.
+        rng = np.random.default_rng(86400)
+        g = 60.0 + np.cumsum(rng.normal(0.0, 0.002, 86400))
+        for start in rng.integers(0, 86000, size=6):
+            g[start : start + rng.integers(50, 400)] = np.nan
+        lag = 51234
+        f = g[lag : lag + 1800] + rng.normal(0.0, 1e-3, 1800)
+        f[rng.choice(1800, size=18, replace=False)] = np.nan
+        for centered in (False, True):
+            result = best_lag(f, g, centered)
+            assert result.best_lag == lag
+            assert repr(result) == repr(best_lag_scan(f, g, centered))
 
     def test_gap_handling(self, rng):
         f = rng.normal(size=30) + 60.0
