@@ -1,68 +1,78 @@
-"""Timing harness: fast Capon path vs dense per-bin evaluation."""
+"""Timing harness: the pipeline's in-band Capon kernel vs an explicit inverse.
 
-import time
+Both paths take the same batch of windowed frames to the Capon power at
+the same in-band bins, laid out as the default power config lays them
+out at the 441 Hz working rate.  The fast path is capon_band_power.  The
+dense baseline gathers the same loaded autocovariance into (K, M, M)
+Toeplitz matrices, inverts them with np.linalg.inv, and evaluates the
+quadratic form a*(omega) R^-1 a(omega) at every bin as batched matrix
+products.
+"""
+
+import timeit
+from functools import partial
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from . import capon
+from .bandpass import design_bandpass
+from .pipeline import estimation_band, power_config
+from .spectral import band_bins
+from .windowing import make_window
+
+# Frames of a 30-minute recording at the default 1 s frames and shift,
+# after the band-pass trims its 1000-sample edge.
+BENCH_FRAMES = 1797
 
 
-def _random_covariance(rng, order):
-    # Autocorrelation of a random sequence is positive semidefinite;
-    # the diagonal boost keeps it safely positive definite.
-    seq = rng.normal(size=4 * (order + 1))
-    col = np.correlate(seq, seq, mode="full")[seq.size - 1 : seq.size + order]
-    col = col / seq.size
-    col[0] += 0.1 * abs(col[0]) + 1e-6
-    return col
+def dense_band_power(frames, bins, grid_size, order=capon.DEFAULT_ORDER):
+    """Capon power (m+1) / a*(omega) R^-1 a(omega) of every frame (K, N)
+    at the grid bins, through an explicit inverse of each loaded
+    Toeplitz autocovariance."""
+    rho = capon.estimate_autocovariance(frames, order)
+    rho[..., 0] *= 1.0 + capon.DEFAULT_LOADING
+    lags = np.arange(order + 1)
+    inverse = np.linalg.inv(rho[..., np.abs(lags[:, None] - lags)])
+    phase = 2.0 * np.pi * (np.outer(lags, bins) % grid_size) / grid_size
+    # R^-1 is real symmetric, so with a = c - js the form is c'R^-1 c + s'R^-1 s.
+    quad = sum(np.sum(part * (inverse @ part), axis=-2)
+               for part in (np.cos(phase), np.sin(phase)))
+    return (order + 1) / quad
 
 
-def _fast_path(col, grid_size):
-    w, alpha, _ = capon.levinson_solve(col)
-    return capon.capon_psd(capon.denom_coeffs(*capon.gs_factors(w, alpha)), grid_size)
-
-
-def run_bench(order=10, grid_sizes=(1764,), trials=100, seed=0):
-    """Median per-frame time for the fast path vs the dense path.
-
-    The dense path inverts the covariance explicitly and evaluates the
-    quadratic form at every bin of the full grid in one contraction.
-    """
+def run_bench(order=capon.DEFAULT_ORDER, trials=100, seed=0):
+    """Median time of capon_band_power vs dense_band_power on one seeded
+    batch of white-noise frames under the default window, at the bins
+    and on the grid the default power config searches."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    m_plus_1 = order + 1
-    for grid_size in grid_sizes:
-        if grid_size < 2 * m_plus_1 - 1:
-            raise ValueError(
-                f"grid size {grid_size} smaller than 2M-1 = {2 * m_plus_1 - 1}"
-            )
+    config = power_config()
+    frame_len = config.frame_samples[0]
+    grid_size = config.pad_factor * frame_len
+    flt = design_bandpass(config.working_rate_hz, config.center_hz,
+                          config.passband_hz, config.taps)
+    bins = band_bins(estimation_band(flt), grid_size, config.working_rate_hz)
     rng = np.random.default_rng(seed)
-    covs = [_random_covariance(rng, order) for _ in range(trials)]
-    report = {"order": order, "trials": trials, "seed": seed, "grids": []}
-    for grid_size in grid_sizes:
-        fast_times = []
-        dense_times = []
-        for cov in covs:
-            t0 = time.perf_counter()
-            fast = _fast_path(cov, grid_size)
-            fast_times.append(time.perf_counter() - t0)
+    frames = rng.standard_normal((BENCH_FRAMES, frame_len)) * make_window(
+        config.window, frame_len)
 
-            dense_matrix = toeplitz(cov)
-            t0 = time.perf_counter()
-            dense = capon.capon_psd_dense(dense_matrix, grid_size)
-            dense_times.append(time.perf_counter() - t0)
-
-            # Sanity: both paths agree while we are at it.
-            np.testing.assert_allclose(fast, dense, rtol=1e-6)
-        fast_median = float(np.median(fast_times))
-        dense_median = float(np.median(dense_times))
-        report["grids"].append(
-            {
-                "grid_size": grid_size,
-                "fast_median_s": fast_median,
-                "dense_median_s": dense_median,
-                "speedup": dense_median / fast_median,
-            }
-        )
-    return report
+    fast = partial(capon.capon_band_power, frames, bins, grid_size, order)
+    dense = partial(dense_band_power, frames, bins, grid_size, order)
+    # Sanity: both paths agree while we are at it.
+    np.testing.assert_allclose(fast()[0], dense(), rtol=1e-6)
+    fast_median, dense_median = (
+        float(np.median(timeit.repeat(path, number=1, repeat=trials)))
+        for path in (fast, dense)
+    )
+    return {
+        "order": order,
+        "trials": trials,
+        "seed": seed,
+        "frames": BENCH_FRAMES,
+        "frame_len": frame_len,
+        "grid_size": grid_size,
+        "bins": int(bins.size),
+        "fast_median_s": fast_median,
+        "dense_median_s": dense_median,
+        "speedup": dense_median / fast_median,
+    }

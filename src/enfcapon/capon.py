@@ -9,15 +9,13 @@ only the recursions over the order m loop in Python.
 
 The inverted matrix has order M = m + 1 (the filter length, default 11),
 not the frame length, so the displacement machinery is cheap and the
-spectrum evaluation dominates.  The pipeline evaluates the denominator
-only at the in-band bins; capon_psd evaluates the whole grid with one
-Hermitian FFT, and capon_psd_dense is the explicit-inverse baseline
-`enf bench` compares it against.
+spectrum evaluation dominates.  capon_band_power evaluates the
+denominator only at the in-band bins the peak search reads.
 """
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, SpectrumDegeneracyError
+from .errors import NotPositiveDefiniteError
 
 DEFAULT_ORDER = 10
 
@@ -125,33 +123,3 @@ def capon_band_power(frames, bins, grid_size, order=DEFAULT_ORDER):
     with np.errstate(divide="ignore"):
         return (order + 1) / phi_den, valid
 
-
-def capon_psd(coeffs, grid_size):
-    """Capon PSD (m+1)/phi_den on the whole grid q = 0..Q-1 via one transform.
-
-    phi_den(omega_q) = x_0 + 2 sum_i x_i cos(2 pi q i / Q), evaluated for
-    all q at once as the Hermitian FFT of the non-negative half x_0..x_m.
-    """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    m_plus_1 = coeffs.size
-    if grid_size < 2 * m_plus_1 - 1:
-        raise ValueError(
-            f"grid size {grid_size} smaller than 2M-1 = {2 * m_plus_1 - 1}"
-        )
-    phi_den = np.fft.hfft(coeffs, grid_size)
-    bad = np.flatnonzero(phi_den <= 0.0)
-    if bad.size:
-        raise SpectrumDegeneracyError(int(bad[0]), float(phi_den[bad[0]]))
-    return m_plus_1 / phi_den
-
-
-def capon_psd_dense(cov_matrix, grid_size):
-    """Benchmark baseline: explicit inverse and the quadratic form
-    a*(omega) R^-1 a(omega) at every grid bin in one contraction."""
-    m_plus_1 = cov_matrix.shape[0]
-    inverse = np.linalg.inv(cov_matrix)
-    steering = np.exp(
-        -2j * np.pi * np.outer(np.arange(grid_size), np.arange(m_plus_1)) / grid_size
-    )
-    quad = np.einsum("qi,ij,qj->q", steering.conj(), inverse, steering)
-    return m_plus_1 / quad.real

@@ -32,13 +32,5 @@ class NotPositiveDefiniteError(EnfError):
     """Prediction-error power handed to the generator step is not positive."""
 
 
-class SpectrumDegeneracyError(EnfError):
-    """Capon denominator became non-positive at some grid bin."""
-
-    def __init__(self, q, value):
-        super().__init__(f"non-positive denominator {value:g} at grid bin {q}")
-        self.q = q
-
-
 class UndefinedCorrelationError(EnfError):
     """Correlation is undefined (zero-norm or constant vector)."""

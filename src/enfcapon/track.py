@@ -40,7 +40,8 @@ class EnfTrack:
         freqs = np.asarray(self.freq_hz, dtype=np.float64)
         if not (idx.shape == times.shape == freqs.shape) or idx.ndim != 1:
             raise ValueError("frame_index, time_s, freq_hz must be equal-length 1-D")
-        if idx.size and np.any(np.diff(idx) != 1):
+        # np.diff wraps at the int64 limits; a wrapped run ends below its start.
+        if idx.size and (np.any(np.diff(idx) != 1) or idx[-1] < idx[0]):
             raise ValueError("frame indices must be consecutive")
         object.__setattr__(self, "frame_index", idx)
         object.__setattr__(self, "time_s", times)
@@ -105,7 +106,7 @@ def _parse_json(text):
             times.append(float(row["time_s"]))
             f = row["freq_hz"]
             freqs.append(math.nan if f is None else _frequency(f))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TrackFormatError(f"bad entry {n}: {exc}") from exc
     return _track(idx, times, freqs)
 
@@ -140,10 +141,15 @@ def _frequency(value):
 
 def _track(idx, times, freqs):
     times = np.array(times, dtype=np.float64)
-    return EnfTrack(
-        np.array(idx, dtype=np.int64), times, np.array(freqs, dtype=np.float64),
-        shift_s=_uniform_shift(times),
-    )
+    try:
+        return EnfTrack(
+            np.array(idx, dtype=np.int64), times, np.array(freqs, dtype=np.float64),
+            shift_s=_uniform_shift(times),
+        )
+    except OverflowError as exc:
+        raise TrackFormatError(f"frame index outside the int64 range: {exc}") from exc
+    except ValueError as exc:
+        raise TrackFormatError(str(exc)) from exc
 
 
 def _uniform_shift(times):

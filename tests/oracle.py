@@ -5,8 +5,10 @@ through Levinson and Gohberg-Semencul generators, and evaluates each
 spectrum only inside the estimation band.  The per-frame chain here
 takes one frame at a time through an explicit inverse, the full-grid
 spectrum, a peak search over the whole band and a scalar quadratic
-refinement.  The dense helpers form the Toeplitz machinery with explicit
-matrices.  The package decimates by polyphase filtering and band-passes
+refinement.  The full-grid spectrum comes from one Hermitian FFT of the
+denominator coefficients (capon_psd) or from an explicit inverse and
+its quadratic form at every bin (capon_psd_dense).  The dense helpers
+form the Toeplitz machinery with explicit matrices.  The package decimates by polyphase filtering and band-passes
 by overlap-add; the full-rate helpers here convolve the whole signal
 with one FFT and keep the outputs they need.  The package matches a
 track by FFT sums that nominate candidate lags; the scan here scores
@@ -84,20 +86,54 @@ def estimate_frame_stft(frame, sample_rate_hz, band, pad_factor=4, interpolate=T
     return peak_frequency(values, sample_rate_hz, band, interpolate)
 
 
+def loaded_covariance(frame, order):
+    """Toeplitz matrix of the biased autocovariance of one frame, with the
+    package's relative diagonal loading."""
+    n = frame.size
+    rho = np.array([frame[k:] @ frame[: n - k] for k in range(order + 1)]) / n
+    rho[0] *= 1.0 + capon.DEFAULT_LOADING
+    return toeplitz(rho)
+
+
+def capon_psd(coeffs, grid_size):
+    """Capon PSD (m+1)/phi_den on the whole grid q = 0..Q-1 via one transform.
+
+    phi_den(omega_q) = x_0 + 2 sum_i x_i cos(2 pi q i / Q), evaluated for
+    all q at once as the Hermitian FFT of the non-negative half x_0..x_m.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    m_plus_1 = coeffs.size
+    if grid_size < 2 * m_plus_1 - 1:
+        raise ValueError(f"grid size {grid_size} smaller than 2M-1 = {2 * m_plus_1 - 1}")
+    phi_den = np.fft.hfft(coeffs, grid_size)
+    if np.any(phi_den <= 0.0):
+        raise ValueError("non-positive Capon denominator")
+    return m_plus_1 / phi_den
+
+
+def capon_psd_dense(cov_matrix, grid_size):
+    """Capon PSD through the explicit inverse: (m+1) / a*(omega) R^-1 a(omega)
+    at every grid bin in one contraction."""
+    m_plus_1 = cov_matrix.shape[0]
+    inverse = np.linalg.inv(cov_matrix)
+    steering = np.exp(
+        -2j * np.pi * np.outer(np.arange(grid_size), np.arange(m_plus_1)) / grid_size
+    )
+    quad = np.einsum("qi,ij,qj->q", steering.conj(), inverse, steering)
+    return m_plus_1 / quad.real
+
+
 def capon_estimate_frame(frame, sample_rate_hz, band, order=10, pad_factor=4,
                          interpolate=True):
     """Full-grid Capon peak of one frame, with the denominator coefficients
     taken as diagonal sums of the explicit inverse of the loaded Toeplitz
     autocovariance; NaN when that matrix is not positive definite."""
-    n = frame.size
-    rho = np.array([frame[k:] @ frame[: n - k] for k in range(order + 1)]) / n
-    rho[0] *= 1.0 + capon.DEFAULT_LOADING
     try:
-        inverse = cho_solve(cho_factor(toeplitz(rho)), np.eye(order + 1))
+        inverse = cho_solve(cho_factor(loaded_covariance(frame, order)), np.eye(order + 1))
     except np.linalg.LinAlgError:
         return np.nan
     coeffs = [np.trace(inverse, offset=i) for i in range(order + 1)]
-    values = capon.capon_psd(coeffs, pad_factor * n)
+    values = capon_psd(coeffs, pad_factor * frame.size)
     return peak_frequency(values, sample_rate_hz, band, interpolate)
 
 

@@ -3,19 +3,26 @@ import pytest
 from scipy.linalg import toeplitz
 
 from conftest import make_tone, random_pd_toeplitz
+from enfcapon.bench import dense_band_power
 from enfcapon.capon import (
-    capon_psd,
-    capon_psd_dense,
+    capon_band_power,
     denom_coeffs,
     estimate_autocovariance,
     gs_factors,
     levinson_solve,
 )
-from enfcapon.errors import NotPositiveDefiniteError, SpectrumDegeneracyError
+from enfcapon.errors import NotPositiveDefiniteError
 from enfcapon.pipeline import estimate_frames
 from enfcapon.spectral import band_bins, band_peak
 from enfcapon.windowing import make_window
-from oracle import denominator_quadratic_form, inverse_from_gs, sample_covariance
+from oracle import (
+    capon_psd,
+    capon_psd_dense,
+    denominator_quadratic_form,
+    inverse_from_gs,
+    loaded_covariance,
+    sample_covariance,
+)
 
 
 def two_by_two_factors(r):
@@ -24,10 +31,11 @@ def two_by_two_factors(r):
     return gs_factors(w, alpha)
 
 
-def fast_psd(col, grid_size):
-    w, alpha, valid = levinson_solve(col)
-    assert valid
-    return capon_psd(denom_coeffs(*gs_factors(w, alpha)), grid_size)
+def full_grid_power(frames, grid_size, order=10):
+    """capon_band_power of every frame at every bin q = 0..Q-1."""
+    power, valid = capon_band_power(frames, np.arange(grid_size), grid_size, order)
+    assert np.all(valid)
+    return power
 
 
 def peak_bin(values, band, rate):
@@ -189,26 +197,40 @@ class TestDenomCoeffs:
 
 class TestCaponPsd:
     def test_identity_covariance_flat(self):
-        coeffs = denom_coeffs(*gs_factors(np.zeros(10), 1.0))
-        np.testing.assert_allclose(capon_psd(coeffs, 128), 1.0)
+        # A unit impulse has autocovariance (1/N, 0, ..., 0), a scaled identity.
+        frame = np.zeros(64)
+        frame[0] = 1.0
+        power = full_grid_power(frame[None, :], 128)
+        np.testing.assert_allclose(power, power[0, 0], rtol=1e-12)
 
     def test_matches_direct_quadratic_form(self, rng):
-        col = random_pd_toeplitz(rng, 11)
-        psd = fast_psd(col, 64)
-        dense = toeplitz(col)
-        for q in rng.choice(64, size=16, replace=False):
+        frame = rng.normal(size=200)
+        bins = rng.choice(64, size=16, replace=False)
+        power, valid = capon_band_power(frame[None, :], bins, 64)
+        assert valid[0]
+        dense = loaded_covariance(frame, 10)
+        for q, value in zip(bins, power[0]):
             direct = 11.0 / denominator_quadratic_form(dense, 2 * np.pi * q / 64)
-            assert psd[q] == pytest.approx(direct, rel=1e-9)
+            assert value == pytest.approx(direct, rel=1e-9)
 
     def test_matches_dense_path(self, rng):
-        col = random_pd_toeplitz(rng, 11)
-        np.testing.assert_allclose(
-            fast_psd(col, 128), capon_psd_dense(toeplitz(col), 128), rtol=1e-9
-        )
+        frames = rng.normal(size=(4, 200))
+        for frame, row in zip(frames, full_grid_power(frames, 128)):
+            np.testing.assert_allclose(
+                row, capon_psd_dense(loaded_covariance(frame, 10), 128), rtol=1e-9
+            )
 
     @pytest.mark.parametrize("grid_size", [21, 64, 1764, 1765, 3528])
     def test_matches_symmetric_padding_ifft(self, rng, grid_size):
-        w, alpha, _ = levinson_solve(random_pd_toeplitz(rng, 11))
+        frame = rng.normal(size=200)
+        dense = loaded_covariance(frame, 10)
+        np.testing.assert_allclose(
+            full_grid_power(frame[None, :], grid_size)[0],
+            capon_psd_dense(dense, grid_size),
+            rtol=1e-9,
+        )
+        # The Hermitian-FFT reference equals the symmetrically padded IFFT.
+        w, alpha, _ = levinson_solve(dense[0])
         coeffs = denom_coeffs(*gs_factors(w, alpha))
         padded = np.zeros(grid_size)
         padded[:11] = coeffs
@@ -216,19 +238,25 @@ class TestCaponPsd:
         expected = 11.0 / (np.fft.ifft(padded).real * grid_size)
         np.testing.assert_allclose(capon_psd(coeffs, grid_size), expected, rtol=1e-12)
 
-    def test_grid_too_small(self, pd_cov):
-        w, alpha, _ = levinson_solve(pd_cov)
-        with pytest.raises(ValueError):
-            capon_psd(denom_coeffs(*gs_factors(w, alpha)), 20)
+    def test_grid_below_2m_minus_1(self, rng):
+        # The cosine sum needs no minimum grid; only a Hermitian FFT needs Q >= 2M-1.
+        frame = rng.normal(size=200)
+        np.testing.assert_allclose(
+            full_grid_power(frame[None, :], 20)[0],
+            capon_psd_dense(loaded_covariance(frame, 10), 20),
+            rtol=1e-9,
+        )
 
-    def test_degenerate_denominator_reported(self):
-        with pytest.raises(SpectrumDegeneracyError):
-            capon_psd(np.array([0.0, 1.0]), 32)
+    def test_degenerate_frame_reported(self, rng):
+        frames = np.stack([np.zeros(200), rng.normal(size=200)])
+        power, valid = capon_band_power(frames, np.arange(64), 64)
+        np.testing.assert_array_equal(valid, [False, True])
+        assert np.all(np.isfinite(power[1]))
 
     def test_sinusoid_peak_near_tone(self):
         rng = np.random.default_rng(11)
         frame = make_tone(120.0, 441, 1.0) + rng.normal(0.0, 0.1, 441)
-        psd = fast_psd(estimate_autocovariance(frame, 10), 4 * 441)
+        psd = full_grid_power(frame[None, :], 4 * 441)[0]
         q_max = peak_bin(psd, (100.0, 140.0), 441.0)
         bin_hz = 441.0 / psd.size
         assert abs(q_max * bin_hz - 120.0) <= bin_hz
@@ -236,6 +264,14 @@ class TestCaponPsd:
         periodogram = np.abs(np.fft.fft(frame, 4 * 441)) ** 2 / 441
         stft_q = peak_bin(periodogram, (100.0, 140.0), 441.0)
         assert abs(q_max - stft_q) <= 2
+
+
+def test_bench_dense_baseline_matches_fast_path(rng):
+    frames = rng.normal(size=(50, 441)) * make_window("parzen", 441)
+    bins = np.arange(710, 740)
+    fast, valid = capon_band_power(frames, bins, 1764)
+    assert np.all(valid)
+    np.testing.assert_allclose(dense_band_power(frames, bins, 1764), fast, rtol=1e-9)
 
 
 class TestScaleEquivariance:
@@ -249,8 +285,8 @@ class TestScaleEquivariance:
         w_scaled, alpha_scaled, _ = levinson_solve(rho_scaled)
         np.testing.assert_allclose(w_scaled, w, rtol=1e-10)
         assert alpha_scaled == pytest.approx(c * c * alpha, rel=1e-10)
-        psd = fast_psd(rho, 256)
-        psd_scaled = fast_psd(rho_scaled, 256)
+        psd = full_grid_power(frame[None, :], 256, order=6)
+        psd_scaled = full_grid_power(c * frame[None, :], 256, order=6)
         assert np.argmax(psd) == np.argmax(psd_scaled)
         np.testing.assert_allclose(psd_scaled, c * c * psd, rtol=1e-9)
 
@@ -290,7 +326,7 @@ def test_sample_covariance_reference_mode():
     # symmetric but in general not exactly Toeplitz
     np.testing.assert_allclose(dense_cov, dense_cov.T, rtol=1e-12)
     psd_dense = capon_psd_dense(dense_cov, 4 * 441)
-    psd_fast = fast_psd(estimate_autocovariance(frame, 10), 4 * 441)
+    psd_fast = full_grid_power(frame[None, :], 4 * 441)[0]
     q_dense = peak_bin(psd_dense, (100.0, 140.0), 441.0)
     q_fast = peak_bin(psd_fast, (100.0, 140.0), 441.0)
     assert abs(q_dense - q_fast) <= 2

@@ -210,6 +210,15 @@ class TestMatch:
         assert isinstance(result.exception, SystemExit)
         assert "line 2: infinite frequency" in result.output
 
+    def test_gap_in_frame_indices_exit_code(self, runner, tmp_path):
+        query, ref = tmp_path / "q.csv", tmp_path / "r.csv"
+        write_cadence_track(query, 5, 1.0)
+        ref.write_text("frame_index,time_s,freq_hz\n0,0.0,60.0\n2,1.0,60.0\n")
+        result = runner.invoke(main, ["match", str(query), str(ref)])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "frame indices must be consecutive" in result.output
+
     def test_lag_seconds_uses_track_cadence(self, runner, tmp_path):
         rng = np.random.default_rng(9)
         freqs = 60.0 + 0.01 * rng.normal(size=200)
@@ -328,6 +337,20 @@ class TestCompareWindows:
         assert isinstance(result.exception, SystemExit)
         assert "differs from reference frame shift 1 s" in result.output
 
+    def test_wrapping_frame_indices_exit_code(self, runner, fixture_files, tmp_path):
+        wav, _ = fixture_files
+        ref = tmp_path / "ref.csv"
+        ref.write_text("frame_index,time_s,freq_hz\n"
+                       "9223372036854775807,0.0,60.0\n-9223372036854775808,1.0,60.0\n")
+        result = runner.invoke(
+            main,
+            ["compare-windows", str(wav), "--reference", str(ref), "--windows", "parzen",
+             "--frame-lengths", "1", "-o", str(tmp_path / "x.csv")],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "frame indices must be consecutive" in result.output
+
     @pytest.mark.parametrize("option, value, superseding", [
         ("--window", "kaiser", "--windows"),
         ("--frame-seconds", "7", "--frame-lengths"),
@@ -371,18 +394,21 @@ class TestBench:
         assert result.exit_code == 0, result.output
         report = json.loads(result.output)
         assert report["trials"] == 3
-        assert report["grids"][0]["grid_size"] == 1764
-        assert report["grids"][0]["speedup"] > 0
+        assert (report["frames"], report["frame_len"]) == (1797, 441)
+        assert (report["grid_size"], report["bins"]) == (1764, 25)
+        assert report["speedup"] > 0
 
     def test_single_trial_well_formed(self, runner):
-        result = runner.invoke(main, ["bench", "--trials", "1", "--grid", "64"])
+        result = runner.invoke(main, ["bench", "--trials", "1"])
         assert result.exit_code == 0
-        assert json.loads(result.output)["grids"][0]["fast_median_s"] > 0
+        assert json.loads(result.output)["fast_median_s"] > 0
 
-    def test_grid_too_small_rejected(self, runner):
-        result = runner.invoke(main, ["bench", "--grid", "10"])
+    @pytest.mark.parametrize("order", ["0", "65", "-1"])
+    def test_order_out_of_range_rejected(self, runner, order):
+        result = runner.invoke(main, ["bench", "--trials", "1", "--order", order])
         assert result.exit_code == 2
-        assert "2M-1" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "'--order'" in result.output and "1<=x<=64" in result.output
 
 
 class TestSynthDeterminism:

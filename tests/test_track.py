@@ -104,3 +104,22 @@ def test_read_leaves_cadence_undefined(tmp_path, times):
     path = tmp_path / "track.csv"
     write_track(EnfTrack(np.arange(n), np.array(times), np.full(n, 60.0)), path)
     assert read_track(path).shift_s is None
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("gap.csv", "frame_index,time_s,freq_hz\n0,0.0,60.0\n2,1.0,60.0\n",
+     "frame indices must be consecutive"),
+    ("huge.csv", "frame_index,time_s,freq_hz\n99999999999999999999999,0.0,60.0\n",
+     "frame index outside the int64 range"),
+    ("inf.json", '[{"frame_index": 1e999, "time_s": 0.0, "freq_hz": 60.0}]',
+     "bad entry 0: cannot convert float infinity"),
+    # np.diff wraps int64, so this pair differs by "1".
+    ("wrap.csv",
+     "frame_index,time_s,freq_hz\n9223372036854775807,0.0,60.0\n-9223372036854775808,1.0,60.0\n",
+     "frame indices must be consecutive"),
+], ids=["gap", "int64-overflow", "json-infinite", "int64-wrap"])
+def test_malformed_frame_indices_rejected(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(TrackFormatError, match=message):
+        read_track(path)
