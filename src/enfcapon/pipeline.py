@@ -13,7 +13,6 @@ import numpy as np
 from . import capon, spectral
 from .bandpass import apply_zero_phase, design_bandpass
 from .errors import DegenerateInputError, IncompatibleInputError
-from .framing import frame_matrix
 from .signal_io import decimate
 from .track import EnfTrack
 from .windowing import DEFAULT_KAISER_BETA, make_window
@@ -159,25 +158,29 @@ def extract_enf(signal, config):
             f"{frame_len}-sample frame"
         )
     window = make_window(config.window, frame_len, config.kaiser_beta)
-    frames = frame_matrix(filtered.samples, frame_len, shift, window)
-    rate, origin_s = filtered.sample_rate_hz, filtered.origin_offset_s
-    # The frame matrix holds every sample the estimators need; releasing
-    # the filtered signal first keeps peak memory at one filtered copy.
-    del filtered
-    freqs = estimate_frames(
-        frames,
-        rate,
-        estimation_band(flt),
-        config.estimator,
-        order=config.capon_order,
-        pad_factor=config.pad_factor,
-        interpolate=config.interpolate,
-    ) / config.harmonic
+    rows = np.lib.stride_tricks.sliding_window_view(filtered.samples, frame_len)[::shift]
+    # Windowed frames are formed len(filtered) // frame_len rows at a time,
+    # so a block never holds more samples than the filtered signal and
+    # non-overlapping layouts run as one block.
+    block = len(filtered) // frame_len
+    rate, band = filtered.sample_rate_hz, estimation_band(flt)
+    freqs = np.concatenate([
+        estimate_frames(
+            rows[start : start + block] * window,
+            rate,
+            band,
+            config.estimator,
+            order=config.capon_order,
+            pad_factor=config.pad_factor,
+            interpolate=config.interpolate,
+        )
+        for start in range(0, len(rows), block)
+    ]) / config.harmonic
     freqs[np.abs(freqs - config.nominal_hz) > VALID_ENVELOPE_HZ] = np.nan
 
-    indices = np.arange(len(frames), dtype=np.int64)
+    indices = np.arange(len(rows), dtype=np.int64)
     shift_s = shift / rate
     return EnfTrack(
-        indices, origin_s + indices * shift_s, freqs,
+        indices, filtered.origin_offset_s + indices * shift_s, freqs,
         frame_len_s=frame_len / rate, shift_s=shift_s,
     )

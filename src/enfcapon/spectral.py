@@ -2,12 +2,14 @@
 
 Both estimators evaluate their spectrum, for all frames at once, only at
 the bins q of the grid omega_q = 2*pi*q/Q that lie in the estimation
-band, plus one neighbour on each side.  The peak is the largest in-band
-bin, refined by fitting a parabola to three log-spectrum samples around
-it.
+band, plus one neighbour on each side: the STFT by a chirp-z transform
+over that run of bins, Capon by its trigonometric polynomial.  The peak
+is the largest in-band bin, refined by fitting a parabola to three
+log-spectrum samples around it.
 """
 
 import numpy as np
+from scipy.signal import zoom_fft
 
 from .errors import IncompatibleInputError
 
@@ -39,8 +41,9 @@ def band_bins(band, grid_size, sample_rate_hz):
 
 
 def stft_band_power(frames, bins, grid_size):
-    """|DFT|^2 / N of every frame (K, N) zero-padded to Q, at the given
-    bins, as one (N x B) DFT sub-matrix.
+    """|DFT|^2 / N of every frame (K, N) zero-padded to Q, at the
+    contiguous bins, by a chirp-z transform (Rabiner, Schafer & Rader,
+    1969) that needs no Q-point FFT and no N x B DFT matrix.
 
     Returns (power, valid); a frame with no energy has no peak.
     """
@@ -48,9 +51,8 @@ def stft_band_power(frames, bins, grid_size):
     n = frames.shape[-1]
     if n == 0:
         raise ValueError("empty frames")
-    phase = 2.0 * np.pi * (np.outer(np.arange(n), bins) % grid_size) / grid_size
-    power = ((frames @ np.cos(phase)) ** 2 + (frames @ np.sin(phase)) ** 2) / n
-    return power, np.einsum("...t,...t->...", frames, frames) > 0.0
+    spectrum = zoom_fft(frames, [bins[0], bins[-1] + 1], bins.size, fs=grid_size)
+    return np.abs(spectrum) ** 2 / n, np.einsum("...t,...t->...", frames, frames) > 0.0
 
 
 def band_peak(power, bins, grid_size, sample_rate_hz, interpolate=True):

@@ -102,7 +102,11 @@ def _parse_json(text):
     idx, times, freqs = [], [], []
     for n, row in enumerate(rows):
         try:
-            idx.append(int(row["frame_index"]))
+            index = row["frame_index"]
+            # int() would truncate 0.5 to 0 and take true as 1.
+            if isinstance(index, bool) or (isinstance(index, float) and int(index) != index):
+                raise ValueError(f"frame index {index!r} is not an integer")
+            idx.append(int(index))
             times.append(float(row["time_s"]))
             f = row["freq_hz"]
             freqs.append(math.nan if f is None else _frequency(f))

@@ -7,6 +7,7 @@ power fixture.
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,17 +165,37 @@ def five_minute_fixture():
     return make_power_fixture(FIXTURE_SEED, duration_s=300.0)
 
 
-@pytest.mark.parametrize("frame_len_s, shift_s", [(2.0, 1.0), (1.5, 0.7)])
+@pytest.mark.parametrize("frame_len_s, shift_s",
+                         [(2.0, 1.0), (1.5, 0.7), (20.0, 1.0), (5.0, 1.0)])
 @pytest.mark.parametrize("estimator, window", [("capon", "parzen"), ("stft", "hamming")])
 def test_overlapping_layouts_match_per_frame_oracle(five_minute_fixture, frame_len_s,
                                                     shift_s, estimator, window):
-    # Overlapping frames and lengths that are not whole multiples of the shift.
+    # Overlapping frames and lengths that are not whole multiples of the
+    # shift.  20 s frames give 278 rows estimated in blocks of 14, the
+    # last block short.
     config = power_config(estimator=estimator, window=window,
                           frame_len_s=frame_len_s, shift_s=shift_s)
     batched = extract_enf(five_minute_fixture.signal, config).freq_hz
     oracle = per_frame_track(five_minute_fixture.signal, config)
     np.testing.assert_array_equal(np.isnan(batched), np.isnan(oracle))
     assert float(np.nanmax(np.abs(batched - oracle))) <= 1e-9
+
+
+@pytest.mark.parametrize("estimator, pad_factor", [("capon", 4), ("stft", 4), ("stft", 64)])
+def test_long_overlapping_frames_stay_within_a_few_signal_copies(five_minute_fixture,
+                                                                 estimator, pad_factor):
+    signal = five_minute_fixture.signal
+    config = power_config(estimator=estimator, pad_factor=pad_factor,
+                          frame_len_s=20.0, shift_s=1.0)
+    tracemalloc.start()
+    try:
+        extract_enf(signal, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The filtered signal, one block of windowed frames and the
+    # estimator's work arrays, not one copy per overlapping frame.
+    assert peak <= 12 * 8 * len(signal)
 
 
 def test_criterion_6_quadratic_interpolation_exactness():

@@ -219,6 +219,17 @@ class TestMatch:
         assert isinstance(result.exception, SystemExit)
         assert "frame indices must be consecutive" in result.output
 
+    def test_fractional_json_frame_index_exit_code(self, runner, tmp_path):
+        query, ref = tmp_path / "q.csv", tmp_path / "r.json"
+        write_cadence_track(query, 2, 1.0)
+        ref.write_text('[{"frame_index": 0, "time_s": 0.0, "freq_hz": 60.0},'
+                       ' {"frame_index": 0.5, "time_s": 1.0, "freq_hz": 60.0},'
+                       ' {"frame_index": 1, "time_s": 2.0, "freq_hz": 60.0}]')
+        result = runner.invoke(main, ["match", str(query), str(ref)])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "bad entry 1: frame index 0.5 is not an integer" in result.output
+
     def test_lag_seconds_uses_track_cadence(self, runner, tmp_path):
         rng = np.random.default_rng(9)
         freqs = 60.0 + 0.01 * rng.normal(size=200)

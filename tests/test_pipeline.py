@@ -129,6 +129,45 @@ class TestExtract:
         np.testing.assert_array_equal(a.freq_hz, b.freq_hz)
 
 
+def silent_frame_count(duration_samples, **overrides):
+    """Rows of extract_enf on silence that the 1001-tap filter trims to
+    duration_samples."""
+    signal = SampledSignal(np.zeros(duration_samples + 1000), 441.0)
+    return len(extract_enf(signal, power_config(estimator="stft", **overrides)))
+
+
+class TestFrameLayout:
+    def test_thirty_minutes_one_second_frames(self):
+        assert power_config(frame_len_s=1.0, shift_s=1.0).frame_samples == (441, 441)
+        assert silent_frame_count(1800 * 441) == 1800
+
+    def test_twenty_second_frames(self):
+        # 30-minute signal, L = 20 s, 1 s shift:
+        # floor((793800 - 8820)/441) + 1 = 1781
+        assert power_config(frame_len_s=20.0, shift_s=1.0).frame_samples == (8820, 441)
+        assert silent_frame_count(793800, frame_len_s=20.0) == 1781
+
+    def test_non_integer_layout_rounds_at_working_rate(self):
+        # 1.5 * 441 = 661.5 rounds half to even; 0.7 * 441 = 308.7
+        assert power_config(frame_len_s=1.5, shift_s=0.7).frame_samples == (662, 309)
+
+    def test_bad_parameters(self):
+        with pytest.raises(ValueError, match="at least 1 sample"):
+            power_config(frame_len_s=0.0)
+        with pytest.raises(ValueError, match="at least 1 sample"):
+            power_config(shift_s=-1.0)
+
+    def test_count_never_exceeds_signal_len(self, rng):
+        layout = {"frame_len_s": 0.05, "shift_s": 0.01, "pad_factor": 64}
+        frame_len, shift = power_config(**layout).frame_samples
+        assert (frame_len, shift) == (22, 4)
+        for _ in range(50):
+            n = int(rng.integers(frame_len, 5000))
+            count = silent_frame_count(n, **layout)
+            assert count == (n - frame_len) // shift + 1
+            assert count <= n
+
+
 class TestToFundamental:
     def test_division(self):
         track = extract_enf(tone_signal(180.03), power_config())

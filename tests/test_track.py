@@ -113,11 +113,18 @@ def test_read_leaves_cadence_undefined(tmp_path, times):
      "frame index outside the int64 range"),
     ("inf.json", '[{"frame_index": 1e999, "time_s": 0.0, "freq_hz": 60.0}]',
      "bad entry 0: cannot convert float infinity"),
+    ("half.json", '[{"frame_index": 0, "time_s": 0.0, "freq_hz": 60.0},'
+                  ' {"frame_index": 0.5, "time_s": 1.0, "freq_hz": 60.0}]',
+     "bad entry 1: frame index 0.5 is not an integer"),
+    ("bool.json", '[{"frame_index": false, "time_s": 0.0, "freq_hz": 60.0},'
+                  ' {"frame_index": true, "time_s": 1.0, "freq_hz": 60.0}]',
+     "bad entry 0: frame index False is not an integer"),
     # np.diff wraps int64, so this pair differs by "1".
     ("wrap.csv",
      "frame_index,time_s,freq_hz\n9223372036854775807,0.0,60.0\n-9223372036854775808,1.0,60.0\n",
      "frame indices must be consecutive"),
-], ids=["gap", "int64-overflow", "json-infinite", "int64-wrap"])
+], ids=["gap", "int64-overflow", "json-infinite", "json-fractional", "json-boolean",
+        "int64-wrap"])
 def test_malformed_frame_indices_rejected(tmp_path, name, text, message):
     path = tmp_path / name
     path.write_text(text)
