@@ -141,6 +141,14 @@ class TestFrameLayout:
         assert power_config(frame_len_s=1.0, shift_s=1.0).frame_samples == (441, 441)
         assert silent_frame_count(1800 * 441) == 1800
 
+    def test_exact_single_frame(self):
+        assert silent_frame_count(441) == 1
+
+    def test_short_signal_gives_zero_frames(self):
+        # No whole frame fits after the filter trim.
+        with pytest.raises(DegenerateInputError, match="shorter than one 441-sample frame"):
+            silent_frame_count(440)
+
     def test_twenty_second_frames(self):
         # 30-minute signal, L = 20 s, 1 s shift:
         # floor((793800 - 8820)/441) + 1 = 1781
