@@ -8,8 +8,6 @@ the designed magnitude response (forward-backward filtering would square
 it).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.signal import firwin, oaconvolve
 
@@ -17,25 +15,6 @@ from .signal_io import SampledSignal
 
 # Approximate transition width of a Hamming-designed FIR, in Hz.
 HAMMING_TRANSITION_FACTOR = 3.3
-
-
-@dataclass(frozen=True)
-class FirFilter:
-    coeffs: np.ndarray
-    center_hz: float
-    passband_hz: float
-    sample_rate_hz: float
-
-    def __len__(self):
-        return self.coeffs.size
-
-    @property
-    def delay_samples(self):
-        return (self.coeffs.size - 1) // 2
-
-    @property
-    def transition_hz(self):
-        return HAMMING_TRANSITION_FACTOR * self.sample_rate_hz / self.coeffs.size
 
 
 def design_bandpass(sample_rate_hz, center_hz, passband_hz, taps):
@@ -55,24 +34,23 @@ def design_bandpass(sample_rate_hz, center_hz, passband_hz, taps):
         raise ValueError(
             f"band edges ({lo:g}, {hi:g}) Hz outside (0, {nyquist:g}) Hz"
         )
-    coeffs = firwin(taps, [lo, hi], pass_zero=False, fs=sample_rate_hz, window="hamming")
-    return FirFilter(coeffs, center_hz, passband_hz, sample_rate_hz)
+    return firwin(taps, [lo, hi], pass_zero=False, fs=sample_rate_hz, window="hamming")
 
 
-def apply_zero_phase(flt, signal):
+def apply_zero_phase(coeffs, signal):
     """Filter with group-delay compensation.
 
     Output sample t aligns with input sample t; (C-1)/2 samples are
     trimmed from each end rather than zero-padded, so no edge transient
     leaks into the first or last frame.
     """
-    n_taps = len(flt)
+    n_taps = coeffs.size
     if len(signal) <= n_taps:
         raise ValueError(
             f"signal of {len(signal)} samples is not longer than the "
             f"{n_taps}-tap filter"
         )
-    filtered = oaconvolve(signal.samples, flt.coeffs, mode="valid")
+    filtered = oaconvolve(signal.samples, coeffs, mode="valid")
     # FFT convolution spreads roundoff (~1e-15) into stretches of digital
     # silence, which the estimators would read as signal.  An output whose
     # whole input window lies in a run of zeros is exactly zero.
@@ -84,5 +62,5 @@ def apply_zero_phase(flt, signal):
     return SampledSignal(
         filtered,
         signal.sample_rate_hz,
-        signal.origin_offset_s + flt.delay_samples / signal.sample_rate_hz,
+        signal.origin_offset_s + (n_taps - 1) // 2 / signal.sample_rate_hz,
     )

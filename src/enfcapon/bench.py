@@ -15,7 +15,6 @@ from functools import partial
 import numpy as np
 
 from . import capon
-from .bandpass import design_bandpass
 from .pipeline import estimation_band, power_config
 from .spectral import band_bins
 from .windowing import make_window
@@ -49,9 +48,8 @@ def run_bench(order=capon.DEFAULT_ORDER, trials=100, seed=0):
     config = power_config()
     frame_len = config.frame_samples[0]
     grid_size = config.pad_factor * frame_len
-    flt = design_bandpass(config.working_rate_hz, config.center_hz,
-                          config.passband_hz, config.taps)
-    bins = band_bins(estimation_band(flt), grid_size, config.working_rate_hz)
+    rate = config.working_rate_hz
+    bins = band_bins(estimation_band(config, rate), grid_size, rate)
     rng = np.random.default_rng(seed)
     frames = rng.standard_normal((BENCH_FRAMES, frame_len)) * make_window(
         config.window, frame_len)

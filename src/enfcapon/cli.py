@@ -17,7 +17,8 @@ from . import __version__
 from .bench import run_bench
 from .errors import DegenerateInputError, EnfError, UndefinedCorrelationError
 from .matching import best_lag, fisher_test
-from .pipeline import ESTIMATORS, extract_enf, power_config, speech_config
+from .pipeline import (ESTIMATORS, estimate, extract_enf, power_config, prepare,
+                       speech_config)
 from .signal_io import SampledSignal, read_wav, write_wav
 from .synthetic import make_power_fixture
 from .track import CADENCE_TOL_S, EnfTrack, read_track, write_track
@@ -297,15 +298,18 @@ def compare_windows(wav, reference, windows, frame_lengths, output, plot_data,
     if not window_list or not lengths:
         raise click.UsageError("need at least one window and one frame length")
 
+    # Cells differ only in window and frame length, so they share one
+    # prepared (decimated, band-passed) signal.
+    configs = [[_gather_config(window=win, frame_len_s=length, **kw) for length in lengths]
+               for win in window_list]
     rows = []
     try:
-        signal = read_wav(wav)
         ref = read_track(reference)
-        for win in window_list:
+        filtered = prepare(read_wav(wav), configs[0][0])
+        for win, row in zip(window_list, configs):
             cells = []
-            for length in lengths:
-                config = _gather_config(window=win, frame_len_s=length, **kw)
-                track = extract_enf(signal, config)
+            for config in row:
+                track = estimate(filtered, config)
                 _check_cadences(track, ref)
                 result = best_lag(track.freq_hz, ref.freq_hz, centered=centered)
                 cells.append(result.correlation)

@@ -1,4 +1,5 @@
-"""End-to-end ENF extraction: decimate, band-pass, frame, estimate, map.
+"""ENF extraction in two stages: prepare (decimate, band-pass) and
+estimate (frame, window, estimate, map to the fundamental).
 
 The estimation band handed to the frame estimator is the filter
 passband widened by two transition bandwidths, so numerical peaks in the
@@ -11,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import capon, spectral
-from .bandpass import apply_zero_phase, design_bandpass
+from .bandpass import HAMMING_TRANSITION_FACTOR, apply_zero_phase, design_bandpass
 from .errors import DegenerateInputError, IncompatibleInputError
 from .signal_io import decimate
 from .track import EnfTrack
@@ -104,15 +105,15 @@ def _decimation_factor(sample_rate_hz, working_rate_hz):
     return factor
 
 
-def estimation_band(flt):
-    """Filter passband widened by two transition bandwidths, clipped to
-    the open Nyquist interval."""
-    margin = flt.passband_hz / 2.0 + 2.0 * flt.transition_hz
-    nyquist = flt.sample_rate_hz / 2.0
-    return (
-        max(flt.center_hz - margin, 1e-9),
-        min(flt.center_hz + margin, nyquist * (1.0 - 1e-9)),
-    )
+def estimation_band(config, sample_rate_hz):
+    """Band-pass passband widened by two transition bandwidths of the
+    config's filter at sample_rate_hz, clipped to the open Nyquist
+    interval."""
+    transition_hz = HAMMING_TRANSITION_FACTOR * sample_rate_hz / config.taps
+    margin = config.passband_hz / 2.0 + 2.0 * transition_hz
+    nyquist = sample_rate_hz / 2.0
+    return (max(config.center_hz - margin, 1e-9),
+            min(config.center_hz + margin, nyquist * (1.0 - 1e-9)))
 
 
 def estimate_frames(frames, sample_rate_hz, band, estimator="capon",
@@ -134,23 +135,32 @@ def estimate_frames(frames, sample_rate_hz, band, estimator="capon",
     return np.where(valid, freqs, np.nan)
 
 
-def extract_enf(signal, config):
-    """Extract the per-frame ENF track, mapped to the fundamental.
+def prepare(signal, config):
+    """Decimate to the working rate and band-pass around the harmonic.
+
+    Only the rate, harmonic, nominal, passband and tap count of the config
+    are read, so one prepared signal serves every window and frame layout.
+    """
+    factor = _decimation_factor(signal.sample_rate_hz, config.working_rate_hz)
+    # Checked before decimate, which designs a 10 * factor + 1-tap filter.
+    n_working = -(-len(signal) // factor)
+    if n_working <= config.taps:
+        raise DegenerateInputError(
+            f"signal of {n_working} samples at the working rate is not longer "
+            f"than the {config.taps}-tap filter"
+        )
+    working = decimate(signal, factor)
+    coeffs = design_bandpass(working.sample_rate_hz, config.center_hz,
+                             config.passband_hz, config.taps)
+    return apply_zero_phase(coeffs, working)
+
+
+def estimate(filtered, config):
+    """Per-frame ENF track of a prepared signal, mapped to the fundamental.
 
     Frames whose estimate is degenerate or falls outside the sanity
     envelope around nominal are recorded as NaN entries.
     """
-    factor = _decimation_factor(signal.sample_rate_hz, config.working_rate_hz)
-    working = decimate(signal, factor)
-    if len(working) <= config.taps:
-        raise DegenerateInputError(
-            f"signal of {len(working)} samples at the working rate is not longer "
-            f"than the {config.taps}-tap filter"
-        )
-    flt = design_bandpass(
-        working.sample_rate_hz, config.center_hz, config.passband_hz, config.taps
-    )
-    filtered = apply_zero_phase(flt, working)
     frame_len, shift = config.frame_samples
     if len(filtered) < frame_len:
         raise DegenerateInputError(
@@ -163,24 +173,22 @@ def extract_enf(signal, config):
     # so a block never holds more samples than the filtered signal and
     # non-overlapping layouts run as one block.
     block = len(filtered) // frame_len
-    rate, band = filtered.sample_rate_hz, estimation_band(flt)
+    rate = filtered.sample_rate_hz
+    band = estimation_band(config, rate)
     freqs = np.concatenate([
-        estimate_frames(
-            rows[start : start + block] * window,
-            rate,
-            band,
-            config.estimator,
-            order=config.capon_order,
-            pad_factor=config.pad_factor,
-            interpolate=config.interpolate,
-        )
+        estimate_frames(rows[start : start + block] * window, rate, band, config.estimator,
+                        order=config.capon_order, pad_factor=config.pad_factor,
+                        interpolate=config.interpolate)
         for start in range(0, len(rows), block)
     ]) / config.harmonic
     freqs[np.abs(freqs - config.nominal_hz) > VALID_ENVELOPE_HZ] = np.nan
 
     indices = np.arange(len(rows), dtype=np.int64)
     shift_s = shift / rate
-    return EnfTrack(
-        indices, filtered.origin_offset_s + indices * shift_s, freqs,
-        frame_len_s=frame_len / rate, shift_s=shift_s,
-    )
+    return EnfTrack(indices, filtered.origin_offset_s + indices * shift_s, freqs,
+                    frame_len_s=frame_len / rate, shift_s=shift_s)
+
+
+def extract_enf(signal, config):
+    """Extract the per-frame ENF track, mapped to the fundamental."""
+    return estimate(prepare(signal, config), config)

@@ -105,15 +105,18 @@ def write_wav(signal, path):
         writer.writeframes(pcm.tobytes())
 
 
+def _anti_alias_taps(factor):
+    return 10 * factor + 1
+
+
 def anti_alias_filter(factor, input_rate_hz):
     """Linear-phase low-pass FIR for decimation by `factor`.
 
     Hamming-designed, length 10*factor + 1, cutoff at 0.45x the output
     rate, leaving a guard band below the output Nyquist.
     """
-    taps = 10 * factor + 1
     cutoff_hz = 0.45 * (input_rate_hz / factor)
-    return firwin(taps, cutoff_hz, fs=input_rate_hz, window="hamming")
+    return firwin(_anti_alias_taps(factor), cutoff_hz, fs=input_rate_hz, window="hamming")
 
 
 def decimate(signal, factor):
@@ -126,12 +129,14 @@ def decimate(signal, factor):
         raise ValueError("decimation factor must be a positive integer")
     if factor == 1:
         return signal
-    taps = anti_alias_filter(int(factor), signal.sample_rate_hz)
-    if len(signal) <= taps.size:
+    # Checked before the design, which for a huge factor is itself huge.
+    n_taps = _anti_alias_taps(int(factor))
+    if len(signal) <= n_taps:
         raise DegenerateInputError(
             f"signal of {len(signal)} samples is too short for the "
-            f"{taps.size}-tap anti-alias filter"
+            f"{n_taps}-tap anti-alias filter"
         )
+    taps = anti_alias_filter(int(factor), signal.sample_rate_hz)
     # Polyphase filtering computes only the kept outputs.  Output j of
     # upfirdn is the full convolution at input index j * factor; the
     # filter delay (taps.size - 1) // 2 = 5 * factor is a whole number

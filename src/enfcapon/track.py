@@ -87,7 +87,10 @@ def read_track(path):
     and is None otherwise (or for fewer than two rows).
     """
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise TrackFormatError(f"not UTF-8 text: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("["):
         return _parse_json(text)
@@ -97,18 +100,20 @@ def read_track(path):
 def _parse_json(text):
     try:
         rows = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError covers JSONDecodeError and Python's limit on integer digits.
+    except (ValueError, RecursionError) as exc:
         raise TrackFormatError(f"invalid JSON: {exc}") from exc
     idx, times, freqs = [], [], []
     for n, row in enumerate(rows):
         try:
-            index = row["frame_index"]
-            # int() would truncate 0.5 to 0 and take true as 1.
+            index, t, f = row["frame_index"], row["time_s"], row["freq_hz"]
+            # int() and float() would take true as 1; int() would truncate 0.5 to 0.
             if isinstance(index, bool) or (isinstance(index, float) and int(index) != index):
                 raise ValueError(f"frame index {index!r} is not an integer")
+            if isinstance(t, bool) or isinstance(f, bool):
+                raise ValueError(f"time {t!r} or frequency {f!r} is not a number")
             idx.append(int(index))
-            times.append(float(row["time_s"]))
-            f = row["freq_hz"]
+            times.append(float(t))
             freqs.append(math.nan if f is None else _frequency(f))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TrackFormatError(f"bad entry {n}: {exc}") from exc

@@ -22,6 +22,17 @@ def make_tone(freq_hz, sample_rate_hz, duration_s, amplitude=1.0, phase=0.0):
     return amplitude * np.cos(2.0 * np.pi * freq_hz * t + phase)
 
 
+# Track files that fail before any row is parsed, with the message each
+# gives: nesting past the recursion limit, an integer past Python's digit
+# limit, and a byte that is not UTF-8.
+UNDECODABLE_TRACKS = {
+    "deep.json": (b"[" * 200_000, "invalid JSON"),
+    "digits.json": (b'[{"frame_index": ' + b"9" * 5000 + b', "time_s": 0.0, "freq_hz": 60.0}]',
+                    "invalid JSON"),
+    "latin1.csv": (b"frame_index,time_s,freq_hz\n0,0.0,60.0\xff\n", "not UTF-8"),
+}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xC0FFEE)

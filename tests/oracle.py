@@ -39,14 +39,14 @@ def decimate_full_rate(signal, factor):
                          signal.origin_offset_s)
 
 
-def apply_zero_phase_full(flt, signal):
+def apply_zero_phase_full(coeffs, signal):
     """apply_zero_phase(): the valid part of one FFT convolution, exactly
     zero where the whole input window is zero."""
-    filtered = fftconvolve(signal.samples, flt.coeffs, mode="valid")
-    nonzero_count = fftconvolve(signal.samples != 0.0, np.ones(len(flt)), mode="valid")
+    filtered = fftconvolve(signal.samples, coeffs, mode="valid")
+    nonzero_count = fftconvolve(signal.samples != 0.0, np.ones(coeffs.size), mode="valid")
     filtered[nonzero_count < 0.5] = 0.0
     return SampledSignal(filtered, signal.sample_rate_hz,
-                         signal.origin_offset_s + flt.delay_samples / signal.sample_rate_hz)
+                         signal.origin_offset_s + (coeffs.size - 1) // 2 / signal.sample_rate_hz)
 
 
 def peak_search(values, sample_rate_hz, band):
@@ -141,14 +141,14 @@ def per_frame_track(signal, config):
     """freq_hz of extract_enf(signal, config), estimated one frame at a time."""
     working = decimate_full_rate(signal, _decimation_factor(signal.sample_rate_hz,
                                                             config.working_rate_hz))
-    flt = design_bandpass(working.sample_rate_hz, config.center_hz,
-                          config.passband_hz, config.taps)
-    filtered = apply_zero_phase_full(flt, working)
+    coeffs = design_bandpass(working.sample_rate_hz, config.center_hz,
+                             config.passband_hz, config.taps)
+    filtered = apply_zero_phase_full(coeffs, working)
     rate = filtered.sample_rate_hz
     frame_len = round(config.frame_len_s * rate)
     shift = round(config.shift_s * rate)
     taps = make_window(config.window, frame_len, config.kaiser_beta)
-    band = estimation_band(flt)
+    band = estimation_band(config, rate)
     freqs = np.empty((len(filtered) - frame_len) // shift + 1)
     for k in range(freqs.size):
         frame = filtered.samples[k * shift : k * shift + frame_len] * taps

@@ -7,9 +7,13 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_tone
+from conftest import UNDECODABLE_TRACKS, make_tone
+from enfcapon import pipeline
 from enfcapon.cli import WINDOW_CHOICES, main
-from enfcapon.signal_io import SampledSignal, write_wav
+from enfcapon.matching import best_lag
+from enfcapon.pipeline import extract_enf, power_config
+from enfcapon.signal_io import SampledSignal, read_wav, write_wav
+from enfcapon.synthetic import make_power_fixture
 from enfcapon.track import EnfTrack, read_track, write_track
 
 
@@ -230,6 +234,17 @@ class TestMatch:
         assert isinstance(result.exception, SystemExit)
         assert "bad entry 1: frame index 0.5 is not an integer" in result.output
 
+    @pytest.mark.parametrize("name", UNDECODABLE_TRACKS)
+    def test_undecodable_reference_exit_code(self, runner, tmp_path, name):
+        query, ref = tmp_path / "q.csv", tmp_path / name
+        write_cadence_track(query, 2, 1.0)
+        content, message = UNDECODABLE_TRACKS[name]
+        ref.write_bytes(content)
+        result = runner.invoke(main, ["match", str(query), str(ref)])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+
     def test_lag_seconds_uses_track_cadence(self, runner, tmp_path):
         rng = np.random.default_rng(9)
         freqs = 60.0 + 0.01 * rng.normal(size=200)
@@ -308,6 +323,79 @@ class TestCompareWindows:
             main, ["match", str(track_path), str(ref), "--centered"]
         )
         assert cell == pytest.approx(json.loads(match.output)["correlation"])
+
+    def test_prepares_the_recording_once(self, runner, fixture_files, tmp_path,
+                                         monkeypatch):
+        filtered, apply_zero_phase = [], pipeline.apply_zero_phase
+
+        def counting(coeffs, signal):
+            filtered.append(len(signal))
+            return apply_zero_phase(coeffs, signal)
+
+        monkeypatch.setattr(pipeline, "apply_zero_phase", counting)
+        wav, ref = fixture_files
+        result = runner.invoke(
+            main,
+            ["compare-windows", str(wav), "--reference", str(ref), "--windows",
+             "parzen,hamming", "--frame-lengths", "1,2", "-o", str(tmp_path / "x.csv")],
+        )
+        assert result.exit_code == 0, result.output
+        assert len(filtered) == 1
+
+    @pytest.mark.parametrize("estimator", ["stft", "capon"])
+    def test_cells_equal_extract_then_best_lag(self, runner, tmp_path, estimator):
+        # 44.1 kHz input, so every cell's track goes through decimation.
+        fixture = make_power_fixture(8, duration_s=30.0, sample_rate_hz=44100.0,
+                                     interference_amp=0.0)
+        wav, ref = tmp_path / "full_rate.wav", tmp_path / "ref.csv"
+        samples = fixture.signal.samples
+        write_wav(SampledSignal(0.5 * samples / np.max(np.abs(samples)), 44100.0), wav)
+        write_cadence_track(ref, 30, 1.0, fixture.enf_hz[::44100])
+        out = tmp_path / "cmp.csv"
+        result = runner.invoke(
+            main,
+            ["compare-windows", str(wav), "--reference", str(ref), "--windows",
+             "parzen,kaiser", "--frame-lengths", "1,3", "--estimator", estimator,
+             "-o", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        signal, reference = read_wav(wav), read_track(ref).freq_hz
+        for line in out.read_text().splitlines()[1:]:
+            window, *cells = line.split(",")
+            for length, cell in zip([1.0, 3.0], cells):
+                config = power_config(window=window, frame_len_s=length, estimator=estimator)
+                track = extract_enf(signal, config)
+                expected = best_lag(track.freq_hz, reference, centered=True)
+                assert float(cell) == expected.correlation
+
+    def test_bad_cell_option_rejected_before_the_wav_is_read(self, runner, fixture_files,
+                                                             tmp_path):
+        _, ref = fixture_files
+        junk = tmp_path / "junk.wav"
+        junk.write_bytes(b"RIFF")
+        result = runner.invoke(
+            main,
+            ["compare-windows", str(junk), "--reference", str(ref), "--frame-lengths",
+             "1,0", "-o", str(tmp_path / "x.csv")],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "round to at least 1 sample" in result.output
+
+    @pytest.mark.parametrize("name", UNDECODABLE_TRACKS)
+    def test_undecodable_reference_exit_code(self, runner, fixture_files, tmp_path, name):
+        wav, _ = fixture_files
+        ref = tmp_path / name
+        content, message = UNDECODABLE_TRACKS[name]
+        ref.write_bytes(content)
+        result = runner.invoke(
+            main,
+            ["compare-windows", str(wav), "--reference", str(ref), "--windows", "parzen",
+             "--frame-lengths", "1", "-o", str(tmp_path / "x.csv")],
+        )
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
 
     def test_undefined_correlation_exit_code(self, runner, fixture_files, tmp_path):
         wav, _ = fixture_files

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,18 @@ class TestExtract:
         signal = SampledSignal(np.ones(1001), 441.0)
         with pytest.raises(DegenerateInputError):
             extract_enf(signal, power_config())
+
+    def test_too_short_rejected_before_decimating(self):
+        # At 44.1 MHz, decimate would first design a 1,000,001-tap filter.
+        signal = SampledSignal(np.zeros(1_000_010), 44.1e6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DegenerateInputError, match="11 samples at the working rate"):
+                extract_enf(signal, power_config())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
     def test_band_too_narrow_for_grid_rejected(self):
         # 0.01 s STFT frames give a 16-point grid with no bin in the band

@@ -1,3 +1,4 @@
+import tracemalloc
 import wave
 
 import numpy as np
@@ -155,6 +156,18 @@ class TestDecimate:
         signal = SampledSignal(np.ones(10), 100.0)
         with pytest.raises(DegenerateInputError):
             decimate(signal, 10)
+
+    def test_too_short_rejected_before_the_filter_is_designed(self):
+        # A header rate of 441 MHz asks for a 10,000,001-tap filter (80 MB).
+        signal = SampledSignal(np.zeros(1000), 441e6)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DegenerateInputError, match="10000001-tap"):
+                decimate(signal, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
 
     @pytest.mark.parametrize("factor", [2, 3, 7, 100])
     @pytest.mark.parametrize("length", [

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_tone
-from enfcapon.bandpass import design_bandpass
-from enfcapon.pipeline import estimate_frames, estimation_band
+from enfcapon.pipeline import estimate_frames, estimation_band, power_config
 from enfcapon.spectral import band_bins, band_peak, stft_band_power
 from enfcapon.windowing import make_window
 
@@ -60,8 +59,7 @@ class TestPeriodogram:
     @pytest.mark.parametrize("n, pad_factor", [(441, 4), (882, 16), (8820, 64)])
     def test_band_matches_zero_padded_fft(self, rng, n, pad_factor):
         grid = pad_factor * n
-        bins = band_bins(estimation_band(design_bandpass(441.0, 180.0, 0.1, 1001)),
-                         grid, 441.0)
+        bins = band_bins(estimation_band(power_config(), 441.0), grid, 441.0)
         frames = make_tone(180.02, 441.0, n / 441.0) * make_window("parzen", n)
         frames = frames + rng.normal(0.0, 0.5, (3, n))
         power, _ = stft_band_power(frames, bins, grid)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import UNDECODABLE_TRACKS
 from enfcapon.errors import TrackFormatError
 from enfcapon.track import EnfTrack, read_track, write_track
 
@@ -128,5 +129,25 @@ def test_read_leaves_cadence_undefined(tmp_path, times):
 def test_malformed_frame_indices_rejected(tmp_path, name, text, message):
     path = tmp_path / name
     path.write_text(text)
+    with pytest.raises(TrackFormatError, match=message):
+        read_track(path)
+
+
+@pytest.mark.parametrize("entry", [
+    '{"frame_index": 0, "time_s": true, "freq_hz": 60.0}',
+    '{"frame_index": 0, "time_s": 0.0, "freq_hz": false}',
+], ids=["time", "frequency"])
+def test_boolean_time_or_frequency_rejected(tmp_path, entry):
+    path = tmp_path / "bool.json"
+    path.write_text(f"[{entry}]")
+    with pytest.raises(TrackFormatError, match="bad entry 0: .* is not a number"):
+        read_track(path)
+
+
+@pytest.mark.parametrize("name", UNDECODABLE_TRACKS)
+def test_undecodable_track_rejected(tmp_path, name):
+    content, message = UNDECODABLE_TRACKS[name]
+    path = tmp_path / name
+    path.write_bytes(content)
     with pytest.raises(TrackFormatError, match=message):
         read_track(path)
