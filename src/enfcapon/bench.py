@@ -15,8 +15,7 @@ from functools import partial
 import numpy as np
 
 from . import capon
-from .pipeline import estimation_band, power_config
-from .spectral import band_bins
+from .pipeline import power_config
 from .windowing import make_window
 
 # Frames of a 30-minute recording at the default 1 s frames and shift,
@@ -46,10 +45,7 @@ def run_bench(order=capon.DEFAULT_ORDER, trials=100, seed=0):
     if trials < 1:
         raise ValueError("need at least one trial")
     config = power_config()
-    frame_len = config.frame_samples[0]
-    grid_size = config.pad_factor * frame_len
-    rate = config.working_rate_hz
-    bins = band_bins(estimation_band(config, rate), grid_size, rate)
+    frame_len, grid_size, bins = config.frame_samples[0], config.grid_size, config.search_bins
     rng = np.random.default_rng(seed)
     frames = rng.standard_normal((BENCH_FRAMES, frame_len)) * make_window(
         config.window, frame_len)

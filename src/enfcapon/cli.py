@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 bad arguments, 3 degenerate input.
 """
 
+import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -17,8 +19,8 @@ from . import __version__
 from .bench import run_bench
 from .errors import DegenerateInputError, EnfError, UndefinedCorrelationError
 from .matching import best_lag, fisher_test
-from .pipeline import (ESTIMATORS, estimate, extract_enf, power_config, prepare,
-                       speech_config)
+from .pipeline import (ESTIMATORS, MAX_CAPON_ORDER, estimate, extract_enf, power_config,
+                       prepare, speech_config)
 from .signal_io import SampledSignal, read_wav, write_wav
 from .synthetic import make_power_fixture
 from .track import CADENCE_TOL_S, EnfTrack, read_track, write_track
@@ -36,14 +38,6 @@ MAX_SNR_DB = 3000.0
 # ~300 MB per float64 array.
 MAX_SYNTH_SECONDS = 86400.0
 
-# bench inverts one (m+1) x (m+1) matrix per frame: ~60 MB of matrices at
-# m = 64, growing as m**2.
-MAX_BENCH_ORDER = 64
-
-
-def _window_kind(name):
-    return "rectangular" if name == "rect" else name
-
 
 def _sha256(path):
     digest = hashlib.sha256()
@@ -53,12 +47,19 @@ def _sha256(path):
     return digest.hexdigest()
 
 
+@contextlib.contextmanager
+def _timed(timings, key):
+    t0 = time.perf_counter()
+    yield
+    timings[key] = time.perf_counter() - t0
+
+
 def _write_manifest(out_path, command, config, inputs, timings, outputs):
     manifest = {
         "schema_version": MANIFEST_SCHEMA,
         "tool_version": __version__,
         "command": command,
-        "config": dataclasses.asdict(config) if config is not None else None,
+        "config": config,
         "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in inputs],
         "timings_s": timings,
         "outputs": [str(p) for p in outputs],
@@ -70,7 +71,8 @@ def _write_manifest(out_path, command, config, inputs, timings, outputs):
     return path
 
 
-def pipeline_options(fn):
+def pipeline_options(estimator):
+    """Decorator adding the pipeline options, defaulting to the given estimator."""
     opts = [
         click.option("--mode", type=click.Choice(["power", "speech"]), default="power",
                      show_default=True, help="Parameter preset."),
@@ -86,8 +88,8 @@ def pipeline_options(fn):
                      help="Temporal window.  [default: parzen]"),
         click.option("--kaiser-beta", type=float, default=None,
                      help="Kaiser window shape parameter.  [default: 8.6]"),
-        click.option("--estimator", type=click.Choice(ESTIMATORS), default=None,
-                     help="Per-frame estimator.  [default: capon]"),
+        click.option("--estimator", type=click.Choice(ESTIMATORS), default=estimator,
+                     show_default=True, help="Per-frame estimator."),
         click.option("--taps", type=int, default=None,
                      help="Band-pass FIR length.  [default: per mode]"),
         click.option("--passband-hz", type=float, default=None,
@@ -99,16 +101,14 @@ def pipeline_options(fn):
         click.option("--no-interpolate", "interpolate", flag_value=False, default=None,
                      help="Disable sub-bin quadratic interpolation."),
     ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+    return lambda fn: functools.reduce(lambda f, opt: opt(f), reversed(opts), fn)
 
 
 def _gather_config(mode, nominal_hz, window, **kw):
     if nominal_hz is not None:
         kw["nominal_hz"] = float(nominal_hz)
     if window is not None:
-        kw["window"] = _window_kind(window)
+        kw["window"] = "rectangular" if window == "rect" else window
     preset = power_config if mode == "power" else speech_config
     try:
         return preset(**{k: v for k, v in kw.items() if v is not None})
@@ -131,7 +131,7 @@ def main():
 @click.option("--skip-seconds", type=float, default=0.0, show_default=True,
               help="Seconds to drop from the head of the recording.")
 @click.option("--json", "as_json", is_flag=True, help="Print a JSON summary.")
-@pipeline_options
+@pipeline_options("capon")
 def extract(wav, output, fmt, skip_seconds, as_json, **kw):
     """Extract an ENF track from a WAV recording."""
     if not 0.0 <= skip_seconds < math.inf:
@@ -140,25 +140,22 @@ def extract(wav, output, fmt, skip_seconds, as_json, **kw):
     config = _gather_config(**kw)
     timings = {}
     try:
-        t0 = time.perf_counter()
-        signal = read_wav(wav)
-        if skip_seconds > 0:
-            signal = signal.skip_head(skip_seconds)
-        timings["load"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        track = extract_enf(signal, config)
-        timings["extract"] = time.perf_counter() - t0
+        with _timed(timings, "load"):
+            signal = read_wav(wav)
+            if skip_seconds > 0:
+                signal = signal.skip_head(skip_seconds)
+        with _timed(timings, "extract"):
+            track = extract_enf(signal, config)
     except DegenerateInputError as exc:
         click.echo(f"error: degenerate input: {exc}", err=True)
         sys.exit(EXIT_DEGENERATE)
     except EnfError as exc:
         raise click.UsageError(str(exc))
 
-    t0 = time.perf_counter()
-    write_track(track, output, fmt)
-    timings["write"] = time.perf_counter() - t0
-    manifest = _write_manifest(output, "extract", config, [wav], timings, [output])
+    with _timed(timings, "write"):
+        write_track(track, output, fmt)
+    manifest = _write_manifest(output, "extract", dataclasses.asdict(config), [wav],
+                               timings, [output])
 
     summary = {
         "frames": len(track),
@@ -277,7 +274,7 @@ def synth(seed, duration_seconds, snr_db, wav_out, ref_out):
               help="Optional long-format plot data CSV.")
 @click.option("--centered/--uncentered", default=True, show_default=True,
               help="Correlation mode used against the reference.")
-@pipeline_options
+@pipeline_options("stft")  # the window study is STFT-based
 def compare_windows(wav, reference, windows, frame_lengths, output, plot_data,
                     centered, **kw):
     """Correlation matrix over window kinds and frame lengths."""
@@ -285,12 +282,8 @@ def compare_windows(wav, reference, windows, frame_lengths, output, plot_data,
                                    ("frame_len_s", "--frame-seconds", "--frame-lengths")):
         if kw.pop(key) is not None:
             raise click.UsageError(f"{flag} does not apply here; use {superseding}")
-    if kw.get("estimator") is None:
-        kw["estimator"] = "stft"  # the window study is STFT-based by default
+    # Each window is checked when its cells' configs are built.
     window_list = [w.strip() for w in windows.split(",") if w.strip()]
-    for w in window_list:
-        if w not in WINDOW_CHOICES:
-            raise click.UsageError(f"unknown window {w!r}")
     try:
         lengths = [float(x) for x in frame_lengths.split(",") if x.strip()]
     except ValueError as exc:
@@ -302,44 +295,50 @@ def compare_windows(wav, reference, windows, frame_lengths, output, plot_data,
     # prepared (decimated, band-passed) signal.
     configs = [[_gather_config(window=win, frame_len_s=length, **kw) for length in lengths]
                for win in window_list]
-    rows = []
+    rows, timings = [], {}
     try:
-        ref = read_track(reference)
-        filtered = prepare(read_wav(wav), configs[0][0])
-        for win, row in zip(window_list, configs):
-            cells = []
-            for config in row:
-                track = estimate(filtered, config)
-                _check_cadences(track, ref)
-                result = best_lag(track.freq_hz, ref.freq_hz, centered=centered)
-                cells.append(result.correlation)
-            rows.append((win, cells))
+        with _timed(timings, "load"):
+            ref = read_track(reference)
+            signal = read_wav(wav)
+        with _timed(timings, "prepare"):
+            filtered = prepare(signal, configs[0][0])
+        with _timed(timings, "cells"):
+            for win, row in zip(window_list, configs):
+                cells = []
+                for config in row:
+                    track = estimate(filtered, config)
+                    _check_cadences(track, ref)
+                    result = best_lag(track.freq_hz, ref.freq_hz, centered=centered)
+                    cells.append(result.correlation)
+                rows.append((win, cells))
     except (DegenerateInputError, UndefinedCorrelationError) as exc:
         click.echo(f"error: degenerate input: {exc}", err=True)
         sys.exit(EXIT_DEGENERATE)
     except EnfError as exc:
         raise click.UsageError(str(exc))
 
-    header = "window," + ",".join(f"{length:g}" for length in lengths)
-    lines = [header]
-    for win, cells in rows:
-        lines.append(win + "," + ",".join(f"{c!r}" for c in cells))
-    with open(output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with _timed(timings, "write"):
+        lines = ["window," + ",".join(f"{length:g}" for length in lengths)]
+        lines += [win + "," + ",".join(f"{c!r}" for c in cells) for win, cells in rows]
+        with open(output, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
 
-    if plot_data:
-        with open(plot_data, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("window,frame_len_s,correlation\n")
-            for win, cells in rows:
-                for length, c in zip(lengths, cells):
-                    fh.write(f"{win},{length:g},{c!r}\n")
-    _write_manifest(output, "compare-windows", None, [wav, reference], {},
+        if plot_data:
+            with open(plot_data, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("window,frame_len_s,correlation\n")
+                for win, cells in rows:
+                    for length, c in zip(lengths, cells):
+                        fh.write(f"{win},{length:g},{c!r}\n")
+    # The cells' shared config, with the window and frame length lists that ran.
+    record = dict(dataclasses.asdict(configs[0][0]), window=[row[0].window for row in configs],
+                  frame_len_s=lengths, centered=centered)
+    _write_manifest(output, "compare-windows", record, [wav, reference], timings,
                     [output] + ([plot_data] if plot_data else []))
     click.echo(f"wrote {output}")
 
 
 @main.command()
-@click.option("--order", type=click.IntRange(1, MAX_BENCH_ORDER), default=10,
+@click.option("--order", type=click.IntRange(1, MAX_CAPON_ORDER), default=10,
               show_default=True, help="Capon covariance order m.")
 @click.option("--trials", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)

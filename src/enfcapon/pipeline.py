@@ -16,7 +16,7 @@ from .bandpass import HAMMING_TRANSITION_FACTOR, apply_zero_phase, design_bandpa
 from .errors import DegenerateInputError, IncompatibleInputError
 from .signal_io import decimate
 from .track import EnfTrack
-from .windowing import DEFAULT_KAISER_BETA, make_window
+from .windowing import DEFAULT_KAISER_BETA, WINDOW_KINDS, make_window
 
 # Sanity envelope: a mapped-to-fundamental estimate farther than this
 # from nominal is recorded as invalid.
@@ -26,6 +26,10 @@ ESTIMATORS = ("capon", "stft")
 
 # The spectral grid holds pad_factor * N bins; denser grids only cost memory.
 MAX_PAD_FACTOR = 64
+
+# Capon work per frame grows with the order m: m + 1 autocovariance passes,
+# an O(m**2) Levinson step and an (m + 1) x B cosine matrix.
+MAX_CAPON_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}")
+        if self.window not in WINDOW_KINDS:
+            raise ValueError(f"window must be one of {WINDOW_KINDS}")
         if self.harmonic < 1:
             raise ValueError("harmonic must be a positive integer")
         nyquist = self.working_rate_hz / 2.0
@@ -62,16 +68,21 @@ class PipelineConfig:
             raise ValueError("Kaiser beta must be non-negative and finite")
         if self.capon_order < 1 or self.pad_factor < 1:
             raise ValueError("capon order and pad factor must be at least 1")
+        if self.capon_order > MAX_CAPON_ORDER:
+            raise ValueError(f"capon order must be at most {MAX_CAPON_ORDER}")
         if self.pad_factor > MAX_PAD_FACTOR:
             raise ValueError(f"pad factor must be at most {MAX_PAD_FACTOR}")
         rate = self.working_rate_hz
-        if not (math.isfinite(self.frame_len_s * rate + self.shift_s * rate)
+        # pad_factor keeps the grid size within float range.
+        if not (math.isfinite(self.pad_factor * self.frame_len_s * rate + self.shift_s * rate)
                 and min(self.frame_samples) >= 1):
             raise ValueError("frame length and shift must round to at least 1 sample")
         if self.estimator == "capon" and self.frame_samples[0] <= self.capon_order:
             raise ValueError(
                 f"{self.frame_samples[0]}-sample frames are shorter than capon order + 1"
             )
+        # Raises IncompatibleInputError when the band holds too few grid points.
+        spectral.band_edges(self.estimation_band, self.grid_size, rate)
 
     @property
     def center_hz(self):
@@ -82,6 +93,24 @@ class PipelineConfig:
         """(frame length, shift) in samples at the working rate."""
         return (round(self.frame_len_s * self.working_rate_hz),
                 round(self.shift_s * self.working_rate_hz))
+
+    @property
+    def grid_size(self):
+        """Points Q = pad_factor * N of one frame's spectral grid."""
+        return self.pad_factor * self.frame_samples[0]
+
+    @property
+    def estimation_band(self):
+        """Filter passband widened by two transition bandwidths, inside (0, Nyquist)."""
+        rate = self.working_rate_hz
+        margin = self.passband_hz / 2.0 + 2.0 * (HAMMING_TRANSITION_FACTOR * rate / self.taps)
+        return (max(self.center_hz - margin, 1e-9),
+                min(self.center_hz + margin, rate / 2.0 * (1.0 - 1e-9)))
+
+    @property
+    def search_bins(self):
+        """Estimation band bins of the grid, plus one neighbour on each side."""
+        return spectral.band_bins(self.estimation_band, self.grid_size, self.working_rate_hz)
 
 
 def power_config(**overrides):
@@ -95,9 +124,8 @@ def speech_config(**overrides):
 
 
 def _decimation_factor(sample_rate_hz, working_rate_hz):
-    ratio = sample_rate_hz / working_rate_hz
-    factor = int(round(ratio))
-    if factor < 1 or abs(ratio - factor) > 1e-9:
+    factor = round(sample_rate_hz / working_rate_hz)
+    if factor < 1 or sample_rate_hz / factor != working_rate_hz:
         raise IncompatibleInputError(
             f"sample rate {sample_rate_hz:g} Hz is not an integer multiple of "
             f"the working rate {working_rate_hz:g} Hz"
@@ -105,33 +133,20 @@ def _decimation_factor(sample_rate_hz, working_rate_hz):
     return factor
 
 
-def estimation_band(config, sample_rate_hz):
-    """Band-pass passband widened by two transition bandwidths of the
-    config's filter at sample_rate_hz, clipped to the open Nyquist
-    interval."""
-    transition_hz = HAMMING_TRANSITION_FACTOR * sample_rate_hz / config.taps
-    margin = config.passband_hz / 2.0 + 2.0 * transition_hz
-    nyquist = sample_rate_hz / 2.0
-    return (max(config.center_hz - margin, 1e-9),
-            min(config.center_hz + margin, nyquist * (1.0 - 1e-9)))
-
-
-def estimate_frames(frames, sample_rate_hz, band, estimator="capon",
-                    order=capon.DEFAULT_ORDER, pad_factor=spectral.DEFAULT_PAD_FACTOR,
-                    interpolate=True):
-    """Peak frequency in band, in Hz, of every row of frames (K, N).
-
-    The spectrum of the chosen estimator is evaluated only at the in-band
-    bins of the Q = pad_factor * N grid.  NaN marks a frame with no usable
-    estimate.
+def estimate_frames(frames, config):
+    """Peak frequency in Hz of every row of frames (K, N) at the working
+    rate, from the config's estimator evaluated only at its search bins.
+    NaN marks a frame with no usable estimate.
     """
-    grid_size = pad_factor * frames.shape[-1]
-    bins = spectral.band_bins(band, grid_size, sample_rate_hz)
-    if estimator == "capon":
-        power, valid = capon.capon_band_power(frames, bins, grid_size, order)
+    if frames.shape[-1] != config.frame_samples[0]:
+        raise IncompatibleInputError(f"frames are not {config.frame_samples[0]} samples long")
+    grid_size, bins = config.grid_size, config.search_bins
+    if config.estimator == "capon":
+        power, valid = capon.capon_band_power(frames, bins, grid_size, config.capon_order)
     else:
         power, valid = spectral.stft_band_power(frames, bins, grid_size)
-    freqs, _ = spectral.band_peak(power, bins, grid_size, sample_rate_hz, interpolate)
+    freqs, _ = spectral.band_peak(power, bins, grid_size, config.working_rate_hz,
+                                  config.interpolate)
     return np.where(valid, freqs, np.nan)
 
 
@@ -161,6 +176,9 @@ def estimate(filtered, config):
     Frames whose estimate is degenerate or falls outside the sanity
     envelope around nominal are recorded as NaN entries.
     """
+    rate = config.working_rate_hz
+    if filtered.sample_rate_hz != rate:
+        raise IncompatibleInputError(f"signal is not at the working rate {rate:g} Hz")
     frame_len, shift = config.frame_samples
     if len(filtered) < frame_len:
         raise DegenerateInputError(
@@ -173,12 +191,8 @@ def estimate(filtered, config):
     # so a block never holds more samples than the filtered signal and
     # non-overlapping layouts run as one block.
     block = len(filtered) // frame_len
-    rate = filtered.sample_rate_hz
-    band = estimation_band(config, rate)
     freqs = np.concatenate([
-        estimate_frames(rows[start : start + block] * window, rate, band, config.estimator,
-                        order=config.capon_order, pad_factor=config.pad_factor,
-                        interpolate=config.interpolate)
+        estimate_frames(rows[start : start + block] * window, config)
         for start in range(0, len(rows), block)
     ]) / config.harmonic
     freqs[np.abs(freqs - config.nominal_hz) > VALID_ENVELOPE_HZ] = np.nan

@@ -8,36 +8,39 @@ is the largest in-band bin, refined by fitting a parabola to three
 log-spectrum samples around it.
 """
 
+import math
+
 import numpy as np
 from scipy.signal import zoom_fft
 
 from .errors import IncompatibleInputError
 
-DEFAULT_PAD_FACTOR = 4
 
-
-def band_bins(band, grid_size, sample_rate_hz):
-    """Bins q < Q/2 whose frequency q*Fs/Q lies in band, plus one
-    neighbour on each side.
-
-    The band must contain at least three grid points so quadratic
-    refinement has a neighbourhood.
-    """
+def band_edges(band, grid_size, sample_rate_hz):
+    """First and last bins q < Q/2 whose frequency q*Fs/Q lies in band, which
+    must hold at least three so quadratic refinement has a neighbourhood.
+    Only grid points near the band edges are formed, each rounded as in
+    np.arange(Q // 2) * (Fs/Q)."""
     f_lo, f_hi = band
     nyquist = sample_rate_hz / 2.0
     if not (0.0 < f_lo < f_hi < nyquist):
+        raise IncompatibleInputError(f"band ({f_lo:g}, {f_hi:g}) Hz outside (0, {nyquist:g}) Hz")
+    step = sample_rate_hz / grid_size
+    lo, hi = math.floor(f_lo / step), math.floor(f_hi / step)
+    first = min((q for q in range(lo - 1, lo + 3) if q * step >= f_lo), default=lo + 2)
+    last = min(max((q for q in range(hi - 1, hi + 2) if q * step <= f_hi), default=hi - 1),
+               grid_size // 2 - 1)
+    if last - first < 2:
         raise IncompatibleInputError(
-            f"band ({f_lo:g}, {f_hi:g}) Hz outside (0, {nyquist:g}) Hz"
-        )
-    grid = np.arange(grid_size // 2) * (sample_rate_hz / grid_size)
-    in_band = np.flatnonzero((grid >= f_lo) & (grid <= f_hi))
-    if in_band.size < 3:
-        raise IncompatibleInputError(
-            f"band ({f_lo:g}, {f_hi:g}) Hz contains fewer than 3 grid points "
-            f"of the {grid_size}-point grid; use longer frames or a larger "
-            f"pad factor"
-        )
-    return np.arange(in_band[0] - 1, in_band[-1] + 2)
+            f"band ({f_lo:g}, {f_hi:g}) Hz contains fewer than 3 grid points of the "
+            f"{grid_size}-point grid; use longer frames or a larger pad factor")
+    return first, last
+
+
+def band_bins(band, grid_size, sample_rate_hz):
+    """The bins from band_edges plus one neighbour on each side."""
+    first, last = band_edges(band, grid_size, sample_rate_hz)
+    return np.arange(first - 1, last + 2)
 
 
 def stft_band_power(frames, bins, grid_size):

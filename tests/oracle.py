@@ -23,7 +23,7 @@ from enfcapon import capon
 from enfcapon.bandpass import design_bandpass
 from enfcapon.errors import IncompatibleInputError, UndefinedCorrelationError
 from enfcapon.matching import MatchResult, correlation
-from enfcapon.pipeline import VALID_ENVELOPE_HZ, _decimation_factor, estimation_band
+from enfcapon.pipeline import VALID_ENVELOPE_HZ, _decimation_factor
 from enfcapon.signal_io import SampledSignal, anti_alias_filter
 from enfcapon.windowing import make_window
 
@@ -49,11 +49,16 @@ def apply_zero_phase_full(coeffs, signal):
                          signal.origin_offset_s + (coeffs.size - 1) // 2 / signal.sample_rate_hz)
 
 
+def full_grid_in_band(grid_size, sample_rate_hz, band):
+    """Bins q < Q/2 of the whole grid q*Fs/Q whose frequency lies in band."""
+    grid = np.arange(grid_size // 2) * (sample_rate_hz / grid_size)
+    return np.flatnonzero((grid >= band[0]) & (grid <= band[1]))
+
+
 def peak_search(values, sample_rate_hz, band):
     """Index of the largest full-grid value whose frequency lies in band
     (lowest index on ties)."""
-    grid = np.arange(values.size // 2) * (sample_rate_hz / values.size)
-    in_band = np.flatnonzero((grid >= band[0]) & (grid <= band[1]))
+    in_band = full_grid_in_band(values.size, sample_rate_hz, band)
     assert in_band.size >= 3
     return int(in_band[np.argmax(values[in_band])])
 
@@ -148,7 +153,7 @@ def per_frame_track(signal, config):
     frame_len = round(config.frame_len_s * rate)
     shift = round(config.shift_s * rate)
     taps = make_window(config.window, frame_len, config.kaiser_beta)
-    band = estimation_band(config, rate)
+    band = config.estimation_band
     freqs = np.empty((len(filtered) - frame_len) // shift + 1)
     for k in range(freqs.size):
         frame = filtered.samples[k * shift : k * shift + frame_len] * taps

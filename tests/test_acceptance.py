@@ -19,7 +19,7 @@ from conftest import make_tone, random_pd_toeplitz
 from enfcapon.bench import run_bench
 from enfcapon.capon import denom_coeffs, estimate_autocovariance, gs_factors, levinson_solve
 from enfcapon.matching import best_lag, correlation, fisher_test
-from enfcapon.pipeline import estimate_frames, extract_enf, power_config
+from enfcapon.pipeline import PipelineConfig, estimate_frames, extract_enf, power_config
 from enfcapon.signal_io import SampledSignal
 from enfcapon.spectral import band_peak
 from enfcapon.synthetic import make_power_fixture
@@ -294,8 +294,11 @@ class TestCriterion9Properties:
     def test_frame_estimate_determinism(self, seed):
         rng = np.random.default_rng(seed)
         frame = make_tone(25.0, 100, 0.8) + rng.normal(0.0, 0.3, 80)
-        first = estimate_frames(frame[None, :], 100.0, (20.0, 30.0), order=6)
-        second = estimate_frames(frame[None, :], 100.0, (20.0, 30.0), order=6)
+        # Estimation band (19.99, 30.01) Hz
+        config = PipelineConfig(nominal_hz=25, harmonic=1, frame_len_s=0.8, taps=133,
+                                capon_order=6, working_rate_hz=100)
+        first = estimate_frames(frame[None, :], config)
+        second = estimate_frames(frame[None, :], config)
         np.testing.assert_array_equal(first, second)
 
     def test_pipeline_determinism(self):

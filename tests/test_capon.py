@@ -12,7 +12,7 @@ from enfcapon.capon import (
     levinson_solve,
 )
 from enfcapon.errors import NotPositiveDefiniteError
-from enfcapon.pipeline import estimate_frames
+from enfcapon.pipeline import estimate_frames, power_config
 from enfcapon.spectral import band_bins, band_peak
 from enfcapon.windowing import make_window
 from oracle import (
@@ -294,12 +294,12 @@ class TestScaleEquivariance:
 class TestEstimateFrame:
     def test_noiseless_tone(self):
         frame = make_tone(180.0, 441, 1.0) * make_window("parzen", 441)
-        est = estimate_frames(frame[None, :], 441.0, (177.0, 183.0))
+        est = estimate_frames(frame[None, :], power_config())
         assert est[0] == pytest.approx(180.0, abs=0.05)
 
     def test_zero_frame_flagged(self):
         tone = make_tone(180.0, 441, 1.0)
-        est = estimate_frames(np.stack([tone, np.zeros(441)]), 441.0, (177.0, 183.0))
+        est = estimate_frames(np.stack([tone, np.zeros(441)]), power_config())
         assert np.isfinite(est[0])
         assert np.isnan(est[1])
 
@@ -312,7 +312,7 @@ class TestEstimateFrame:
              + rng.normal(0.0, noise_std, 441)) * window
             for _ in range(100)
         ])
-        errors = np.abs(estimate_frames(frames, 441.0, (177.0, 183.0)) - 180.05)
+        errors = np.abs(estimate_frames(frames, power_config()) - 180.05)
         assert np.median(errors) < 0.02
 
 

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import UNDECODABLE_TRACKS, make_tone
-from enfcapon import pipeline
+from enfcapon import cli, pipeline
 from enfcapon.cli import WINDOW_CHOICES, main
 from enfcapon.matching import best_lag
 from enfcapon.pipeline import extract_enf, power_config
@@ -29,6 +29,19 @@ def _reject_constant(name):
 def strict_json(text):
     """json.loads that refuses NaN and +/-Infinity."""
     return json.loads(text, parse_constant=_reject_constant)
+
+
+@pytest.fixture
+def wav_reads(monkeypatch):
+    """Paths handed to cli.read_wav during the test."""
+    paths = []
+
+    def counting(path):
+        paths.append(path)
+        return read_wav(path)
+
+    monkeypatch.setattr(cli, "read_wav", counting)
+    return paths
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +142,24 @@ class TestExtract:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "pad factor must be at most 64" in result.output
+
+    @pytest.mark.parametrize("options, message", [
+        (["--estimator", "stft", "--frame-seconds", "0.05"], "fewer than 3 grid points"),
+        (["--capon-order", "65", "--frame-seconds", "100"], "capon order must be at most 64"),
+    ])
+    def test_unusable_layout_rejected_before_the_wav_is_read(
+            self, runner, fixture_files, tmp_path, wav_reads, options, message):
+        wav, _ = fixture_files
+        result = runner.invoke(main, ["extract", str(wav), "-o", str(tmp_path / "x.csv"),
+                                      *options])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+        assert wav_reads == []
+
+    def test_help_gives_estimator_default(self, runner):
+        result = runner.invoke(main, ["extract", "--help"])
+        assert "[default: capon]" in " ".join(result.output.split())
 
     def test_non_wav_file_exit_code(self, runner, tmp_path):
         junk = tmp_path / "junk.wav"
@@ -302,6 +333,29 @@ class TestCompareWindows:
         assert plot_lines[0] == "window,frame_len_s,correlation"
         assert len(plot_lines) == 9
 
+    def test_manifest_records_the_matrix(self, runner, fixture_files, tmp_path, wav_reads):
+        wav, ref = fixture_files
+        out = tmp_path / "cmp.csv"
+        result = runner.invoke(
+            main,
+            ["compare-windows", str(wav), "--reference", str(ref), "--windows", "parzen,rect",
+             "--frame-lengths", "1,2", "--harmonic", "2", "--taps", "801", "--uncentered",
+             "-o", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / "cmp.csv.manifest.json").read_text())
+        config = manifest["config"]
+        assert (config["estimator"], config["harmonic"], config["taps"]) == ("stft", 2, 801)
+        assert config["window"] == ["parzen", "rectangular"]
+        assert config["frame_len_s"] == [1.0, 2.0]
+        assert config["centered"] is False
+        assert set(manifest["timings_s"]) == {"load", "prepare", "cells", "write"}
+        assert wav_reads == [str(wav)]
+
+    def test_help_gives_estimator_default(self, runner):
+        result = runner.invoke(main, ["compare-windows", "--help"])
+        assert "[default: stft]" in " ".join(result.output.split())
+
     def test_single_cell_consistent_with_match(self, runner, fixture_files, tmp_path):
         wav, ref = fixture_files
         out = tmp_path / "cmp.csv"
@@ -381,6 +435,21 @@ class TestCompareWindows:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "round to at least 1 sample" in result.output
+
+    @pytest.mark.parametrize("options, message", [
+        (["--frame-lengths", "1,0.05"], "fewer than 3 grid points"),
+        (["--estimator", "capon", "--capon-order", "65", "--frame-lengths", "100"],
+         "capon order must be at most 64"),
+    ])
+    def test_unusable_layout_rejected_before_the_wav_is_read(
+            self, runner, fixture_files, tmp_path, wav_reads, options, message):
+        wav, ref = fixture_files
+        result = runner.invoke(main, ["compare-windows", str(wav), "--reference", str(ref),
+                                      "-o", str(tmp_path / "x.csv"), *options])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+        assert wav_reads == []
 
     @pytest.mark.parametrize("name", UNDECODABLE_TRACKS)
     def test_undecodable_reference_exit_code(self, runner, fixture_files, tmp_path, name):
@@ -588,7 +657,7 @@ def float_option(lo, hi):
         "--estimator": optional(st.sampled_from(["capon", "stft"])),
         "--taps": optional(st.integers(0, 4500).map(lambda k: 2 * k + 1)),
         "--passband-hz": float_option(0.0, 3.0),
-        "--capon-order": optional(st.integers(0, 40)),
+        "--capon-order": optional(st.integers(0, 40) | st.integers(65, 10**12)),
         "--pad-factor": optional(st.integers(0, 8) | st.integers(65, 10**12)),
         "--skip-seconds": float_option(-1.0, 25.0),
     }),

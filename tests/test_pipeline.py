@@ -6,8 +6,10 @@ import pytest
 
 from conftest import make_tone
 from enfcapon.errors import DegenerateInputError, IncompatibleInputError
-from enfcapon.pipeline import PipelineConfig, extract_enf, power_config, speech_config
+from enfcapon.pipeline import (PipelineConfig, estimate, estimate_frames, extract_enf,
+                               power_config, speech_config)
 from enfcapon.signal_io import SampledSignal
+from enfcapon.spectral import band_bins
 from enfcapon.synthetic import make_power_fixture
 from oracle import per_frame_track
 
@@ -31,6 +33,44 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig(estimator="welch")
 
+    def test_bad_window(self):
+        with pytest.raises(ValueError, match="window must be one of"):
+            PipelineConfig(window="hann")
+
+    def test_capon_order_bounded(self):
+        assert power_config(capon_order=64).capon_order == 64
+        with pytest.raises(ValueError, match="capon order must be at most 64"):
+            power_config(capon_order=65)
+
+    @pytest.mark.parametrize("overrides", [
+        {"estimator": "stft", "frame_len_s": 0.05},  # 22-sample frames, 88-point grid
+        {"taps": 10**9 + 1},                           # band narrower than a grid step
+    ])
+    def test_band_without_three_grid_points_rejected(self, overrides):
+        with pytest.raises(IncompatibleInputError, match="fewer than 3 grid points"):
+            power_config(**overrides)
+
+    def test_search_layout(self):
+        config = power_config()
+        assert config.grid_size == 4 * 441
+        f_lo, f_hi = config.estimation_band
+        assert 177.0 < f_lo < 177.1 and 182.9 < f_hi < 183.0
+        bins = config.search_bins
+        np.testing.assert_array_equal(bins, band_bins((f_lo, f_hi), 1764, 441.0))
+        freqs = bins * 441.0 / 1764
+        assert freqs[0] < f_lo <= freqs[1] and freqs[-2] <= f_hi < freqs[-1]
+
+    def test_long_frames_checked_without_forming_the_grid(self):
+        # The 6,350,400-point grid of one-hour frames is never formed.
+        tracemalloc.start()
+        try:
+            config = power_config(frame_len_s=3600.0, pad_factor=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert config.grid_size == 6_350_400
+        assert peak <= 100_000
+
     @pytest.mark.parametrize("overrides", [
         {"frame_len_s": 0.01},                     # 4 samples < capon order + 1
         {"frame_len_s": 0.0},
@@ -49,7 +89,10 @@ class TestConfig:
             power_config(**overrides)
 
     def test_short_frames_allowed_for_stft(self):
-        assert power_config(frame_len_s=0.01, estimator="stft").frame_len_s == 0.01
+        config = power_config(frame_len_s=0.02, estimator="stft", pad_factor=64)
+        assert config.frame_samples[0] <= power_config().capon_order
+        with pytest.raises(ValueError, match="shorter than capon order"):
+            power_config(frame_len_s=0.02, pad_factor=64)
 
 
 class TestExtract:
@@ -85,6 +128,20 @@ class TestExtract:
         signal = SampledSignal(np.ones(1000), 1000.0)
         with pytest.raises(IncompatibleInputError):
             extract_enf(signal, power_config())
+
+    def test_near_multiple_rate_rejected(self):
+        signal = SampledSignal(np.ones(5000), 882.0 * (1.0 + 1e-13))
+        with pytest.raises(IncompatibleInputError, match="not an integer multiple"):
+            extract_enf(signal, power_config())
+
+    def test_estimate_rejects_other_rates(self):
+        signal = SampledSignal(make_tone(180.0, 44100, 5.0), 44100.0)
+        with pytest.raises(IncompatibleInputError, match="working rate 441 Hz"):
+            estimate(signal, power_config())
+
+    def test_estimate_frames_rejects_other_frame_lengths(self):
+        with pytest.raises(IncompatibleInputError, match="not 441 samples long"):
+            estimate_frames(np.ones((2, 440)), power_config())
 
     def test_signal_exactly_taps_long_is_degenerate(self):
         signal = SampledSignal(np.ones(1001), 441.0)

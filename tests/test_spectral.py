@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import make_tone
-from enfcapon.pipeline import estimate_frames, estimation_band, power_config
-from enfcapon.spectral import band_bins, band_peak, stft_band_power
+from enfcapon.errors import IncompatibleInputError
+from enfcapon.pipeline import estimate_frames, power_config
+from enfcapon.spectral import band_bins, band_edges, band_peak, stft_band_power
 from enfcapon.windowing import make_window
+from oracle import full_grid_in_band
 
 
 def full_periodogram(frame, pad_factor):
@@ -59,7 +61,7 @@ class TestPeriodogram:
     @pytest.mark.parametrize("n, pad_factor", [(441, 4), (882, 16), (8820, 64)])
     def test_band_matches_zero_padded_fft(self, rng, n, pad_factor):
         grid = pad_factor * n
-        bins = band_bins(estimation_band(power_config(), 441.0), grid, 441.0)
+        bins = band_bins(power_config().estimation_band, grid, 441.0)
         frames = make_tone(180.02, 441.0, n / 441.0) * make_window("parzen", n)
         frames = frames + rng.normal(0.0, 0.5, (3, n))
         power, _ = stft_band_power(frames, bins, grid)
@@ -90,6 +92,27 @@ class TestPeakSearch:
             band_bins((40.0, 50.0), 64, 64.0)  # beyond Nyquist
         with pytest.raises(ValueError):
             band_bins((10.0, 10.5), 64, 64.0)  # fewer than 3 grid points
+
+    @pytest.mark.parametrize("rate", [64.0, 441.0, 1000.0 / 3])
+    def test_band_edges_match_the_full_grid(self, rate):
+        rng = np.random.default_rng(17)
+        for _ in range(500):
+            grid_size = int(rng.integers(8, 4000))
+            step = rate / grid_size
+            # Edges anywhere, on grid points, or one ulp to either side of them.
+            edges = rng.uniform(0.0, rate / 2, 2)
+            if rng.random() < 0.7:
+                edges = rng.integers(1, grid_size // 2, 2) * step
+                edges = np.nextafter(edges, edges + rng.integers(-1, 2, 2))
+            band = tuple(float(f) for f in np.sort(edges))
+            if not 0.0 < band[0] < band[1] < rate / 2:
+                continue
+            in_band = full_grid_in_band(grid_size, rate, band)
+            if in_band.size < 3:
+                with pytest.raises(IncompatibleInputError):
+                    band_edges(band, grid_size, rate)
+            else:
+                assert band_edges(band, grid_size, rate) == (in_band[0], in_band[-1])
 
 
 class TestRefineQuadratic:
@@ -145,5 +168,5 @@ def test_refinement_beats_raw_bin_for_off_bin_tones():
 
 def test_estimate_frame_stft_pure_tone():
     frame = make_tone(180.05, 441, 1.0) * make_window("parzen", 441)
-    est = estimate_frames(frame[None, :], 441.0, (177.0, 183.0), estimator="stft")
+    est = estimate_frames(frame[None, :], power_config(estimator="stft"))
     assert est[0] == pytest.approx(180.05, abs=0.02)
