@@ -15,8 +15,6 @@ denominator only at the in-band bins the peak search reads.
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError
-
 DEFAULT_ORDER = 10
 
 # Relative diagonal loading applied to the per-frame covariance before
@@ -76,10 +74,9 @@ def levinson_solve(rho):
 def gs_factors(w, alpha):
     """Gohberg-Semencul generators of each inverse covariance:
     gamma = (1, w) / sqrt(alpha), delta = (0, reversed w) / sqrt(alpha).
+    alpha must be positive, as every alpha levinson_solve returns is.
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    if not np.all(alpha > 0.0):
-        raise NotPositiveDefiniteError("prediction-error power alpha must be positive")
     w = np.asarray(w, dtype=np.float64)
     scale = (1.0 / np.sqrt(alpha))[..., None]
     edge = np.ones(w.shape[:-1] + (1,))

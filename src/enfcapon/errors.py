@@ -28,9 +28,5 @@ class IncompatibleInputError(EnfError, ValueError):
     skip interval that is not finite."""
 
 
-class NotPositiveDefiniteError(EnfError):
-    """Prediction-error power handed to the generator step is not positive."""
-
-
 class UndefinedCorrelationError(EnfError):
     """Correlation is undefined (zero-norm or constant vector)."""

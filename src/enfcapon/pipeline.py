@@ -74,8 +74,10 @@ class PipelineConfig:
             raise ValueError(f"pad factor must be at most {MAX_PAD_FACTOR}")
         rate = self.working_rate_hz
         # pad_factor keeps the grid size within float range.
-        if not (math.isfinite(self.pad_factor * self.frame_len_s * rate + self.shift_s * rate)
-                and min(self.frame_samples) >= 1):
+        span = self.pad_factor * self.frame_len_s * rate + self.shift_s * rate
+        if span == math.inf:
+            raise ValueError("frame length or shift is too long: its sample count overflows")
+        if not (math.isfinite(span) and min(self.frame_samples) >= 1):
             raise ValueError("frame length and shift must round to at least 1 sample")
         if self.estimator == "capon" and self.frame_samples[0] <= self.capon_order:
             raise ValueError(
@@ -183,7 +185,7 @@ def estimate(filtered, config):
     if len(filtered) < frame_len:
         raise DegenerateInputError(
             f"filtered signal of {len(filtered)} samples is shorter than one "
-            f"{frame_len}-sample frame"
+            f"{frame_len:.6g}-sample frame ({frame_len / rate:g} s)"
         )
     window = make_window(config.window, frame_len, config.kaiser_beta)
     rows = np.lib.stride_tricks.sliding_window_view(filtered.samples, frame_len)[::shift]

@@ -6,8 +6,10 @@ keys.  Invalid (missing) estimates are stored as NaN and serialized as
 ``nan`` / ``null``.
 """
 
+import io
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +20,11 @@ CSV_HEADER = "frame_index,time_s,freq_hz"
 
 # Frame times spaced equally to within this many seconds define a cadence.
 CADENCE_TOL_S = 1e-9
+
+_CSV_ROW = np.dtype([("i", "<i8"), ("t", "<f8"), ("f", "<f8")])
+# ASCII characters np.loadtxt keeps inside a row or strips around a cell,
+# where str.splitlines breaks the line or int()/float() reject the cell.
+_CSV_FAST_PATH_EXCLUDED = "\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 @dataclass(frozen=True)
@@ -59,8 +66,9 @@ def write_track(track, path, format="csv"):
     """Serialize a track losslessly (repr round-trip for doubles)."""
     if format == "csv":
         lines = [CSV_HEADER]
-        for i, t, f in zip(track.frame_index, track.time_s, track.freq_hz):
-            lines.append(f"{int(i)},{float(t)!r},{float(f)!r}")
+        for i, t, f in zip(track.frame_index.tolist(), track.time_s.tolist(),
+                           track.freq_hz.tolist()):
+            lines.append(f"{i},{t!r},{f!r}")
         text = "\n".join(lines) + "\n"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -121,6 +129,31 @@ def _parse_json(text):
 
 
 def _parse_csv(text):
+    """Parse a CSV track in one np.loadtxt pass.  The line parser runs
+    wherever that pass raises or could read the text differently, so it
+    alone words every error."""
+    first, _, body = text.partition("\n")
+    # np.loadtxt reads ASCII free of the excluded characters as int()/float()
+    # do, or raises.  A first line that str.splitlines breaks in two would
+    # shift the line numbers.
+    if (len(first.splitlines()) == 1 and first.strip() == CSV_HEADER and body.isascii()
+            and not any(c in body for c in _CSV_FAST_PATH_EXCLUDED)):
+        try:
+            with warnings.catch_warnings():
+                # "input contained no data" and, in older numpy, integers
+                # parsed via float only warn.
+                warnings.simplefilter("error")
+                rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                                  dtype=_CSV_ROW, ndmin=1)
+        except (ValueError, OverflowError, Warning):
+            pass
+        else:
+            if not np.isinf(rows["f"]).any():
+                return _track(rows["i"], rows["t"], rows["f"])
+    return _parse_csv_lines(text)
+
+
+def _parse_csv_lines(text):
     lines = text.splitlines()
     if not lines or lines[0].strip() != CSV_HEADER:
         raise TrackFormatError(f"expected header {CSV_HEADER!r}", line=1)
@@ -164,8 +197,11 @@ def _track(idx, times, freqs):
 def _uniform_shift(times):
     if times.size < 2:
         return None
-    shift = (times[-1] - times[0]) / (times.size - 1)
-    # NaN spacings fail the comparison, so they leave the cadence undefined.
-    if not (0.0 < shift < math.inf and np.all(np.abs(np.diff(times) - shift) <= CADENCE_TOL_S)):
-        return None
+    # NaN and infinite spacings fail the comparison, so they leave the
+    # cadence undefined; infinite or huge times make them without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        shift = (times[-1] - times[0]) / (times.size - 1)
+        if not (0.0 < shift < math.inf
+                and np.all(np.abs(np.diff(times) - shift) <= CADENCE_TOL_S)):
+            return None
     return float(shift)

@@ -143,6 +143,25 @@ class TestExtract:
         assert isinstance(result.exception, SystemExit)
         assert "pad factor must be at most 64" in result.output
 
+    def test_overflowing_frame_length_called_too_long(self, runner, fixture_files, tmp_path,
+                                                      wav_reads):
+        wav, _ = fixture_files
+        result = runner.invoke(main, ["extract", str(wav), "-o", str(tmp_path / "x.csv"),
+                                      "--frame-seconds", "1e306"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "frame length or shift is too long" in result.output
+        assert wav_reads == []
+
+    def test_frame_longer_than_recording_quoted_briefly(self, runner, fixture_files, tmp_path):
+        wav, _ = fixture_files
+        result = runner.invoke(main, ["extract", str(wav), "-o", str(tmp_path / "x.csv"),
+                                      "--frame-seconds", "1e300"])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "shorter than one 4.41e+302-sample frame (1e+300 s)" in result.output
+        assert len(result.output) < 200
+
     @pytest.mark.parametrize("options, message", [
         (["--estimator", "stft", "--frame-seconds", "0.05"], "fewer than 3 grid points"),
         (["--capon-order", "65", "--frame-seconds", "100"], "capon order must be at most 64"),
