@@ -19,8 +19,8 @@ from . import __version__
 from .bench import run_bench
 from .errors import DegenerateInputError, EnfError, UndefinedCorrelationError
 from .matching import best_lag, fisher_test
-from .pipeline import (ESTIMATORS, MAX_CAPON_ORDER, estimate, extract_enf, power_config,
-                       prepare, speech_config)
+from .pipeline import (ESTIMATORS, MAX_CAPON_ORDER, estimate, power_config, prepare,
+                       speech_config)
 from .signal_io import SampledSignal, read_wav, write_wav
 from .synthetic import make_power_fixture
 from .track import CADENCE_TOL_S, EnfTrack, read_track, write_track
@@ -144,8 +144,10 @@ def extract(wav, output, fmt, skip_seconds, as_json, **kw):
             signal = read_wav(wav)
             if skip_seconds > 0:
                 signal = signal.skip_head(skip_seconds)
-        with _timed(timings, "extract"):
-            track = extract_enf(signal, config)
+        with _timed(timings, "prepare"):
+            filtered = prepare(signal, config)
+        with _timed(timings, "estimate"):
+            track = estimate(filtered, config)
     except DegenerateInputError as exc:
         click.echo(f"error: degenerate input: {exc}", err=True)
         sys.exit(EXIT_DEGENERATE)

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import TrackFormatError
 
 CSV_HEADER = "frame_index,time_s,freq_hz"
+_JSON_ROW = ' {\n  "frame_index": %d,\n  "time_s": %s,\n  "freq_hz": %s\n }'
 
 # Frame times spaced equally to within this many seconds define a cadence.
 CADENCE_TOL_S = 1e-9
@@ -73,19 +74,27 @@ def write_track(track, path, format="csv"):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     elif format == "json":
+        # The text json.dump(rows, fh, indent=1) writes, built without its
+        # pure-Python encoder.
         rows = [
-            {
-                "frame_index": int(i),
-                "time_s": float(t),
-                "freq_hz": None if math.isnan(f) else float(f),
-            }
-            for i, t, f in zip(track.frame_index, track.time_s, track.freq_hz)
+            _JSON_ROW % row
+            for row in zip(track.frame_index.tolist(), _json_floats(track.time_s, "NaN"),
+                           _json_floats(track.freq_hz, "null"))
         ]
+        text = "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=1)
-            fh.write("\n")
+            fh.write(text)
     else:
         raise ValueError(f"unknown track format {format!r}")
+
+
+def _json_floats(values, nan):
+    """Each value as json writes a float, with nan in place of NaN."""
+    text = [repr(v) for v in values.tolist()]
+    for k in np.flatnonzero(~np.isfinite(values)).tolist():
+        value = values[k]
+        text[k] = nan if np.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    return text
 
 
 def read_track(path):

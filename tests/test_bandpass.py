@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import make_tone
-from enfcapon.bandpass import apply_zero_phase, design_bandpass
+from enfcapon.bandpass import _BLOCKS_PER_CALL, _block_length, apply_zero_phase, design_bandpass
 from enfcapon.signal_io import SampledSignal
 from oracle import apply_zero_phase_full
 
@@ -40,6 +42,11 @@ class TestDesign:
 
     def test_symmetric_coeffs(self, power_filter):
         assert np.max(np.abs(power_filter - power_filter[::-1])) < 1e-12
+
+    def test_repeated_design_is_shared_and_read_only(self, power_filter):
+        assert design_bandpass(441.0, 180.0, 0.1, 1001) is power_filter
+        with pytest.raises(ValueError):
+            power_filter[0] = 0.0
 
     def test_rejects_even_taps(self):
         with pytest.raises(ValueError):
@@ -128,3 +135,66 @@ class TestApplyZeroPhase:
         flt = design_bandpass(441.0, 180.0, 0.1, 1001)
         with pytest.raises(ValueError):
             apply_zero_phase(flt, SampledSignal(np.ones(500), 441.0))
+
+
+def _block_step(taps):
+    return _block_length(taps) - (taps - 1)
+
+
+def _layout_lengths(taps):
+    """Signal lengths at the edges of the overlap-save layout: one output
+    more than the taps need, a signal one short of a block, and output
+    counts at, and one either side of, one and five block steps."""
+    step = _block_step(taps)
+    lengths = {taps + 1, _block_length(taps) - 1}
+    for k in (1, 5):
+        for delta in (-1, 0, 1):
+            lengths.add(k * step + delta + taps - 1)
+    return sorted(lengths)
+
+
+@pytest.mark.parametrize("taps, n", [
+    (taps, n) for taps in (3, 1001, 4801) for n in _layout_lengths(taps)
+])
+def test_block_layout_edges_match_full_fft_convolution(rng, taps, n):
+    flt = (design_bandpass(441.0, 110.0, 100.0, taps) if taps == 3
+           else design_bandpass(441.0, 180.0, 0.1, taps))
+    samples = np.sin(2 * np.pi * 180.01 * np.arange(n) / 441.0) + rng.normal(0.0, 0.5, n)
+    signal = SampledSignal(samples, 441.0)
+    out = apply_zero_phase(flt, signal)
+    expected = apply_zero_phase_full(flt, signal)
+    assert len(out) == len(expected) == n - taps + 1
+    assert np.max(np.abs(out.samples - expected.samples)) <= 1e-12
+
+
+@pytest.mark.parametrize("boundary_blocks", [1, _BLOCKS_PER_CALL, 5])
+def test_silence_across_a_block_boundary_filters_to_exact_zero(rng, power_filter,
+                                                               boundary_blocks):
+    # Five full blocks and a partial one; the zero run's outputs straddle
+    # the first output of block boundary_blocks.
+    taps = power_filter.size
+    step = _block_step(taps)
+    samples = rng.normal(size=5 * step + step // 2 + taps - 1)
+    boundary = boundary_blocks * step
+    samples[boundary - 1500 : boundary + 1500] = 0.0
+    out = apply_zero_phase(power_filter, SampledSignal(samples, 441.0)).samples
+    # Output i reads input samples i .. i + taps - 1.
+    assert np.all(out[boundary - 1500 : boundary + 1500 - taps + 1] == 0.0)
+    assert np.all(out[boundary - 1500 - 200 : boundary - 1500] != 0.0)
+    assert np.all(out[boundary + 1500 - taps + 1 : boundary + 1500 - taps + 201] != 0.0)
+
+
+@pytest.mark.parametrize("taps", [1001, 4801])
+def test_traced_peak_stays_within_two_signal_copies(rng, taps):
+    # The output is one signal copy; the blocks in flight may add at most
+    # another.  A padded copy of the whole signal, or the spectra of all
+    # its blocks at once, would not fit.
+    flt = design_bandpass(441.0, 180.0, 0.1, taps)
+    signal = SampledSignal(rng.normal(size=1800 * 441), 441.0)
+    tracemalloc.start()
+    try:
+        apply_zero_phase(flt, signal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * len(signal)

@@ -74,7 +74,7 @@ class TestExtract:
         assert manifest["tool_version"]
         assert manifest["config"]["estimator"] == "capon"
         assert manifest["inputs"][0]["sha256"]
-        assert set(manifest["timings_s"]) == {"load", "extract", "write"}
+        assert set(manifest["timings_s"]) == {"load", "prepare", "estimate", "write"}
 
     def test_flags(self, runner, fixture_files, tmp_path):
         wav, _ = fixture_files

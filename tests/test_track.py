@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -31,6 +32,30 @@ def test_round_trip_is_lossless(tmp_path, fmt):
     assert np.array_equal(loaded.time_s, track.time_s)
     np.testing.assert_array_equal(loaded.freq_hz[:2], track.freq_hz[:2])
     assert np.isnan(loaded.freq_hz[2])
+
+
+def _json_dump_text(track):
+    """The text of the json.dump(rows, fh, indent=1) writer."""
+    rows = [
+        {"frame_index": int(i), "time_s": float(t),
+         "freq_hz": None if math.isnan(f) else float(f)}
+        for i, t, f in zip(track.frame_index, track.time_s, track.freq_hz)
+    ]
+    return json.dumps(rows, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("times, freqs", [
+    ([0.0, 0.5, 1.0, 1.5], [59.98, np.nan, 60.017654321987654, np.nan]),
+    ([np.nan, np.inf, -np.inf, 1e300], [60.0, 59.99, np.inf, -np.inf]),
+    ([0.1, 0.30000000000000004, 5e-324, -0.0], [1.0, 2.0, 3.0, 4.0]),
+    ([], []),
+], ids=["nan-freqs", "non-finite-times", "repr-doubles", "empty"])
+def test_json_bytes_match_json_dumps(tmp_path, times, freqs):
+    track = EnfTrack(np.arange(10, 10 + len(times)), np.array(times, dtype=float),
+                     np.array(freqs, dtype=float))
+    path = tmp_path / "t.json"
+    write_track(track, path, "json")
+    assert path.read_bytes() == _json_dump_text(track).encode("utf-8")
 
 
 def test_csv_row_format(tmp_path):
