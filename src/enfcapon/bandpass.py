@@ -8,10 +8,7 @@ the designed magnitude response (forward-backward filtering would square
 it).  The convolution runs by overlap-save in fixed real-FFT blocks.
 """
 
-import functools
-
 import numpy as np
-from scipy.signal import firwin
 
 from .signal_io import SampledSignal
 
@@ -29,14 +26,13 @@ _MIN_BLOCK = 4096
 _BLOCKS_PER_CALL = 4
 
 
-@functools.lru_cache(maxsize=8)
 def design_bandpass(sample_rate_hz, center_hz, passband_hz, taps):
     """Hamming window-method linear-phase band-pass, unit gain at center.
 
-    firwin's default scale=True normalises the gain at the passband
-    center, so the design needs no rescaling here.  Designs are cached,
-    since every prepared recording repeats the same one, so the returned
-    taps are read-only.
+    The ideal band-pass impulse response, tapered by a symmetric Hamming
+    window and divided by its gain at the passband center: the design
+    scipy.signal.firwin(taps, [lo, hi], pass_zero=False) makes, without
+    its per-call argument handling.
     """
     if taps % 2 == 0 or taps < 3:
         raise ValueError("tap count must be odd and at least 3")
@@ -49,9 +45,10 @@ def design_bandpass(sample_rate_hz, center_hz, passband_hz, taps):
         raise ValueError(
             f"band edges ({lo:g}, {hi:g}) Hz outside (0, {nyquist:g}) Hz"
         )
-    coeffs = firwin(taps, [lo, hi], pass_zero=False, fs=sample_rate_hz, window="hamming")
-    coeffs.flags.writeable = False
-    return coeffs
+    n = np.arange(taps) - (taps - 1) / 2.0
+    lo, hi = lo / nyquist, hi / nyquist
+    coeffs = (hi * np.sinc(hi * n) - lo * np.sinc(lo * n)) * np.hamming(taps)
+    return coeffs / np.sum(coeffs * np.cos(np.pi * n * (0.5 * (lo + hi))))
 
 
 def apply_zero_phase(coeffs, signal):

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.signal import firwin
 
 from conftest import make_tone
 from enfcapon.bandpass import _BLOCKS_PER_CALL, _block_length, apply_zero_phase, design_bandpass
@@ -43,10 +44,15 @@ class TestDesign:
     def test_symmetric_coeffs(self, power_filter):
         assert np.max(np.abs(power_filter - power_filter[::-1])) < 1e-12
 
-    def test_repeated_design_is_shared_and_read_only(self, power_filter):
-        assert design_bandpass(441.0, 180.0, 0.1, 1001) is power_filter
-        with pytest.raises(ValueError):
-            power_filter[0] = 0.0
+    @pytest.mark.parametrize("rate, center, passband, taps", [
+        (441.0, 180.0, 0.1, 1001), (441.0, 120.0, 0.1, 4801),
+        (441.0, 110.0, 100.0, 3), (4410.0, 180.0, 0.1, 101),
+    ])
+    def test_matches_scipy_firwin(self, rate, center, passband, taps):
+        expected = firwin(taps, [center - passband / 2.0, center + passband / 2.0],
+                          pass_zero=False, fs=rate, window="hamming")
+        flt = design_bandpass(rate, center, passband, taps)
+        assert np.max(np.abs(flt - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_rejects_even_taps(self):
         with pytest.raises(ValueError):
