@@ -61,10 +61,10 @@ def levinson_solve(rho):
     alpha = np.where(valid, rho[..., 0], 1.0)
     w = np.zeros(rho.shape[:-1] + (0,))
     for k in range(1, rho.shape[-1]):
-        acc = rho[..., k] + np.vecdot(w, rho[..., k - 1 : 0 : -1])
+        acc = rho[..., k] + np.einsum("...i,...i->...", w, rho[..., k - 1 : 0 : -1])
         reflection = -acc / alpha
         step_alpha = alpha * (1.0 - reflection * reflection)
-        valid &= step_alpha > 0.0
+        valid = valid & (step_alpha > 0.0)
         reflection = np.where(valid, reflection, 0.0)[..., None]
         w = np.concatenate([w + reflection * w[..., ::-1], reflection], axis=-1)
         alpha = np.where(valid, step_alpha, alpha)
