@@ -32,21 +32,13 @@ def design_bandpass(sample_rate_hz, center_hz, passband_hz, taps):
     The ideal band-pass impulse response, tapered by a symmetric Hamming
     window and divided by its gain at the passband center: the design
     scipy.signal.firwin(taps, [lo, hi], pass_zero=False) makes, without
-    its per-call argument handling.
+    its per-call argument handling.  taps must be odd and the band must lie
+    inside (0, Nyquist), as PipelineConfig checks.
     """
-    if taps % 2 == 0 or taps < 3:
-        raise ValueError("tap count must be odd and at least 3")
-    if passband_hz <= 0:
-        raise ValueError("passband width must be positive")
-    lo = center_hz - passband_hz / 2.0
-    hi = center_hz + passband_hz / 2.0
     nyquist = sample_rate_hz / 2.0
-    if lo <= 0 or hi >= nyquist:
-        raise ValueError(
-            f"band edges ({lo:g}, {hi:g}) Hz outside (0, {nyquist:g}) Hz"
-        )
+    lo = (center_hz - passband_hz / 2.0) / nyquist
+    hi = (center_hz + passband_hz / 2.0) / nyquist
     n = np.arange(taps) - (taps - 1) / 2.0
-    lo, hi = lo / nyquist, hi / nyquist
     coeffs = (hi * np.sinc(hi * n) - lo * np.sinc(lo * n)) * np.hamming(taps)
     return coeffs / np.sum(coeffs * np.cos(np.pi * n * (0.5 * (lo + hi))))
 
@@ -56,14 +48,10 @@ def apply_zero_phase(coeffs, signal):
 
     Output sample t aligns with input sample t; (C-1)/2 samples are
     trimmed from each end rather than zero-padded, so no edge transient
-    leaks into the first or last frame.
+    leaks into the first or last frame.  The signal must be longer than
+    the filter, as prepare checks.
     """
     n_taps = coeffs.size
-    if len(signal) <= n_taps:
-        raise ValueError(
-            f"signal of {len(signal)} samples is not longer than the "
-            f"{n_taps}-tap filter"
-        )
     filtered = _overlap_save(coeffs, signal.samples)
     # FFT convolution spreads roundoff (~1e-15) into stretches of digital
     # silence, which the estimators would read as signal.  An output whose

@@ -15,6 +15,8 @@ denominator only at the in-band bins the peak search reads.
 
 import numpy as np
 
+from . import spectral
+
 DEFAULT_ORDER = 10
 
 # Relative diagonal loading applied to the per-frame covariance before
@@ -32,14 +34,11 @@ def estimate_autocovariance(frames, order=DEFAULT_ORDER):
 
     The biased estimate is used (rather than averaged outer products)
     because it is guaranteed positive semidefinite and exactly Toeplitz,
-    which the Gohberg-Semencul machinery requires.
+    which the Gohberg-Semencul machinery requires.  The order must lie in
+    1 <= m < N, as PipelineConfig checks.
     """
     frames = np.asarray(frames, dtype=np.float64)
     n = frames.shape[-1]
-    if not order >= 1:
-        raise ValueError("covariance order m must be at least 1")
-    if n <= order:
-        raise ValueError(f"frame of {n} samples too short for order m={order}")
     lags = [np.einsum("...t,...t->...", frames[..., k:], frames[..., : n - k])
             for k in range(order + 1)]
     return np.stack(lags, axis=-1) / n
@@ -115,7 +114,7 @@ def capon_band_power(frames, bins, grid_size, order=DEFAULT_ORDER):
     w, alpha, valid = levinson_solve(rho)
     coeffs = denom_coeffs(*gs_factors(w, alpha))
     lags = np.arange(order + 1)
-    phase = 2.0 * np.pi * (np.outer(lags, bins) % grid_size) / grid_size
+    phase = spectral.phase_table(lags, bins, grid_size)
     phi_den = coeffs @ (np.where(lags == 0, 1.0, 2.0)[:, None] * np.cos(phase))
     valid = valid & np.all(phi_den > 0.0, axis=-1)
     with np.errstate(divide="ignore"):

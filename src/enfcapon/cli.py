@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 bad arguments, 3 degenerate input.
+Exit codes: 0 success; 2 for a file or setting the tool cannot use; 3 for
+well-formed input with no usable content.
 """
 
 import contextlib
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .bench import run_bench
-from .errors import DegenerateInputError, EnfError, UndefinedCorrelationError
+from .errors import DegenerateInputError, EnfError
 from .matching import best_lag, fisher_test
 from .pipeline import (ESTIMATORS, MAX_CAPON_ORDER, estimate, power_config, prepare,
                        speech_config)
@@ -52,6 +53,19 @@ def _timed(timings, key):
     t0 = time.perf_counter()
     yield
     timings[key] = time.perf_counter() - t0
+
+
+@contextlib.contextmanager
+def _exit_codes():
+    """The one map from package errors to exit codes: 3 for degenerate
+    input, 2 (a usage error) for any other."""
+    try:
+        yield
+    except DegenerateInputError as exc:
+        click.echo(f"error: degenerate input: {exc}", err=True)
+        sys.exit(EXIT_DEGENERATE)
+    except EnfError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _write_manifest(out_path, command, config, inputs, timings, outputs):
@@ -139,7 +153,7 @@ def extract(wav, output, fmt, skip_seconds, as_json, **kw):
                                  param_hint="'--skip-seconds'")
     config = _gather_config(**kw)
     timings = {}
-    try:
+    with _exit_codes():
         with _timed(timings, "load"):
             signal = read_wav(wav)
             if skip_seconds > 0:
@@ -148,11 +162,6 @@ def extract(wav, output, fmt, skip_seconds, as_json, **kw):
             filtered = prepare(signal, config)
         with _timed(timings, "estimate"):
             track = estimate(filtered, config)
-    except DegenerateInputError as exc:
-        click.echo(f"error: degenerate input: {exc}", err=True)
-        sys.exit(EXIT_DEGENERATE)
-    except EnfError as exc:
-        raise click.UsageError(str(exc))
 
     with _timed(timings, "write"):
         write_track(track, output, fmt)
@@ -194,14 +203,11 @@ def _check_cadences(query, reference):
               help="Pearson correlation instead of the uncentered form.")
 def match(extracted, reference, centered):
     """Best-lag correlation of an extracted track against a reference."""
-    try:
+    with _exit_codes():
         f = read_track(extracted)
         g = read_track(reference)
         _check_cadences(f, g)
         result = best_lag(f.freq_hz, g.freq_hz, centered=centered)
-    except EnfError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DEGENERATE)
     # A defined correlation needs two pairs, so g.shift_s is known here.
     click.echo(json.dumps({
         "lag": result.lag_one_based,
@@ -298,7 +304,7 @@ def compare_windows(wav, reference, windows, frame_lengths, output, plot_data,
     configs = [[_gather_config(window=win, frame_len_s=length, **kw) for length in lengths]
                for win in window_list]
     rows, timings = [], {}
-    try:
+    with _exit_codes():
         with _timed(timings, "load"):
             ref = read_track(reference)
             signal = read_wav(wav)
@@ -313,11 +319,6 @@ def compare_windows(wav, reference, windows, frame_lengths, output, plot_data,
                     result = best_lag(track.freq_hz, ref.freq_hz, centered=centered)
                     cells.append(result.correlation)
                 rows.append((win, cells))
-    except (DegenerateInputError, UndefinedCorrelationError) as exc:
-        click.echo(f"error: degenerate input: {exc}", err=True)
-        sys.exit(EXIT_DEGENERATE)
-    except EnfError as exc:
-        raise click.UsageError(str(exc))
 
     with _timed(timings, "write"):
         lines = ["window," + ",".join(f"{length:g}" for length in lengths)]
@@ -342,15 +343,11 @@ def compare_windows(wav, reference, windows, frame_lengths, output, plot_data,
 @main.command()
 @click.option("--order", type=click.IntRange(1, MAX_CAPON_ORDER), default=10,
               show_default=True, help="Capon covariance order m.")
-@click.option("--trials", type=int, default=100, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def bench(order, trials, seed):
     """Time the pipeline's in-band Capon kernel against an explicit inverse."""
-    try:
-        report = run_bench(order=order, trials=trials, seed=seed)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    click.echo(json.dumps(report, indent=1))
+    click.echo(json.dumps(run_bench(order=order, trials=trials, seed=seed), indent=1))
 
 
 if __name__ == "__main__":

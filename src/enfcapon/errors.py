@@ -28,5 +28,5 @@ class IncompatibleInputError(EnfError, ValueError):
     skip interval that is not finite."""
 
 
-class UndefinedCorrelationError(EnfError):
+class UndefinedCorrelationError(DegenerateInputError):
     """Correlation is undefined (zero-norm or constant vector)."""

@@ -140,8 +140,6 @@ def estimate_frames(frames, config):
     rate, from the config's estimator evaluated only at its search bins.
     NaN marks a frame with no usable estimate.
     """
-    if frames.shape[-1] != config.frame_samples[0]:
-        raise IncompatibleInputError(f"frames are not {config.frame_samples[0]} samples long")
     grid_size, bins = config.grid_size, config.search_bins
     if config.estimator == "capon":
         power, valid = capon.capon_band_power(frames, bins, grid_size, config.capon_order)

@@ -43,6 +43,13 @@ def band_bins(band, grid_size, sample_rate_hz):
     return np.arange(first - 1, last + 2)
 
 
+def phase_table(lags, bins, grid_size):
+    """Angles omega_q * t = 2 pi (t q mod Q) / Q, shape (lags, bins), of
+    every lag t at every grid bin q; reducing t q mod Q first keeps the
+    angles in [0, 2 pi) however long the lags run."""
+    return 2.0 * np.pi * (np.outer(lags, bins) % grid_size) / grid_size
+
+
 def stft_band_power(frames, bins, grid_size):
     """|DFT|^2 / N of every frame (K, N) zero-padded to Q, at the
     contiguous bins, by a chirp-z transform (Rabiner, Schafer & Rader,
@@ -52,8 +59,6 @@ def stft_band_power(frames, bins, grid_size):
     """
     frames = np.asarray(frames, dtype=np.float64)
     n = frames.shape[-1]
-    if n == 0:
-        raise ValueError("empty frames")
     spectrum = zoom_fft(frames, [bins[0], bins[-1] + 1], bins.size, fs=grid_size)
     return np.abs(spectrum) ** 2 / n, np.einsum("...t,...t->...", frames, frames) > 0.0
 

@@ -54,16 +54,6 @@ class TestDesign:
         flt = design_bandpass(rate, center, passband, taps)
         assert np.max(np.abs(flt - expected)) <= 1e-13 * np.max(np.abs(expected))
 
-    def test_rejects_even_taps(self):
-        with pytest.raises(ValueError):
-            design_bandpass(441.0, 180.0, 0.1, 1000)
-
-    def test_rejects_band_outside_nyquist(self):
-        with pytest.raises(ValueError):
-            design_bandpass(441.0, 220.5, 0.1, 101)
-        with pytest.raises(ValueError):
-            design_bandpass(441.0, 0.04, 0.1, 101)
-
 
 class TestApplyZeroPhase:
     def test_in_band_tone_zero_phase(self, power_filter):
@@ -136,11 +126,6 @@ class TestApplyZeroPhase:
         assert np.all(out.samples[5000:7000] == 0.0)
         assert np.all(out.samples[4000:5000] != 0.0)
         assert np.all(out.samples[7000:8000] != 0.0)
-
-    def test_signal_shorter_than_filter(self):
-        flt = design_bandpass(441.0, 180.0, 0.1, 1001)
-        with pytest.raises(ValueError):
-            apply_zero_phase(flt, SampledSignal(np.ones(500), 441.0))
 
 
 def _block_step(taps):

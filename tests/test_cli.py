@@ -231,7 +231,7 @@ class TestMatch:
         short = tmp_path / "short.csv"
         write_track(EnfTrack(np.arange(5), np.arange(5.0), np.full(5, 60.0)), short)
         result = runner.invoke(main, ["match", str(ref), str(short)])
-        assert result.exit_code == 3
+        assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "shorter than track length" in result.output
 
@@ -260,7 +260,7 @@ class TestMatch:
         freqs[0] = np.inf
         write_cadence_track(ref, 100, 1.0, freqs)
         result = runner.invoke(main, ["match", str(query), str(ref), "--centered"])
-        assert result.exit_code == 3
+        assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "line 2: infinite frequency" in result.output
 
@@ -269,7 +269,7 @@ class TestMatch:
         write_cadence_track(query, 5, 1.0)
         ref.write_text("frame_index,time_s,freq_hz\n0,0.0,60.0\n2,1.0,60.0\n")
         result = runner.invoke(main, ["match", str(query), str(ref)])
-        assert result.exit_code == 3
+        assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "frame indices must be consecutive" in result.output
 
@@ -280,7 +280,7 @@ class TestMatch:
                        ' {"frame_index": 0.5, "time_s": 1.0, "freq_hz": 60.0},'
                        ' {"frame_index": 1, "time_s": 2.0, "freq_hz": 60.0}]')
         result = runner.invoke(main, ["match", str(query), str(ref)])
-        assert result.exit_code == 3
+        assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "bad entry 1: frame index 0.5 is not an integer" in result.output
 
@@ -291,7 +291,7 @@ class TestMatch:
         content, message = UNDECODABLE_TRACKS[name]
         ref.write_bytes(content)
         result = runner.invoke(main, ["match", str(query), str(ref)])
-        assert result.exit_code == 3
+        assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert message in result.output
 
@@ -575,6 +575,32 @@ class TestCompareWindows:
         assert result.exit_code == 2
 
 
+# Reference tracks that match and compare-windows must reject with the same
+# code: 2 for a file that cannot be read, 3 for a readable track whose
+# (centered) correlation with the query is undefined at every lag.
+SHARED_REFERENCES = {
+    **{name: (content, 2) for name, (content, _) in UNDECODABLE_TRACKS.items()},
+    "gap.csv": (b"frame_index,time_s,freq_hz\n0,0.0,60.0\n2,1.0,60.0\n", 2),
+    "infinite.csv": (b"frame_index,time_s,freq_hz\n0,0.0,inf\n1,1.0,60.0\n", 2),
+    "flat.csv": (b"frame_index,time_s,freq_hz\n"
+                 + b"".join(b"%d,%d.0,60.0\n" % (i, i) for i in range(200)), 3),
+}
+
+
+@pytest.mark.parametrize("name", SHARED_REFERENCES)
+def test_match_and_compare_windows_share_exit_codes(runner, fixture_files, tmp_path, name):
+    wav, query = fixture_files
+    ref = tmp_path / name
+    content, code = SHARED_REFERENCES[name]
+    ref.write_bytes(content)
+    for args in (["match", str(query), str(ref), "--centered"],
+                 ["compare-windows", str(wav), "--reference", str(ref), "--windows", "parzen",
+                  "--frame-lengths", "1", "--centered", "-o", str(tmp_path / "x.csv")]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == code, (args[0], result.output)
+        assert isinstance(result.exception, SystemExit)
+
+
 class TestBench:
     def test_report_shape(self, runner):
         result = runner.invoke(main, ["bench", "--trials", "3"])
@@ -596,6 +622,13 @@ class TestBench:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "'--order'" in result.output and "1<=x<=64" in result.output
+
+    @pytest.mark.parametrize("option, value", [("--trials", "0"), ("--seed", "-1")])
+    def test_out_of_range_rejected(self, runner, option, value):
+        result = runner.invoke(main, ["bench", option, value])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"'{option}'" in result.output
 
 
 class TestSynthDeterminism:

@@ -6,8 +6,8 @@ import pytest
 
 from conftest import make_tone
 from enfcapon.errors import DegenerateInputError, IncompatibleInputError
-from enfcapon.pipeline import (PipelineConfig, estimate, estimate_frames, extract_enf,
-                               power_config, speech_config)
+from enfcapon.pipeline import (PipelineConfig, estimate, extract_enf, power_config,
+                               speech_config)
 from enfcapon.signal_io import SampledSignal
 from enfcapon.spectral import band_bins
 from enfcapon.synthetic import make_power_fixture
@@ -138,10 +138,6 @@ class TestExtract:
         signal = SampledSignal(make_tone(180.0, 44100, 5.0), 44100.0)
         with pytest.raises(IncompatibleInputError, match="working rate 441 Hz"):
             estimate(signal, power_config())
-
-    def test_estimate_frames_rejects_other_frame_lengths(self):
-        with pytest.raises(IncompatibleInputError, match="not 441 samples long"):
-            estimate_frames(np.ones((2, 440)), power_config())
 
     def test_signal_exactly_taps_long_is_degenerate(self):
         signal = SampledSignal(np.ones(1001), 441.0)

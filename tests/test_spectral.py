@@ -48,10 +48,6 @@ class TestPeriodogram:
         assert np.all(valid)
         assert power.mean() == pytest.approx(1.0, rel=0.2)
 
-    def test_empty_frame(self):
-        with pytest.raises(ValueError):
-            stft_band_power(np.empty((1, 0)), np.arange(4), 4)
-
     def test_parseval(self, rng):
         frame = rng.normal(size=256)
         values = full_periodogram(frame, 1)
