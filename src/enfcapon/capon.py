@@ -51,23 +51,23 @@ def levinson_solve(rho):
     Returns (w, alpha, valid): w (..., M-1), the final prediction-error
     power alpha = rho_0 + rho[1:] . w, and a mask that is False where
     rho_0 or an intermediate error power is non-positive, which happens
-    iff the Toeplitz matrix is not positive definite.  Invalid rows keep
-    the last valid w and alpha (1 when rho_0 <= 0), so later stages stay
-    finite.
+    iff the Toeplitz matrix is not positive definite.  Invalid rows get
+    w = 0 and alpha = 1, so later stages stay finite.
     """
     rho = np.asarray(rho, dtype=np.float64)
-    valid = rho[..., 0] > 0.0
-    alpha = np.where(valid, rho[..., 0], 1.0)
+    alpha = rho[..., 0]
+    valid = alpha > 0.0
     w = np.zeros(rho.shape[:-1] + (0,))
-    for k in range(1, rho.shape[-1]):
-        acc = rho[..., k] + np.einsum("...i,...i->...", w, rho[..., k - 1 : 0 : -1])
-        reflection = -acc / alpha
-        step_alpha = alpha * (1.0 - reflection * reflection)
-        valid = valid & (step_alpha > 0.0)
-        reflection = np.where(valid, reflection, 0.0)[..., None]
-        w = np.concatenate([w + reflection * w[..., ::-1], reflection], axis=-1)
-        alpha = np.where(valid, step_alpha, alpha)
-    return w, alpha, valid
+    with np.errstate(all="ignore"):  # failed rows run on, and are reset below
+        for k in range(1, rho.shape[-1]):
+            acc = rho[..., k] + np.einsum("...i,...i->...", w, rho[..., k - 1 : 0 : -1])
+            reflection = -acc / alpha
+            alpha = alpha * (1.0 - reflection * reflection)
+            valid = valid & (alpha > 0.0)
+            reflection = reflection[..., None]
+            w = np.concatenate([w + reflection * w[..., ::-1], reflection], axis=-1)
+    w[~valid] = 0.0
+    return w, np.where(valid, alpha, 1.0), valid
 
 
 def gs_factors(w, alpha):

@@ -25,10 +25,9 @@ from .pipeline import (ESTIMATORS, MAX_CAPON_ORDER, estimate, power_config, prep
 from .signal_io import SampledSignal, read_wav, write_wav
 from .synthetic import make_power_fixture
 from .track import CADENCE_TOL_S, EnfTrack, read_track, write_track
+from .windowing import WINDOW_KINDS
 
 MANIFEST_SCHEMA = 1
-
-WINDOW_CHOICES = ("parzen", "hamming", "kaiser", "rect")
 
 EXIT_DEGENERATE = 3
 
@@ -94,12 +93,8 @@ def pipeline_options(estimator):
                      help="Nominal grid frequency.  [default: 60]"),
         click.option("--harmonic", type=int, default=None,
                      help="Harmonic to analyze.  [default: per mode]"),
-        click.option("--frame-seconds", "frame_len_s", type=float, default=None,
-                     help="Frame length in seconds.  [default: 1]"),
         click.option("--shift-seconds", "shift_s", type=float, default=None,
                      help="Frame shift in seconds.  [default: 1]"),
-        click.option("--window", type=click.Choice(WINDOW_CHOICES), default=None,
-                     help="Temporal window.  [default: parzen]"),
         click.option("--kaiser-beta", type=float, default=None,
                      help="Kaiser window shape parameter.  [default: 8.6]"),
         click.option("--estimator", type=click.Choice(ESTIMATORS), default=estimator,
@@ -118,16 +113,12 @@ def pipeline_options(estimator):
     return lambda fn: functools.reduce(lambda f, opt: opt(f), reversed(opts), fn)
 
 
-def _gather_config(mode, nominal_hz, window, **kw):
+def _gather_config(mode, nominal_hz, **kw):
+    """The preset for mode with every option given; PipelineConfig checks it."""
     if nominal_hz is not None:
         kw["nominal_hz"] = float(nominal_hz)
-    if window is not None:
-        kw["window"] = "rectangular" if window == "rect" else window
     preset = power_config if mode == "power" else speech_config
-    try:
-        return preset(**{k: v for k, v in kw.items() if v is not None})
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    return preset(**{k: v for k, v in kw.items() if v is not None})
 
 
 @click.group()
@@ -145,15 +136,19 @@ def main():
 @click.option("--skip-seconds", type=float, default=0.0, show_default=True,
               help="Seconds to drop from the head of the recording.")
 @click.option("--json", "as_json", is_flag=True, help="Print a JSON summary.")
+@click.option("--frame-seconds", "frame_len_s", type=float, default=None,
+              help="Frame length in seconds.  [default: 1]")
+@click.option("--window", type=click.Choice(WINDOW_KINDS), default=None,
+              help="Temporal window.  [default: parzen]")
 @pipeline_options("capon")
 def extract(wav, output, fmt, skip_seconds, as_json, **kw):
     """Extract an ENF track from a WAV recording."""
     if not 0.0 <= skip_seconds < math.inf:
         raise click.BadParameter("must be finite and non-negative",
                                  param_hint="'--skip-seconds'")
-    config = _gather_config(**kw)
     timings = {}
     with _exit_codes():
+        config = _gather_config(**kw)
         with _timed(timings, "load"):
             signal = read_wav(wav)
             if skip_seconds > 0:
@@ -225,10 +220,8 @@ def match(extracted, reference, centered):
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 def fisher(c1, c2, n, alpha):
     """Fisher-z significance test between two correlation coefficients."""
-    try:
+    with _exit_codes():
         result = fisher_test(c1, c2, n, alpha)
-    except (ValueError, OverflowError) as exc:
-        raise click.UsageError(str(exc))
     click.echo(json.dumps(dataclasses.asdict(result)))
 
 
@@ -272,7 +265,7 @@ def synth(seed, duration_seconds, snr_db, wav_out, ref_out):
 @click.argument("wav", type=click.Path(exists=True, dir_okay=False))
 @click.option("--reference", required=True, type=click.Path(exists=True, dir_okay=False),
               help="Reference track CSV.")
-@click.option("--windows", default="parzen,hamming,kaiser,rect", show_default=True,
+@click.option("--windows", default=",".join(WINDOW_KINDS), show_default=True,
               help="Comma-separated window kinds.")
 @click.option("--frame-lengths", default="1,5,10,20", show_default=True,
               help="Comma-separated frame lengths in seconds.")
@@ -286,10 +279,6 @@ def synth(seed, duration_seconds, snr_db, wav_out, ref_out):
 def compare_windows(wav, reference, windows, frame_lengths, output, plot_data,
                     centered, **kw):
     """Correlation matrix over window kinds and frame lengths."""
-    for key, flag, superseding in (("window", "--window", "--windows"),
-                                   ("frame_len_s", "--frame-seconds", "--frame-lengths")):
-        if kw.pop(key) is not None:
-            raise click.UsageError(f"{flag} does not apply here; use {superseding}")
     # Each window is checked when its cells' configs are built.
     window_list = [w.strip() for w in windows.split(",") if w.strip()]
     try:
@@ -299,12 +288,12 @@ def compare_windows(wav, reference, windows, frame_lengths, output, plot_data,
     if not window_list or not lengths:
         raise click.UsageError("need at least one window and one frame length")
 
-    # Cells differ only in window and frame length, so they share one
-    # prepared (decimated, band-passed) signal.
-    configs = [[_gather_config(window=win, frame_len_s=length, **kw) for length in lengths]
-               for win in window_list]
     rows, timings = [], {}
     with _exit_codes():
+        # Cells differ only in window and frame length, so they share one
+        # prepared (decimated, band-passed) signal.
+        configs = [[_gather_config(window=win, frame_len_s=length, **kw) for length in lengths]
+                   for win in window_list]
         with _timed(timings, "load"):
             ref = read_track(reference)
             signal = read_wav(wav)
@@ -333,8 +322,8 @@ def compare_windows(wav, reference, windows, frame_lengths, output, plot_data,
                     for length, c in zip(lengths, cells):
                         fh.write(f"{win},{length:g},{c!r}\n")
     # The cells' shared config, with the window and frame length lists that ran.
-    record = dict(dataclasses.asdict(configs[0][0]), window=[row[0].window for row in configs],
-                  frame_len_s=lengths, centered=centered)
+    record = dict(dataclasses.asdict(configs[0][0]), window=window_list, frame_len_s=lengths,
+                  centered=centered)
     _write_manifest(output, "compare-windows", record, [wav, reference], timings,
                     [output] + ([plot_data] if plot_data else []))
     click.echo(f"wrote {output}")

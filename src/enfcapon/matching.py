@@ -13,6 +13,7 @@ Lags are 0-based internally; reports use 1-based indexing.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,18 +161,18 @@ def fisher_test(c1, c2, n, alpha=0.05):
     two-sided normal critical value (1.96 at alpha = 0.05).  Note the
     test assumes independent correlation estimates; applied to
     correlations computed on the same data it is used as stated, without
-    a dependency correction.
+    a dependency correction.  Every rejection is an IncompatibleInputError.
     """
     if not (abs(c1) < 1.0 and abs(c2) < 1.0):
-        raise ValueError("correlations must lie strictly inside (-1, 1)")
-    if n <= 3:
-        raise ValueError("need n > 3 observations")
+        raise IncompatibleInputError("correlations must lie strictly inside (-1, 1)")
+    if not 3 < n <= sys.float_info.max:  # beyond it, sqrt(n - 3) overflows
+        raise IncompatibleInputError(f"need 3 < n <= {sys.float_info.max:g} observations")
     if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+        raise IncompatibleInputError("alpha must lie in (0, 1)")
     z1 = math.atanh(c1)
     z2 = math.atanh(c2)
     q = math.sqrt(n - 3) * (z1 - z2)
     critical = float(norm.isf(alpha / 2.0))
     if math.isinf(critical):
-        raise ValueError(f"alpha {alpha:g} is too small for a finite critical value")
+        raise IncompatibleInputError(f"alpha {alpha:g} is too small for a finite critical value")
     return FisherTest(z1, z2, q, n, alpha, critical, abs(q) >= critical)

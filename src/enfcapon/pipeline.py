@@ -7,7 +7,8 @@ deep stopband can never win the argmax.
 """
 
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,41 +50,44 @@ class PipelineConfig:
     interpolate: bool = True
 
     def __post_init__(self):
+        """Every rejection is an IncompatibleInputError (a ValueError)."""
         if self.estimator not in ESTIMATORS:
-            raise ValueError(f"estimator must be one of {ESTIMATORS}")
+            raise IncompatibleInputError(f"estimator must be one of {ESTIMATORS}")
         if self.window not in WINDOW_KINDS:
-            raise ValueError(f"window must be one of {WINDOW_KINDS}")
-        if self.harmonic < 1:
-            raise ValueError("harmonic must be a positive integer")
+            raise IncompatibleInputError(f"window must be one of {WINDOW_KINDS}")
+        # Integers beyond float range would overflow the float arithmetic below.
+        if not 1 <= self.harmonic <= sys.float_info.max:
+            raise IncompatibleInputError("harmonic must be a positive integer in float range")
         nyquist = self.working_rate_hz / 2.0
         half = self.passband_hz / 2.0
         if not 0.0 < self.center_hz - half < self.center_hz + half < nyquist:
-            raise ValueError(
+            raise IncompatibleInputError(
                 f"harmonic band {self.center_hz:g} +/- {half:g} Hz is not inside "
                 f"the working band (0, {nyquist:g}) Hz"
             )
-        if self.taps < 3 or self.taps % 2 == 0:
-            raise ValueError("taps must be odd and at least 3")
+        if not 3 <= self.taps <= sys.float_info.max or self.taps % 2 == 0:
+            raise IncompatibleInputError("taps must be odd, at least 3 and in float range")
         if self.window == "kaiser" and not 0.0 <= self.kaiser_beta < math.inf:
-            raise ValueError("Kaiser beta must be non-negative and finite")
+            raise IncompatibleInputError("Kaiser beta must be non-negative and finite")
         if self.capon_order < 1 or self.pad_factor < 1:
-            raise ValueError("capon order and pad factor must be at least 1")
+            raise IncompatibleInputError("capon order and pad factor must be at least 1")
         if self.capon_order > MAX_CAPON_ORDER:
-            raise ValueError(f"capon order must be at most {MAX_CAPON_ORDER}")
+            raise IncompatibleInputError(f"capon order must be at most {MAX_CAPON_ORDER}")
         if self.pad_factor > MAX_PAD_FACTOR:
-            raise ValueError(f"pad factor must be at most {MAX_PAD_FACTOR}")
+            raise IncompatibleInputError(f"pad factor must be at most {MAX_PAD_FACTOR}")
         rate = self.working_rate_hz
         # pad_factor keeps the grid size within float range.
         span = self.pad_factor * self.frame_len_s * rate + self.shift_s * rate
         if span == math.inf:
-            raise ValueError("frame length or shift is too long: its sample count overflows")
+            raise IncompatibleInputError(
+                "frame length or shift is too long: its sample count overflows")
         if not (math.isfinite(span) and min(self.frame_samples) >= 1):
-            raise ValueError("frame length and shift must round to at least 1 sample")
+            raise IncompatibleInputError("frame length and shift must round to at least 1 sample")
         if self.estimator == "capon" and self.frame_samples[0] <= self.capon_order:
-            raise ValueError(
+            raise IncompatibleInputError(
                 f"{self.frame_samples[0]}-sample frames are shorter than capon order + 1"
             )
-        # Raises IncompatibleInputError when the band holds too few grid points.
+        # Rejects a band that holds too few grid points.
         spectral.band_edges(self.estimation_band, self.grid_size, rate)
 
     @property
@@ -117,12 +121,12 @@ class PipelineConfig:
 
 def power_config(**overrides):
     """Power-mains preset: 3rd harmonic, 1001-tap filter."""
-    return replace(PipelineConfig(), **overrides)
+    return PipelineConfig(**overrides)
 
 
 def speech_config(**overrides):
     """Speech preset: 2nd harmonic, 4801-tap filter."""
-    return replace(PipelineConfig(harmonic=2, taps=4801), **overrides)
+    return PipelineConfig(**{"harmonic": 2, "taps": 4801, **overrides})
 
 
 def _decimation_factor(sample_rate_hz, working_rate_hz):

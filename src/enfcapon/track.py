@@ -101,17 +101,19 @@ def read_track(path):
     """Load a track written by write_track; format inferred from content.
 
     shift_s is inferred from time_s when the times are uniformly spaced,
-    and is None otherwise (or for fewer than two rows).
+    and is None otherwise (or for fewer than two rows).  Every
+    TrackFormatError message starts with the path.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise TrackFormatError(f"not UTF-8 text: {exc}") from exc
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        return _parse_json(text)
-    return _parse_csv(text)
+    except UnicodeDecodeError as exc:
+        raise TrackFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    try:
+        return _parse_json(text) if text.lstrip().startswith("[") else _parse_csv(text)
+    except TrackFormatError as exc:
+        exc.args = (f"{path}: {exc}",)  # exc.line stays
+        raise
 
 
 def _parse_json(text):

@@ -69,7 +69,7 @@ def fixture_runs(power_fixture):
     runs = {}
     for estimator, window in (
         ("capon", "parzen"),
-        ("capon", "rectangular"),
+        ("capon", "rect"),
         ("stft", "parzen"),
     ):
         config = power_config(estimator=estimator, window=window)
@@ -129,7 +129,7 @@ def test_criterion_3_capon_end_to_end(fixture_runs):
 
 def test_criterion_4_window_ordering(fixture_runs):
     parzen = fixture_runs[("capon", "parzen")]["corr"]
-    rectangular = fixture_runs[("capon", "rectangular")]["corr"]
+    rectangular = fixture_runs[("capon", "rect")]["corr"]
     assert parzen >= rectangular
     report(4, f"window ordering (parzen={parzen:.4f} >= rect={rectangular:.4f})")
 
@@ -148,7 +148,7 @@ def test_batched_matches_per_frame_oracle(power_fixture):
     for signal in (power_fixture.signal, spliced):
         for estimator, window in (
             ("capon", "parzen"),
-            ("capon", "rectangular"),
+            ("capon", "rect"),
             ("stft", "parzen"),
         ):
             config = power_config(estimator=estimator, window=window)

@@ -99,6 +99,19 @@ class TestLevinson:
         np.testing.assert_array_equal(valid, [False, False, True])
         assert np.all(alpha > 0.0)
 
+    def test_failed_rows_reset_and_valid_rows_unchanged(self, rng):
+        good = np.array([random_pd_toeplitz(rng, 11) for _ in range(4)])
+        bad = good.copy()
+        bad[1, 1] = 1.2 * bad[1, 0]   # fails at the first step
+        bad[2] = 0.0                  # no energy
+        bad[3, 5] = 3.0 * bad[3, 0]   # fails at a later step
+        w, alpha, valid = levinson_solve(bad)
+        np.testing.assert_array_equal(valid, [True, False, False, False])
+        np.testing.assert_array_equal(w[1:], 0.0)
+        np.testing.assert_array_equal(alpha[1:], 1.0)
+        w_good, alpha_good, _ = levinson_solve(good)
+        assert np.array_equal(w[0], w_good[0]) and alpha[0] == alpha_good[0]
+
     def test_pd_agreement_with_eigenvalues(self, rng):
         # Levinson succeeds exactly when the dense matrix is PD.
         cols = []

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from conftest import UNDECODABLE_TRACKS, make_tone
 from enfcapon import cli, pipeline
-from enfcapon.cli import WINDOW_CHOICES, main
+from enfcapon.cli import main
 from enfcapon.matching import best_lag
 from enfcapon.pipeline import extract_enf, power_config
 from enfcapon.signal_io import SampledSignal, read_wav, write_wav
 from enfcapon.synthetic import make_power_fixture
 from enfcapon.track import EnfTrack, read_track, write_track
+from enfcapon.windowing import WINDOW_KINDS
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +198,33 @@ class TestExtract:
         assert isinstance(result.exception, SystemExit)
         assert "no audio frames" in result.output
 
+    @pytest.mark.parametrize("window", WINDOW_KINDS)
+    def test_manifest_window_is_accepted_by_window_option(self, runner, fixture_files,
+                                                          tmp_path, window):
+        wav, _ = fixture_files
+        recorded = None
+        for out in (tmp_path / "a.csv", tmp_path / "b.csv"):
+            result = runner.invoke(main, ["extract", str(wav), "-o", str(out),
+                                          "--window", recorded or window])
+            assert result.exit_code == 0, result.output
+            manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+            recorded = manifest["config"]["window"]
+            assert recorded == window
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize("option, message", [
+        ("--harmonic", "harmonic must be a positive integer"),
+        ("--taps", "taps must be odd"),
+    ])
+    def test_integer_beyond_float_range_exit_code(self, runner, fixture_files, tmp_path,
+                                                  option, message):
+        wav, _ = fixture_files
+        result = runner.invoke(main, ["extract", str(wav), "-o", str(tmp_path / "x.csv"),
+                                      option, str(10**400 + 1)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+
     @pytest.mark.parametrize("seconds", ["inf", "nan", "-1"])
     def test_bad_skip_seconds_exit_code(self, runner, fixture_files, tmp_path, seconds):
         wav, _ = fixture_files
@@ -295,6 +323,16 @@ class TestMatch:
         assert isinstance(result.exception, SystemExit)
         assert message in result.output
 
+    @pytest.mark.parametrize("bad", [0, 1])
+    def test_names_the_track_that_failed_to_parse(self, runner, tmp_path, bad):
+        paths = [tmp_path / "q.csv", tmp_path / "r.csv"]
+        write_cadence_track(paths[1 - bad], 5, 1.0)
+        paths[bad].write_text("frame_index,time_s,freq_hz\n0,0.0,60.0\n2,1.0,60.0\n")
+        result = runner.invoke(main, ["match", *map(str, paths)])
+        assert result.exit_code == 2
+        assert f"{paths[bad]}: frame indices must be consecutive" in result.output
+        assert str(paths[1 - bad]) not in result.output
+
     def test_lag_seconds_uses_track_cadence(self, runner, tmp_path):
         rng = np.random.default_rng(9)
         freqs = 60.0 + 0.01 * rng.normal(size=200)
@@ -331,6 +369,13 @@ class TestFisher:
         assert "finite critical value" in result.output
 
 
+    def test_n_beyond_float_range_exit_code(self, runner):
+        result = runner.invoke(main, ["fisher", "0.5", "0.4", str(10**400)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "need 3 < n <=" in result.output
+
+
 class TestCompareWindows:
     def test_matrix_shape(self, runner, fixture_files, tmp_path):
         wav, ref = fixture_files
@@ -365,11 +410,31 @@ class TestCompareWindows:
         manifest = json.loads((tmp_path / "cmp.csv.manifest.json").read_text())
         config = manifest["config"]
         assert (config["estimator"], config["harmonic"], config["taps"]) == ("stft", 2, 801)
-        assert config["window"] == ["parzen", "rectangular"]
+        assert config["window"] == ["parzen", "rect"]
         assert config["frame_len_s"] == [1.0, 2.0]
         assert config["centered"] is False
         assert set(manifest["timings_s"]) == {"load", "prepare", "cells", "write"}
         assert wav_reads == [str(wav)]
+
+    def test_manifest_windows_equal_csv_labels(self, runner, fixture_files, tmp_path):
+        wav, ref = fixture_files
+        out = tmp_path / "cmp.csv"
+        result = runner.invoke(main, ["compare-windows", str(wav), "--reference", str(ref),
+                                      "--frame-lengths", "1", "-o", str(out)])
+        assert result.exit_code == 0, result.output
+        labels = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        manifest = json.loads((tmp_path / "cmp.csv.manifest.json").read_text())
+        assert manifest["config"]["window"] == labels == list(WINDOW_KINDS)
+
+    def test_names_the_reference_that_failed_to_parse(self, runner, fixture_files, tmp_path):
+        wav, _ = fixture_files
+        ref = tmp_path / "gap.csv"
+        ref.write_text("frame_index,time_s,freq_hz\n0,0.0,60.0\n2,1.0,60.0\n")
+        result = runner.invoke(main, ["compare-windows", str(wav), "--reference", str(ref),
+                                      "--windows", "parzen", "--frame-lengths", "1",
+                                      "-o", str(tmp_path / "x.csv")])
+        assert result.exit_code == 2
+        assert f"{ref}: frame indices must be consecutive" in result.output
 
     def test_help_gives_estimator_default(self, runner):
         result = runner.invoke(main, ["compare-windows", "--help"])
@@ -704,7 +769,7 @@ def float_option(lo, hi):
         "--harmonic": optional(st.integers(0, 4)),
         "--frame-seconds": float_option(0.0, 25.0),
         "--shift-seconds": float_option(0.0, 5.0),
-        "--window": optional(st.sampled_from(WINDOW_CHOICES)),
+        "--window": optional(st.sampled_from(WINDOW_KINDS)),
         "--kaiser-beta": float_option(-1.0, 20.0),
         "--estimator": optional(st.sampled_from(["capon", "stft"])),
         "--taps": optional(st.integers(0, 4500).map(lambda k: 2 * k + 1)),
@@ -816,7 +881,7 @@ def long_reference(tmp_path_factory):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(options=option_values(
-    valid={"--windows": st.sampled_from(WINDOW_CHOICES),
+    valid={"--windows": st.sampled_from(WINDOW_KINDS),
            "--frame-lengths": st.floats(0.5, 10.0),
            "--mode": st.sampled_from(["power", "speech"]),
            "--nominal-hz": st.sampled_from(["50", "60"]),

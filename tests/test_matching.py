@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enfcapon.errors import UndefinedCorrelationError
+from enfcapon.errors import IncompatibleInputError, UndefinedCorrelationError
 from enfcapon.matching import best_lag, correlation, fisher_test
 from oracle import best_lag_scan
 
@@ -242,6 +242,18 @@ class TestFisher:
     def test_alpha_without_finite_critical_value_rejected(self):
         with pytest.raises(ValueError, match="finite critical value"):
             fisher_test(0.5, 0.4, 100, alpha=5e-324)
+
+    @pytest.mark.parametrize("args", [
+        (1.0, 0.5, 100, 0.05), (0.5, math.nan, 100, 0.05), (0.5, 0.4, 3, 0.05),
+        (0.5, 0.4, 10**400, 0.05), (0.5, 0.4, 100, 0.0), (0.5, 0.4, 100, 5e-324),
+    ])
+    def test_every_rejection_is_incompatible_input(self, args):
+        with pytest.raises(IncompatibleInputError):
+            fisher_test(*args)
+
+    def test_largest_float_n_accepted(self):
+        n = int(np.finfo(np.float64).max)
+        assert fisher_test(0.5, 0.4, n).n == n
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -88,6 +88,37 @@ class TestConfig:
         with pytest.raises(ValueError):
             power_config(**overrides)
 
+    @pytest.mark.parametrize("overrides", [
+        {"estimator": "welch"},
+        {"window": "rectangular"},                 # the spelling is "rect"
+        {"harmonic": 0},
+        {"harmonic": 10**400},                     # beyond float range
+        {"taps": 10**400 + 1},
+        {"passband_hz": 400.0},
+        {"window": "kaiser", "kaiser_beta": float("inf")},
+        {"capon_order": 65},
+        {"pad_factor": 65},
+        {"frame_len_s": 1e306},
+        {"frame_len_s": 0.0},
+        {"frame_len_s": 0.01},
+        {"estimator": "stft", "frame_len_s": 0.05},
+    ])
+    def test_every_rejection_is_incompatible_input(self, overrides):
+        with pytest.raises(IncompatibleInputError):
+            power_config(**overrides)
+        with pytest.raises(IncompatibleInputError):
+            speech_config(**overrides)
+
+    def test_presets_build_the_config_once(self, monkeypatch):
+        built = []
+        check = PipelineConfig.__post_init__
+        monkeypatch.setattr(PipelineConfig, "__post_init__",
+                            lambda self: built.append(self) or check(self))
+        speech = speech_config(taps=801)
+        assert (speech.harmonic, speech.taps) == (2, 801)
+        assert power_config(window="rect").window == "rect"
+        assert len(built) == 2
+
     def test_short_frames_allowed_for_stft(self):
         config = power_config(frame_len_s=0.02, estimator="stft", pad_factor=64)
         assert config.frame_samples[0] <= power_config().capon_order

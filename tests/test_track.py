@@ -84,6 +84,21 @@ def test_non_numeric_freq_names_line(tmp_path):
     assert "line 3" in str(err.value)
 
 
+@pytest.mark.parametrize("name, content, message", [
+    ("bad.csv", "frame_index,time_s,freq_hz\n0,0.0,59.98\n1,1.0,sixty\n", "line 3: "),
+    ("gap.csv", "frame_index,time_s,freq_hz\n0,0.0,60.0\n2,1.0,60.0\n", "frame indices"),
+    ("bad.json", '[{"frame_index": 0, "time_s": 0.0}]', "bad entry 0: "),
+    ("latin1.csv", b"frame_index,time_s,freq_hz\n0,0.0,60.0\xff\n", "not UTF-8 text"),
+])
+def test_errors_start_with_the_path(tmp_path, name, content, message):
+    path = tmp_path / name
+    (path.write_bytes if isinstance(content, bytes) else path.write_text)(content)
+    with pytest.raises(TrackFormatError) as err:
+        read_track(path)
+    assert str(err.value).startswith(f"{path}: {message}")
+    assert err.value.line == (3 if message == "line 3: " else None)
+
+
 @pytest.mark.parametrize("value", ["inf", "-inf", "Infinity"])
 def test_infinite_freq_names_line(tmp_path, value):
     path = tmp_path / "inf.csv"
@@ -255,7 +270,10 @@ def test_csv_fast_path_agrees_with_line_parser(tmp_path, text):
     assert _outcome(track_module._parse_csv, text) == _outcome(oracle, text)
     path = tmp_path / "t.csv"
     path.write_bytes(text.encode("utf-8"))
-    assert _outcome(read_track, path) == _outcome(oracle, path.read_text(encoding="utf-8"))
+    expected = _outcome(oracle, path.read_text(encoding="utf-8"))
+    if len(expected) == 2:  # read_track names the file before the message
+        expected = (f"{path}: {expected[0]}", expected[1])
+    assert _outcome(read_track, path) == expected
 
 
 def test_each_probe_token_parses_as_the_line_parser_does():

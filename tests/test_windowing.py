@@ -22,7 +22,7 @@ def test_parzen_center_tap_is_one():
 
 def test_rectangular_all_ones():
     for n_points in (1, 5, 441):
-        assert np.all(make_window("rectangular", n_points) == 1.0)
+        assert np.all(make_window("rect", n_points) == 1.0)
 
 
 def test_parzen_n9_against_scalar_oracle():
