@@ -1,26 +1,38 @@
-"""Timing harness: the pipeline's in-band Capon kernel vs an explicit inverse.
+"""Timing harness: the pipeline's in-band Capon kernel vs an explicit
+inverse, and its decimator vs scipy's upfirdn.
 
-Both paths take the same batch of windowed frames to the Capon power at
-the same in-band bins, laid out as the default power config lays them
-out at the 441 Hz working rate.  The fast path is capon_band_power.  The
-dense baseline gathers the same loaded autocovariance into (K, M, M)
-Toeplitz matrices, inverts them with np.linalg.inv, and evaluates the
-quadratic form a*(omega) R^-1 a(omega) at every bin as batched matrix
-products.
+Both Capon paths take the same batch of windowed frames to the Capon
+power at the same in-band bins, laid out as the default power config
+lays them out at the 441 Hz working rate.  The fast path is
+capon_band_power.  The dense baseline gathers the same loaded
+autocovariance into (K, M, M) Toeplitz matrices, inverts them with
+np.linalg.inv, and evaluates the quadratic form a*(omega) R^-1 a(omega)
+at every bin as batched matrix products.
+
+Both decimation paths take the same full-rate noise to the working rate
+with the same anti-alias taps: decimate's row-block matrix product, and
+upfirdn's polyphase filter with the same delay compensation.
 """
 
 import timeit
 from functools import partial
 
 import numpy as np
+from scipy.signal import upfirdn
 
 from . import capon, spectral
 from .pipeline import power_config
+from .signal_io import SampledSignal, anti_alias_filter, decimate
 from .windowing import make_window
 
 # Frames of a 30-minute recording at the default 1 s frames and shift,
 # after the band-pass trims its 1000-sample edge.
 BENCH_FRAMES = 1797
+
+# Five minutes at 44.1 kHz, taken down to the 441 Hz working rate.
+DECIMATE_SECONDS = 300
+DECIMATE_RATE_HZ = 44100.0
+DECIMATE_FACTOR = 100
 
 
 def dense_band_power(frames, bins, grid_size, order=capon.DEFAULT_ORDER):
@@ -38,10 +50,26 @@ def dense_band_power(frames, bins, grid_size, order=capon.DEFAULT_ORDER):
     return (order + 1) / quad
 
 
+def upfirdn_decimate(signal, factor):
+    """decimate()'s working-rate samples through scipy's upfirdn: output j
+    is the full convolution at input index j * factor, so dropping the
+    first delay // factor outputs aligns them."""
+    taps = anti_alias_filter(factor, signal.sample_rate_hz)
+    start = (taps.size - 1) // 2 // factor
+    n_out = -(-len(signal) // factor)
+    return upfirdn(taps, signal.samples, 1, factor)[start : start + n_out]
+
+
+def _median_s(path, trials):
+    return float(np.median(timeit.repeat(path, number=1, repeat=trials)))
+
+
 def run_bench(order=capon.DEFAULT_ORDER, trials=100, seed=0):
     """Median time of capon_band_power vs dense_band_power on one seeded
     batch of white-noise frames under the default window, at the bins
-    and on the grid the default power config searches."""
+    and on the grid the default power config searches; and, under
+    "decimate", of decimate vs upfirdn_decimate on seeded full-rate
+    white noise."""
     config = power_config()
     frame_len, grid_size, bins = config.frame_samples[0], config.grid_size, config.search_bins
     rng = np.random.default_rng(seed)
@@ -52,10 +80,7 @@ def run_bench(order=capon.DEFAULT_ORDER, trials=100, seed=0):
     dense = partial(dense_band_power, frames, bins, grid_size, order)
     # Sanity: both paths agree while we are at it.
     np.testing.assert_allclose(fast()[0], dense(), rtol=1e-6)
-    fast_median, dense_median = (
-        float(np.median(timeit.repeat(path, number=1, repeat=trials)))
-        for path in (fast, dense)
-    )
+    fast_median, dense_median = (_median_s(path, trials) for path in (fast, dense))
     return {
         "order": order,
         "trials": trials,
@@ -67,4 +92,22 @@ def run_bench(order=capon.DEFAULT_ORDER, trials=100, seed=0):
         "fast_median_s": fast_median,
         "dense_median_s": dense_median,
         "speedup": dense_median / fast_median,
+        "decimate": _bench_decimate(trials, rng),
+    }
+
+
+def _bench_decimate(trials, rng):
+    signal = SampledSignal(
+        rng.standard_normal(round(DECIMATE_SECONDS * DECIMATE_RATE_HZ)), DECIMATE_RATE_HZ)
+    fast = partial(decimate, signal, DECIMATE_FACTOR)
+    baseline = partial(upfirdn_decimate, signal, DECIMATE_FACTOR)
+    np.testing.assert_allclose(fast().samples, baseline(), rtol=0.0, atol=1e-12)
+    fast_median, baseline_median = (_median_s(path, trials) for path in (fast, baseline))
+    return {
+        "samples": len(signal),
+        "rate_hz": DECIMATE_RATE_HZ,
+        "factor": DECIMATE_FACTOR,
+        "fast_median_s": fast_median,
+        "upfirdn_median_s": baseline_median,
+        "speedup": baseline_median / fast_median,
     }

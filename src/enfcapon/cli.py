@@ -335,7 +335,8 @@ def compare_windows(wav, reference, windows, frame_lengths, output, plot_data,
 @click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def bench(order, trials, seed):
-    """Time the pipeline's in-band Capon kernel against an explicit inverse."""
+    """Time the pipeline's in-band Capon kernel against an explicit inverse,
+    and its decimator against scipy's upfirdn."""
     click.echo(json.dumps(run_bench(order=order, trials=trials, seed=seed), indent=1))
 
 

@@ -67,7 +67,8 @@ class PipelineConfig:
             )
         if not 3 <= self.taps <= sys.float_info.max or self.taps % 2 == 0:
             raise IncompatibleInputError("taps must be odd, at least 3 and in float range")
-        if self.window == "kaiser" and not 0.0 <= self.kaiser_beta < math.inf:
+        # Checked for every window: the manifest records it either way.
+        if not 0.0 <= self.kaiser_beta < math.inf:
             raise IncompatibleInputError("Kaiser beta must be non-negative and finite")
         if self.capon_order < 1 or self.pad_factor < 1:
             raise IncompatibleInputError("capon order and pad factor must be at least 1")

@@ -9,9 +9,10 @@ refinement.  The full-grid spectrum comes from one Hermitian FFT of the
 denominator coefficients (capon_psd) or from an explicit inverse and
 its quadratic form at every bin (capon_psd_dense).  The dense helpers
 form the Toeplitz machinery with explicit matrices.  The package
-decimates by polyphase filtering and band-passes by overlap-save in
-fixed real-FFT blocks; the full-rate helpers here convolve the whole
-signal with one FFT and keep the outputs they need.  The package matches a
+decimates by one matrix product per block of polyphase rows and
+band-passes by overlap-save in fixed real-FFT blocks; the full-rate
+helpers here convolve the whole signal with one FFT and keep the
+outputs they need.  The package matches a
 track by FFT sums that nominate candidate lags; the scan here scores
 every lag through `correlation`.
 """

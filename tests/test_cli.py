@@ -166,6 +166,8 @@ class TestExtract:
     @pytest.mark.parametrize("options, message", [
         (["--estimator", "stft", "--frame-seconds", "0.05"], "fewer than 3 grid points"),
         (["--capon-order", "65", "--frame-seconds", "100"], "capon order must be at most 64"),
+        # The default Parzen window does not read it, but the manifest does.
+        (["--kaiser-beta", "nan"], "Kaiser beta must be non-negative and finite"),
     ])
     def test_unusable_layout_rejected_before_the_wav_is_read(
             self, runner, fixture_files, tmp_path, wav_reads, options, message):
@@ -675,6 +677,9 @@ class TestBench:
         assert (report["frames"], report["frame_len"]) == (1797, 441)
         assert (report["grid_size"], report["bins"]) == (1764, 25)
         assert report["speedup"] > 0
+        decimation = report["decimate"]
+        assert (decimation["samples"], decimation["factor"]) == (300 * 44100, 100)
+        assert decimation["speedup"] > 0
 
     def test_single_trial_well_formed(self, runner):
         result = runner.invoke(main, ["bench", "--trials", "1"])

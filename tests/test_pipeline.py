@@ -96,6 +96,8 @@ class TestConfig:
         {"taps": 10**400 + 1},
         {"passband_hz": 400.0},
         {"window": "kaiser", "kaiser_beta": float("inf")},
+        {"kaiser_beta": float("nan")},             # checked for every window
+        {"kaiser_beta": -1.0},
         {"capon_order": 65},
         {"pad_factor": 65},
         {"frame_len_s": 1e306},

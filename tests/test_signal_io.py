@@ -10,7 +10,7 @@ from enfcapon.errors import (
     IncompatibleInputError,
     UnsupportedFormatError,
 )
-from enfcapon.signal_io import SampledSignal, decimate, read_wav, write_wav
+from enfcapon.signal_io import _BLOCK_ROWS, SampledSignal, decimate, read_wav, write_wav
 from oracle import decimate_full_rate
 
 
@@ -99,6 +99,20 @@ class TestReadWav:
         two_step = pcm.astype(np.float64).reshape(-1, n_channels).mean(axis=1) / 32768.0
         assert read_wav(path).samples.tobytes() == two_step.tobytes()
 
+    @pytest.mark.parametrize("n_channels", [1, 2])
+    def test_one_float64_copy(self, tmp_path, n_channels):
+        # 10 s at 44.1 kHz: a second float64 array would add 3.5 MB.
+        n_frames = 441_000
+        path = tmp_path / "pcm.wav"
+        write_raw_wav(path, bytes(2 * n_channels * n_frames), n_channels=n_channels)
+        tracemalloc.start()
+        try:
+            read_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n_channels * n_frames + 8 * n_frames + (1 << 20)
+
 
 class TestDecimate:
     def test_factor_one_is_identity(self, rng):
@@ -173,8 +187,12 @@ class TestDecimate:
     @pytest.mark.parametrize("length", [
         lambda f: 10 * f + 2,
         lambda f: 37 * f + 1,
+        lambda f: 37 * f,
         lambda f: 400 * f - 1,
-    ], ids=["taps_plus_one", "not_a_multiple", "long_not_a_multiple"])
+        lambda f: 2 * _BLOCK_ROWS * f,
+        lambda f: (2 * _BLOCK_ROWS + 1) * f + 1,
+    ], ids=["taps_plus_one", "not_a_multiple", "multiple", "long_not_a_multiple",
+            "two_blocks", "past_two_blocks"])
     def test_matches_full_rate_filtering(self, rng, factor, length):
         signal = SampledSignal(rng.normal(size=length(factor)), 441.0 * factor, 2.5)
         out = decimate(signal, factor)
@@ -182,6 +200,21 @@ class TestDecimate:
         assert len(out) == len(expected)
         assert (out.sample_rate_hz, out.origin_offset_s) == (441.0, 2.5)
         assert np.max(np.abs(out.samples - expected.samples)) <= 1e-12
+
+    def test_transient_stays_below_a_whole_signal_product(self, rng):
+        # Two minutes at 44.1 kHz: the (n_out, 11) product of every row at
+        # once would take 4.7 MB beside the 0.4 MB output.
+        signal = SampledSignal(rng.normal(size=120 * 44100), 44100.0)
+        n_out, width = len(signal) // 100, 11
+        bound = 8 * n_out + (2 << 20)
+        assert bound < 8 * n_out * width
+        tracemalloc.start()
+        try:
+            decimate(signal, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestSampledSignal:
