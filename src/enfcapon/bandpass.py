@@ -10,7 +10,7 @@ it).  The convolution runs by overlap-save in fixed real-FFT blocks.
 
 import numpy as np
 
-from .signal_io import SampledSignal
+from .signal_io import SampledSignal, design_fir
 
 # Approximate transition width of a Hamming-designed FIR, in Hz.
 HAMMING_TRANSITION_FACTOR = 3.3
@@ -27,20 +27,11 @@ _BLOCKS_PER_CALL = 4
 
 
 def design_bandpass(sample_rate_hz, center_hz, passband_hz, taps):
-    """Hamming window-method linear-phase band-pass, unit gain at center.
-
-    The ideal band-pass impulse response, tapered by a symmetric Hamming
-    window and divided by its gain at the passband center: the design
-    scipy.signal.firwin(taps, [lo, hi], pass_zero=False) makes, without
-    its per-call argument handling.  taps must be odd and the band must lie
-    inside (0, Nyquist), as PipelineConfig checks.
-    """
+    """design_fir's band-pass, unit gain at center_hz; the band must lie in
+    (0, Nyquist), as PipelineConfig checks."""
     nyquist = sample_rate_hz / 2.0
-    lo = (center_hz - passband_hz / 2.0) / nyquist
-    hi = (center_hz + passband_hz / 2.0) / nyquist
-    n = np.arange(taps) - (taps - 1) / 2.0
-    coeffs = (hi * np.sinc(hi * n) - lo * np.sinc(lo * n)) * np.hamming(taps)
-    return coeffs / np.sum(coeffs * np.cos(np.pi * n * (0.5 * (lo + hi))))
+    return design_fir(taps, (center_hz - passband_hz / 2.0) / nyquist,
+                      (center_hz + passband_hz / 2.0) / nyquist)
 
 
 def apply_zero_phase(coeffs, signal):

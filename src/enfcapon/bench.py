@@ -14,11 +14,13 @@ with the same anti-alias taps: decimate's row-block matrix product, and
 upfirdn's polyphase filter with the same delay compensation.
 """
 
+import contextlib
+import os
+import platform
 import timeit
 from functools import partial
 
 import numpy as np
-from scipy.signal import upfirdn
 
 from . import capon, spectral
 from .pipeline import power_config
@@ -33,6 +35,10 @@ BENCH_FRAMES = 1797
 DECIMATE_SECONDS = 300
 DECIMATE_RATE_HZ = 44100.0
 DECIMATE_FACTOR = 100
+
+# The BLAS and OpenMP thread settings the decimation median depends on.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS")
 
 
 def dense_band_power(frames, bins, grid_size, order=capon.DEFAULT_ORDER):
@@ -54,10 +60,22 @@ def upfirdn_decimate(signal, factor):
     """decimate()'s working-rate samples through scipy's upfirdn: output j
     is the full convolution at input index j * factor, so dropping the
     first delay // factor outputs aligns them."""
+    from scipy.signal import upfirdn  # only the bench baseline needs scipy
     taps = anti_alias_filter(factor, signal.sample_rate_hz)
     start = (taps.size - 1) // 2 // factor
     n_out = -(-len(signal) // factor)
     return upfirdn(taps, signal.samples, 1, factor)[start : start + n_out]
+
+
+def host():
+    """CPU model (the machine type where /proc/cpuinfo names none), CPU
+    count, and the thread variables as set (None where unset)."""
+    model = platform.machine()
+    with contextlib.suppress(OSError), open("/proc/cpuinfo", encoding="utf-8") as fh:
+        model = next((line.split(":", 1)[1].strip() for line in fh
+                      if line.startswith("model name")), model)
+    return {"cpu_model": model, "cpu_count": os.cpu_count(),
+            "threads": {name: os.environ.get(name) for name in THREAD_VARS}}
 
 
 def _median_s(path, trials):
@@ -69,7 +87,7 @@ def run_bench(order=capon.DEFAULT_ORDER, trials=100, seed=0):
     batch of white-noise frames under the default window, at the bins
     and on the grid the default power config searches; and, under
     "decimate", of decimate vs upfirdn_decimate on seeded full-rate
-    white noise."""
+    white noise; "host" records what else the medians depend on."""
     config = power_config()
     frame_len, grid_size, bins = config.frame_samples[0], config.grid_size, config.search_bins
     rng = np.random.default_rng(seed)
@@ -93,6 +111,7 @@ def run_bench(order=capon.DEFAULT_ORDER, trials=100, seed=0):
         "dense_median_s": dense_median,
         "speedup": dense_median / fast_median,
         "decimate": _bench_decimate(trials, rng),
+        "host": host(),
     }
 
 

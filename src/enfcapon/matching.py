@@ -15,10 +15,10 @@ Lags are 0-based internally; reports use 1-based indexing.
 import math
 import sys
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.stats import norm
+from numpy.fft import irfft, rfft
 
 from .errors import IncompatibleInputError, UndefinedCorrelationError
 
@@ -96,7 +96,7 @@ def best_lag(f, g, centered=False):
         raise IncompatibleInputError(f"reference length {g.size} shorter than track length {k}")
     if k < 2:
         raise UndefinedCorrelationError("correlation undefined at every lag")
-    nfft = next_fast_len(min(max(4 * k, 8192), g.size), real=True)
+    nfft = 1 << (min(max(4 * k, 8192), g.size) - 1).bit_length()
     o = float(np.median(g[np.isfinite(g)])) if np.isfinite(g).any() else 0.0
     upper, low = np.full(g.size - k + 1, np.nan), -np.inf
     with np.errstate(all="ignore"):
@@ -172,7 +172,7 @@ def fisher_test(c1, c2, n, alpha=0.05):
     z1 = math.atanh(c1)
     z2 = math.atanh(c2)
     q = math.sqrt(n - 3) * (z1 - z2)
-    critical = float(norm.isf(alpha / 2.0))
-    if math.isinf(critical):
+    if alpha / 2.0 == 0.0:
         raise IncompatibleInputError(f"alpha {alpha:g} is too small for a finite critical value")
+    critical = -NormalDist().inv_cdf(alpha / 2.0)
     return FisherTest(z1, z2, q, n, alpha, critical, abs(q) >= critical)

@@ -32,6 +32,9 @@ MAX_PAD_FACTOR = 64
 # an O(m**2) Levinson step and an (m + 1) x B cosine matrix.
 MAX_CAPON_ORDER = 64
 
+# The Kaiser taper divides by I0(beta), which overflows past beta ~709.78.
+MAX_KAISER_BETA = 700.0
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -70,6 +73,8 @@ class PipelineConfig:
         # Checked for every window: the manifest records it either way.
         if not 0.0 <= self.kaiser_beta < math.inf:
             raise IncompatibleInputError("Kaiser beta must be non-negative and finite")
+        if self.kaiser_beta > MAX_KAISER_BETA:
+            raise IncompatibleInputError(f"Kaiser beta must be at most {MAX_KAISER_BETA:g}")
         if self.capon_order < 1 or self.pad_factor < 1:
             raise IncompatibleInputError("capon order and pad factor must be at least 1")
         if self.capon_order > MAX_CAPON_ORDER:

@@ -9,7 +9,6 @@ import wave
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import firwin
 
 from .errors import DegenerateInputError, IncompatibleInputError, UnsupportedFormatError
 
@@ -73,6 +72,8 @@ def read_wav(path):
         reader = wave.open(str(path), "rb")
     except EOFError as exc:
         raise UnsupportedFormatError(f"{path}: file ends inside the WAV header") from exc
+    except RuntimeError as exc:  # wave's bare error for a seek outside a chunk
+        raise UnsupportedFormatError(f"{path}: a WAV chunk size is inconsistent") from exc
     except (OSError, wave.Error) as exc:
         raise UnsupportedFormatError(f"cannot read WAV file {path}: {exc}") from exc
     with reader:
@@ -119,6 +120,15 @@ def _anti_alias_taps(factor):
     return 10 * factor + 1
 
 
+def design_fir(taps, lo, hi):
+    """Hamming window-method linear-phase FIR passing (lo, hi), in fractions
+    of Nyquist, scaled to unit gain at DC if lo is 0 and at the band center
+    otherwise: scipy.signal.firwin's design.  taps must be odd."""
+    n = np.arange(taps) - (taps - 1) / 2.0
+    coeffs = (hi * np.sinc(hi * n) - lo * np.sinc(lo * n)) * np.hamming(taps)
+    return coeffs / np.sum(coeffs * np.cos(np.pi * n * (0.5 * (lo + hi) if lo else 0.0)))
+
+
 def anti_alias_filter(factor, input_rate_hz):
     """Linear-phase low-pass FIR for decimation by `factor`.
 
@@ -126,7 +136,7 @@ def anti_alias_filter(factor, input_rate_hz):
     rate, leaving a guard band below the output Nyquist.
     """
     cutoff_hz = 0.45 * (input_rate_hz / factor)
-    return firwin(_anti_alias_taps(factor), cutoff_hz, fs=input_rate_hz, window="hamming")
+    return design_fir(_anti_alias_taps(factor), 0.0, cutoff_hz / (0.5 * input_rate_hz))
 
 
 def decimate(signal, factor):

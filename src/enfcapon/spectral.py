@@ -11,7 +11,6 @@ log-spectrum samples around it.
 import math
 
 import numpy as np
-from scipy.signal import zoom_fft
 
 from .errors import IncompatibleInputError
 
@@ -57,6 +56,7 @@ def stft_band_power(frames, bins, grid_size):
 
     Returns (power, valid); a frame with no energy has no peak.
     """
+    from scipy.signal import zoom_fft  # the one scipy routine on this path
     frames = np.asarray(frames, dtype=np.float64)
     n = frames.shape[-1]
     spectrum = zoom_fft(frames, [bins[0], bins[-1] + 1], bins.size, fs=grid_size)

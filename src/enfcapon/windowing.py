@@ -2,10 +2,10 @@
 
 Only temporal windows live here; lag windows (applied to autocovariance
 sequences) are deliberately not implemented.  The tapers are the
-symmetric forms built by scipy.signal.get_window.
+symmetric forms (Harris, Proc. IEEE 66(1), 1978).
 """
 
-from scipy.signal import get_window
+import numpy as np
 
 WINDOW_KINDS = ("parzen", "hamming", "kaiser", "rect")
 
@@ -15,11 +15,16 @@ DEFAULT_KAISER_BETA = 8.6
 def make_window(kind, n_points, beta=None):
     """N-point symmetric taper of the given kind, as an array.
 
-    kind is one of WINDOW_KINDS ("rect" is scipy's boxcar); beta applies
-    to the Kaiser window only (default 8.6).
+    kind is one of WINDOW_KINDS; beta applies to the Kaiser window only
+    (default 8.6).  Parzen is scipy.signal.windows.parzen's expression in
+    its order, so it matches that taper to the bit.
     """
+    if kind == "hamming":
+        return np.hamming(n_points)
     if kind == "kaiser":
-        kind = ("kaiser", DEFAULT_KAISER_BETA if beta is None else beta)
-    elif kind == "rect":
-        kind = "boxcar"
-    return get_window(kind, n_points, fftbins=False)
+        return np.kaiser(n_points, DEFAULT_KAISER_BETA if beta is None else beta)
+    if kind == "rect":
+        return np.ones(n_points)
+    n = np.abs(np.arange(-(n_points - 1) / 2.0, (n_points - 1) / 2.0 + 0.5, 1.0))
+    a = n / (n_points / 2.0)
+    return np.where(n <= (n_points - 1) / 4.0, 1 - 6 * a**2.0 + 6 * a**3.0, 2 * (1 - a) ** 3.0)

@@ -90,6 +90,25 @@ class TestExtract:
         track = read_track(out)
         assert track.time_s[0] > 5.0
 
+    def test_largest_kaiser_beta_extracts(self, runner, fixture_files, tmp_path):
+        wav, _ = fixture_files
+        out = tmp_path / "k.csv"
+        result = runner.invoke(main, ["extract", str(wav), "-o", str(out), "--window", "kaiser",
+                                      "--kaiser-beta", "700"])
+        assert result.exit_code == 0, result.output
+        assert np.isfinite(read_track(out).freq_hz).all()
+
+    def test_inconsistent_chunk_size_exit_code(self, runner, fixture_files, tmp_path):
+        wav, _ = fixture_files
+        bad = tmp_path / "bad.wav"
+        data = bytearray(wav.read_bytes())
+        data[16] = 127  # the fmt chunk's size now runs past its end
+        bad.write_bytes(bytes(data))
+        result = runner.invoke(main, ["extract", str(bad), "-o", str(tmp_path / "x.csv")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "chunk size is inconsistent" in result.output
+
     def test_degenerate_input_exit_code(self, runner, tmp_path):
         short = tmp_path / "short.wav"
         write_wav(SampledSignal(np.zeros(441), 441.0), short)
@@ -168,6 +187,9 @@ class TestExtract:
         (["--capon-order", "65", "--frame-seconds", "100"], "capon order must be at most 64"),
         # The default Parzen window does not read it, but the manifest does.
         (["--kaiser-beta", "nan"], "Kaiser beta must be non-negative and finite"),
+        # I0(beta) overflows past ~709.78, leaving a taper of NaNs.
+        (["--window", "kaiser", "--kaiser-beta", "720"], "Kaiser beta must be at most 700"),
+        (["--kaiser-beta", "1e6"], "Kaiser beta must be at most 700"),
     ])
     def test_unusable_layout_rejected_before_the_wav_is_read(
             self, runner, fixture_files, tmp_path, wav_reads, options, message):
@@ -680,6 +702,10 @@ class TestBench:
         decimation = report["decimate"]
         assert (decimation["samples"], decimation["factor"]) == (300 * 44100, 100)
         assert decimation["speedup"] > 0
+        host = report["host"]
+        assert host["cpu_model"] and host["cpu_count"] >= 1
+        assert set(host["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                        "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"}
 
     def test_single_trial_well_formed(self, runner):
         result = runner.invoke(main, ["bench", "--trials", "1"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from enfcapon.errors import IncompatibleInputError, UndefinedCorrelationError
 from enfcapon.matching import best_lag, correlation, fisher_test
@@ -233,6 +234,11 @@ class TestFisher:
 
     def test_critical_value(self):
         assert fisher_test(0.5, 0.4, 100).critical == pytest.approx(1.959963984540054)
+
+    def test_critical_value_matches_scipy_norm_isf(self):
+        for alpha in [*np.logspace(-300, math.log10(0.98), 301), 1e-320]:
+            expected = norm.isf(alpha / 2.0)
+            assert fisher_test(0.5, 0.4, 100, alpha).critical == pytest.approx(expected, rel=2e-15)
 
     def test_tiny_alpha_gives_finite_critical_value(self):
         result = fisher_test(0.5, 0.4, 100, alpha=1e-320)

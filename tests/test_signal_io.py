@@ -3,14 +3,25 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from scipy.signal import firwin
 
 from conftest import make_tone
 from enfcapon.errors import (
     DegenerateInputError,
+    EnfError,
     IncompatibleInputError,
     UnsupportedFormatError,
 )
-from enfcapon.signal_io import _BLOCK_ROWS, SampledSignal, decimate, read_wav, write_wav
+from enfcapon.signal_io import (
+    _BLOCK_ROWS,
+    SampledSignal,
+    anti_alias_filter,
+    decimate,
+    read_wav,
+    write_wav,
+)
 from oracle import decimate_full_rate
 
 
@@ -76,6 +87,22 @@ class TestReadWav:
         path.write_bytes(bytes(data))
         with pytest.raises(UnsupportedFormatError):
             read_wav(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.dictionaries(st.integers(0, 43), st.integers(0, 255), min_size=1))
+    @example(edits={16: 127})  # the fmt chunk's size runs past its end
+    def test_any_header_bytes_read_or_raise_package_errors(self, tmp_path, edits):
+        path = tmp_path / "edited.wav"
+        write_raw_wav(path, np.arange(200, dtype="<i2").tobytes(), rate=441)
+        data = bytearray(path.read_bytes())
+        for index, value in edits.items():
+            data[index] = value
+        path.write_bytes(bytes(data))
+        try:
+            read_wav(path)
+        except EnfError:
+            pass
 
     def test_no_frames_is_degenerate(self, tmp_path):
         path = tmp_path / "empty.wav"
@@ -158,6 +185,12 @@ class TestDecimate:
         alias_amp = spectrum[np.argmin(np.abs(freqs - 41.0))]
         tone_amp = spectrum[np.argmin(np.abs(freqs - 60.0))]
         assert alias_amp < tone_amp * 10 ** (-60.0 / 20.0)
+
+    @pytest.mark.parametrize("factor", [2, 3, 7, 100, 109])
+    def test_anti_alias_filter_matches_scipy_firwin(self, factor):
+        rate = 441.0 * factor
+        expected = firwin(10 * factor + 1, 0.45 * 441.0, fs=rate, window="hamming")
+        np.testing.assert_allclose(anti_alias_filter(factor, rate), expected, rtol=0, atol=1e-15)
 
     def test_bad_factor(self):
         signal = SampledSignal(np.ones(100), 100.0)

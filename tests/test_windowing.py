@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import get_window
 
 from enfcapon.windowing import WINDOW_KINDS, make_window
 
@@ -76,3 +77,21 @@ def test_hamming_and_kaiser_match_closed_forms(n_points):
     np.testing.assert_allclose(make_window("hamming", n_points), hamming, rtol=0, atol=1e-15)
     np.testing.assert_allclose(make_window("kaiser", n_points), np.kaiser(n_points, 8.6),
                                rtol=0, atol=1e-15)
+
+
+SCIPY_LENGTHS = [*range(1, 3001), 4410, 8820, 17640]
+
+
+def test_parzen_and_rect_bit_identical_to_scipy():
+    for n_points in SCIPY_LENGTHS:
+        for kind, scipy_kind in (("parzen", "parzen"), ("rect", "boxcar")):
+            np.testing.assert_array_equal(make_window(kind, n_points),
+                                          get_window(scipy_kind, n_points, fftbins=False))
+
+
+def test_hamming_and_kaiser_match_scipy():
+    for n_points in SCIPY_LENGTHS:
+        for kind, scipy_kind in (("hamming", "hamming"), ("kaiser", ("kaiser", 8.6))):
+            np.testing.assert_allclose(make_window(kind, n_points),
+                                       get_window(scipy_kind, n_points, fftbins=False),
+                                       rtol=0, atol=1e-15)
