@@ -82,25 +82,25 @@ def _median_s(path, trials):
     return float(np.median(timeit.repeat(path, number=1, repeat=trials)))
 
 
-def run_bench(order=capon.DEFAULT_ORDER, trials=100, seed=0):
-    """Median time of capon_band_power vs dense_band_power on one seeded
-    batch of white-noise frames under the default window, at the bins
-    and on the grid the default power config searches; and, under
-    "decimate", of decimate vs upfirdn_decimate on seeded full-rate
-    white noise; "host" records what else the medians depend on."""
+def run_bench(trials=100, seed=0):
+    """Median time of capon_band_power vs dense_band_power at the default
+    order, on one seeded batch of white-noise frames under the default
+    window at the bins and on the grid the default power config searches;
+    and, under "decimate", of decimate vs upfirdn_decimate on seeded
+    full-rate white noise; "host" records what else the medians depend on."""
     config = power_config()
     frame_len, grid_size, bins = config.frame_samples[0], config.grid_size, config.search_bins
     rng = np.random.default_rng(seed)
     frames = rng.standard_normal((BENCH_FRAMES, frame_len)) * make_window(
         config.window, frame_len)
 
-    fast = partial(capon.capon_band_power, frames, bins, grid_size, order)
-    dense = partial(dense_band_power, frames, bins, grid_size, order)
+    fast = partial(capon.capon_band_power, frames, bins, grid_size)
+    dense = partial(dense_band_power, frames, bins, grid_size)
     # Sanity: both paths agree while we are at it.
     np.testing.assert_allclose(fast()[0], dense(), rtol=1e-6)
     fast_median, dense_median = (_median_s(path, trials) for path in (fast, dense))
     return {
-        "order": order,
+        "order": capon.DEFAULT_ORDER,
         "trials": trials,
         "seed": seed,
         "frames": BENCH_FRAMES,

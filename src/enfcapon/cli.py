@@ -20,14 +20,13 @@ from . import __version__
 from .bench import run_bench
 from .errors import DegenerateInputError, EnfError
 from .matching import best_lag, fisher_test
-from .pipeline import (ESTIMATORS, MAX_CAPON_ORDER, estimate, power_config, prepare,
-                       speech_config)
+from .pipeline import ESTIMATORS, PipelineConfig, estimate, power_config, prepare, speech_config
 from .signal_io import SampledSignal, read_wav, write_wav
 from .synthetic import make_power_fixture
 from .track import CADENCE_TOL_S, EnfTrack, read_track, write_track
 from .windowing import WINDOW_KINDS
 
-MANIFEST_SCHEMA = 1
+MANIFEST_SCHEMA = 2
 
 EXIT_DEGENERATE = 3
 
@@ -84,31 +83,27 @@ def _write_manifest(out_path, command, config, inputs, timings, outputs):
     return path
 
 
-def pipeline_options(estimator):
-    """Decorator adding the pipeline options, defaulting to the given estimator."""
+def pipeline_options(estimator=PipelineConfig.estimator):
+    """Decorator adding the pipeline options; their help shows PipelineConfig's defaults."""
     opts = [
         click.option("--mode", type=click.Choice(["power", "speech"]), default="power",
                      show_default=True, help="Parameter preset."),
         click.option("--nominal-hz", type=click.Choice(["50", "60"]), default=None,
-                     help="Nominal grid frequency.  [default: 60]"),
+                     help=f"Nominal grid frequency.  [default: {PipelineConfig.nominal_hz:g}]"),
         click.option("--harmonic", type=int, default=None,
                      help="Harmonic to analyze.  [default: per mode]"),
         click.option("--shift-seconds", "shift_s", type=float, default=None,
-                     help="Frame shift in seconds.  [default: 1]"),
-        click.option("--kaiser-beta", type=float, default=None,
-                     help="Kaiser window shape parameter.  [default: 8.6]"),
+                     help=f"Frame shift in seconds.  [default: {PipelineConfig.shift_s:g}]"),
         click.option("--estimator", type=click.Choice(ESTIMATORS), default=estimator,
                      show_default=True, help="Per-frame estimator."),
         click.option("--taps", type=int, default=None,
                      help="Band-pass FIR length.  [default: per mode]"),
         click.option("--passband-hz", type=float, default=None,
-                     help="Band-pass total width.  [default: 0.1]"),
+                     help=f"Band-pass total width.  [default: {PipelineConfig.passband_hz:g}]"),
         click.option("--capon-order", "capon_order", type=int, default=None,
-                     help="Capon covariance order m.  [default: 10]"),
+                     help=f"Capon covariance order m.  [default: {PipelineConfig.capon_order}]"),
         click.option("--pad-factor", "pad_factor", type=int, default=None,
-                     help="Grid density Q = pad * N.  [default: 4]"),
-        click.option("--no-interpolate", "interpolate", flag_value=False, default=None,
-                     help="Disable sub-bin quadratic interpolation."),
+                     help=f"Grid density Q = pad * N.  [default: {PipelineConfig.pad_factor}]"),
     ]
     return lambda fn: functools.reduce(lambda f, opt: opt(f), reversed(opts), fn)
 
@@ -137,10 +132,10 @@ def main():
               help="Seconds to drop from the head of the recording.")
 @click.option("--json", "as_json", is_flag=True, help="Print a JSON summary.")
 @click.option("--frame-seconds", "frame_len_s", type=float, default=None,
-              help="Frame length in seconds.  [default: 1]")
+              help=f"Frame length in seconds.  [default: {PipelineConfig.frame_len_s:g}]")
 @click.option("--window", type=click.Choice(WINDOW_KINDS), default=None,
-              help="Temporal window.  [default: parzen]")
-@pipeline_options("capon")
+              help=f"Temporal window.  [default: {PipelineConfig.window}]")
+@pipeline_options()
 def extract(wav, output, fmt, skip_seconds, as_json, **kw):
     """Extract an ENF track from a WAV recording."""
     if not 0.0 <= skip_seconds < math.inf:
@@ -330,14 +325,12 @@ def compare_windows(wav, reference, windows, frame_lengths, output, plot_data,
 
 
 @main.command()
-@click.option("--order", type=click.IntRange(1, MAX_CAPON_ORDER), default=10,
-              show_default=True, help="Capon covariance order m.")
 @click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-def bench(order, trials, seed):
+def bench(trials, seed):
     """Time the pipeline's in-band Capon kernel against an explicit inverse,
     and its decimator against scipy's upfirdn."""
-    click.echo(json.dumps(run_bench(order=order, trials=trials, seed=seed), indent=1))
+    click.echo(json.dumps(run_bench(trials=trials, seed=seed), indent=1))
 
 
 if __name__ == "__main__":

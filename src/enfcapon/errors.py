@@ -23,9 +23,9 @@ class DegenerateInputError(EnfError):
 
 class IncompatibleInputError(EnfError, ValueError):
     """Inputs or settings that cannot be used together: every setting
-    PipelineConfig rejects (estimator, window, harmonic band, taps, Kaiser
-    beta, Capon order, pad factor, frame layout, an estimation band too
-    narrow for the frequency grid), a fisher_test argument out of range, a
+    PipelineConfig rejects (estimator, window, harmonic band, taps, Capon
+    order, pad factor, frame layout, an estimation band too narrow for
+    the frequency grid), a fisher_test argument out of range, a
     sample rate that is not a multiple of the working rate, a query track
     longer than its reference, a skip interval that is not finite."""
 

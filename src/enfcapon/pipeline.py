@@ -17,7 +17,7 @@ from .bandpass import HAMMING_TRANSITION_FACTOR, apply_zero_phase, design_bandpa
 from .errors import DegenerateInputError, IncompatibleInputError
 from .signal_io import decimate
 from .track import EnfTrack
-from .windowing import DEFAULT_KAISER_BETA, WINDOW_KINDS, make_window
+from .windowing import WINDOW_KINDS, make_window
 
 # Sanity envelope: a mapped-to-fundamental estimate farther than this
 # from nominal is recorded as invalid.
@@ -32,9 +32,6 @@ MAX_PAD_FACTOR = 64
 # an O(m**2) Levinson step and an (m + 1) x B cosine matrix.
 MAX_CAPON_ORDER = 64
 
-# The Kaiser taper divides by I0(beta), which overflows past beta ~709.78.
-MAX_KAISER_BETA = 700.0
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -43,14 +40,12 @@ class PipelineConfig:
     frame_len_s: float = 1.0
     shift_s: float = 1.0
     window: str = "parzen"
-    kaiser_beta: float = DEFAULT_KAISER_BETA
     estimator: str = "capon"
     taps: int = 1001
     passband_hz: float = 0.1
-    capon_order: int = 10
+    capon_order: int = capon.DEFAULT_ORDER
     pad_factor: int = 4
     working_rate_hz: float = 441.0
-    interpolate: bool = True
 
     def __post_init__(self):
         """Every rejection is an IncompatibleInputError (a ValueError)."""
@@ -70,11 +65,6 @@ class PipelineConfig:
             )
         if not 3 <= self.taps <= sys.float_info.max or self.taps % 2 == 0:
             raise IncompatibleInputError("taps must be odd, at least 3 and in float range")
-        # Checked for every window: the manifest records it either way.
-        if not 0.0 <= self.kaiser_beta < math.inf:
-            raise IncompatibleInputError("Kaiser beta must be non-negative and finite")
-        if self.kaiser_beta > MAX_KAISER_BETA:
-            raise IncompatibleInputError(f"Kaiser beta must be at most {MAX_KAISER_BETA:g}")
         if self.capon_order < 1 or self.pad_factor < 1:
             raise IncompatibleInputError("capon order and pad factor must be at least 1")
         if self.capon_order > MAX_CAPON_ORDER:
@@ -155,8 +145,7 @@ def estimate_frames(frames, config):
         power, valid = capon.capon_band_power(frames, bins, grid_size, config.capon_order)
     else:
         power, valid = spectral.stft_band_power(frames, bins, grid_size)
-    freqs, _ = spectral.band_peak(power, bins, grid_size, config.working_rate_hz,
-                                  config.interpolate)
+    freqs, _ = spectral.band_peak(power, bins, grid_size, config.working_rate_hz)
     return np.where(valid, freqs, np.nan)
 
 
@@ -195,7 +184,7 @@ def estimate(filtered, config):
             f"filtered signal of {len(filtered)} samples is shorter than one "
             f"{frame_len:.6g}-sample frame ({frame_len / rate:g} s)"
         )
-    window = make_window(config.window, frame_len, config.kaiser_beta)
+    window = make_window(config.window, frame_len)
     rows = np.lib.stride_tricks.sliding_window_view(filtered.samples, frame_len)[::shift]
     # Windowed frames are formed len(filtered) // frame_len rows at a time,
     # so a block never holds more samples than the filtered signal and

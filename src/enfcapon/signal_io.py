@@ -49,7 +49,8 @@ class SampledSignal:
         """Drop the first `seconds` of the signal, tracking the offset."""
         if not math.isfinite(seconds):
             raise IncompatibleInputError(f"skip interval {seconds} s is not finite")
-        n = int(round(seconds * self.sample_rate_hz))
+        # Clamped before rounding: a huge skip's sample count overflows to inf.
+        n = int(round(min(seconds * self.sample_rate_hz, self.samples.size)))
         if n <= 0:
             return self
         if n >= self.samples.size:

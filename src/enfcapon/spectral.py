@@ -63,7 +63,7 @@ def stft_band_power(frames, bins, grid_size):
     return np.abs(spectrum) ** 2 / n, np.einsum("...t,...t->...", frames, frames) > 0.0
 
 
-def band_peak(power, bins, grid_size, sample_rate_hz, interpolate=True):
+def band_peak(power, bins, grid_size, sample_rate_hz):
     """Peak frequency in Hz of every row of power, sampled at bins: the
     search bins plus one neighbour on each side, as band_bins returns.
 
@@ -78,8 +78,6 @@ def band_peak(power, bins, grid_size, sample_rate_hz, interpolate=True):
     j = np.argmax(power[..., 1:-1], axis=-1)
     q_max = bins[1 + j]
     raw = q_max * sample_rate_hz / grid_size
-    if not interpolate:
-        return raw, np.zeros(raw.shape, dtype=bool)
     triple = np.take_along_axis(power, j[..., None] + np.arange(3), axis=-1)
     refined = (
         (q_max >= 1) & (q_max <= grid_size // 2 - 2) & np.all(triple > 0.0, axis=-1)

@@ -12,17 +12,17 @@ WINDOW_KINDS = ("parzen", "hamming", "kaiser", "rect")
 DEFAULT_KAISER_BETA = 8.6
 
 
-def make_window(kind, n_points, beta=None):
+def make_window(kind, n_points):
     """N-point symmetric taper of the given kind, as an array.
 
-    kind is one of WINDOW_KINDS; beta applies to the Kaiser window only
-    (default 8.6).  Parzen is scipy.signal.windows.parzen's expression in
-    its order, so it matches that taper to the bit.
+    kind is one of WINDOW_KINDS; the Kaiser window has shape parameter
+    DEFAULT_KAISER_BETA.  Parzen is scipy.signal.windows.parzen's
+    expression in its order, so it matches that taper to the bit.
     """
     if kind == "hamming":
         return np.hamming(n_points)
     if kind == "kaiser":
-        return np.kaiser(n_points, DEFAULT_KAISER_BETA if beta is None else beta)
+        return np.kaiser(n_points, DEFAULT_KAISER_BETA)
     if kind == "rect":
         return np.ones(n_points)
     n = np.abs(np.arange(-(n_points - 1) / 2.0, (n_points - 1) / 2.0 + 0.5, 1.0))

@@ -78,19 +78,16 @@ def refine_quadratic(values, sample_rate_hz, q_max):
     return (q_max + offset) * sample_rate_hz / grid
 
 
-def peak_frequency(values, sample_rate_hz, band, interpolate=True):
-    q_max = peak_search(values, sample_rate_hz, band)
-    if not interpolate:
-        return q_max * sample_rate_hz / values.size
-    return refine_quadratic(values, sample_rate_hz, q_max)
+def peak_frequency(values, sample_rate_hz, band):
+    return refine_quadratic(values, sample_rate_hz, peak_search(values, sample_rate_hz, band))
 
 
-def estimate_frame_stft(frame, sample_rate_hz, band, pad_factor=4, interpolate=True):
+def estimate_frame_stft(frame, sample_rate_hz, band, pad_factor=4):
     """Zero-padded periodogram peak of one frame; NaN for a zero frame."""
     if not np.any(frame):
         return np.nan
     values = np.abs(np.fft.fft(frame, pad_factor * frame.size)) ** 2 / frame.size
-    return peak_frequency(values, sample_rate_hz, band, interpolate)
+    return peak_frequency(values, sample_rate_hz, band)
 
 
 def loaded_covariance(frame, order):
@@ -130,8 +127,7 @@ def capon_psd_dense(cov_matrix, grid_size):
     return m_plus_1 / quad.real
 
 
-def capon_estimate_frame(frame, sample_rate_hz, band, order=10, pad_factor=4,
-                         interpolate=True):
+def capon_estimate_frame(frame, sample_rate_hz, band, order=10, pad_factor=4):
     """Full-grid Capon peak of one frame, with the denominator coefficients
     taken as diagonal sums of the explicit inverse of the loaded Toeplitz
     autocovariance; NaN when that matrix is not positive definite."""
@@ -141,7 +137,7 @@ def capon_estimate_frame(frame, sample_rate_hz, band, order=10, pad_factor=4,
         return np.nan
     coeffs = [np.trace(inverse, offset=i) for i in range(order + 1)]
     values = capon_psd(coeffs, pad_factor * frame.size)
-    return peak_frequency(values, sample_rate_hz, band, interpolate)
+    return peak_frequency(values, sample_rate_hz, band)
 
 
 def per_frame_track(signal, config):
@@ -154,17 +150,16 @@ def per_frame_track(signal, config):
     rate = filtered.sample_rate_hz
     frame_len = round(config.frame_len_s * rate)
     shift = round(config.shift_s * rate)
-    taps = make_window(config.window, frame_len, config.kaiser_beta)
+    taps = make_window(config.window, frame_len)
     band = config.estimation_band
     freqs = np.empty((len(filtered) - frame_len) // shift + 1)
     for k in range(freqs.size):
         frame = filtered.samples[k * shift : k * shift + frame_len] * taps
         if config.estimator == "capon":
             freqs[k] = capon_estimate_frame(frame, rate, band, config.capon_order,
-                                            config.pad_factor, config.interpolate)
+                                            config.pad_factor)
         else:
-            freqs[k] = estimate_frame_stft(frame, rate, band, config.pad_factor,
-                                           config.interpolate)
+            freqs[k] = estimate_frame_stft(frame, rate, band, config.pad_factor)
     freqs /= config.harmonic
     freqs[np.abs(freqs - config.nominal_hz) > VALID_ENVELOPE_HZ] = np.nan
     return freqs

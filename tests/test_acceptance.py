@@ -235,7 +235,7 @@ def test_criterion_7_matching():
 
 
 def test_criterion_8_performance_smoke():
-    result = run_bench(order=10, trials=25, seed=8)
+    result = run_bench(trials=25, seed=8)
     speedup = result["speedup"]
     assert speedup > 1.0
     report(8, f"fast path speedup {speedup:.1f}x at {result['bins']} bins of Q=1764")

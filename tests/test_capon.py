@@ -12,7 +12,7 @@ from enfcapon.capon import (
     levinson_solve,
 )
 from enfcapon.pipeline import estimate_frames, power_config
-from enfcapon.spectral import band_bins, band_peak
+from enfcapon.spectral import band_bins
 from enfcapon.windowing import make_window
 from oracle import (
     capon_psd,
@@ -38,9 +38,8 @@ def full_grid_power(frames, grid_size, order=10):
 
 
 def peak_bin(values, band, rate):
-    bins = band_bins(band, values.size, rate)
-    freq, _ = band_peak(values[bins], bins, values.size, rate, interpolate=False)
-    return int(round(freq * values.size / rate))
+    bins = band_bins(band, values.size, rate)[1:-1]
+    return int(bins[np.argmax(values[bins])])
 
 
 class TestAutocovariance:

@@ -79,7 +79,7 @@ class TestConfig:
         {"taps": 1000},
         {"passband_hz": 0.0},
         {"passband_hz": 400.0},
-        {"window": "kaiser", "kaiser_beta": -1.0},
+        {"shift_s": float("inf")},                 # sample count overflows
         {"capon_order": 0},
         {"pad_factor": 0},
         {"pad_factor": 65},                        # would build a huge grid
@@ -95,9 +95,9 @@ class TestConfig:
         {"harmonic": 10**400},                     # beyond float range
         {"taps": 10**400 + 1},
         {"passband_hz": 400.0},
-        {"window": "kaiser", "kaiser_beta": float("inf")},
-        {"kaiser_beta": float("nan")},             # checked for every window
-        {"kaiser_beta": -1.0},
+        {"taps": 1002},
+        {"shift_s": float("nan")},
+        {"capon_order": 0},
         {"capon_order": 65},
         {"pad_factor": 65},
         {"frame_len_s": 1e306},

@@ -264,6 +264,8 @@ class TestSampledSignal:
         assert skipped.samples[0] == 20.0
         with pytest.raises(DegenerateInputError):
             signal.skip_head(100.0)
+        with pytest.raises(DegenerateInputError):
+            signal.skip_head(1e308)  # the sample count overflows to inf
 
     @pytest.mark.parametrize("seconds", [np.inf, -np.inf, np.nan])
     def test_skip_head_rejects_non_finite(self, seconds):

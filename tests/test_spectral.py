@@ -15,10 +15,10 @@ def full_periodogram(frame, pad_factor):
     return power[0]
 
 
-def band_peak_of(values, band, rate, interpolate=False):
+def band_peak_of(values, band, rate):
     """Peak of a full-grid spectrum through the band tail, in Hz."""
     bins = band_bins(band, values.size, rate)
-    freq, refined = band_peak(values[bins][None, :], bins, values.size, rate, interpolate)
+    freq, refined = band_peak(values[bins][None, :], bins, values.size, rate)
     return freq[0], refined[0]
 
 
@@ -125,7 +125,7 @@ class TestRefineQuadratic:
         # bin 20; the three-point fit must recover it exactly.
         grid = np.arange(64, dtype=float)
         log_values = -0.7 * (grid - 20.3) ** 2 + 1.5
-        freq, _ = band_peak_of(np.exp(log_values), (15.0, 25.0), 64.0, interpolate=True)
+        freq, _ = band_peak_of(np.exp(log_values), (15.0, 25.0), 64.0)
         assert freq == pytest.approx(20.3, abs=1e-6)
 
     def test_zero_power_falls_back(self):
@@ -138,7 +138,7 @@ class TestRefineQuadratic:
 
     def test_flat_top_gives_zero_offset(self):
         values = np.full(64, 2.0)
-        freq, _ = band_peak_of(values, (10.0, 20.0), 64.0, interpolate=True)
+        freq, _ = band_peak_of(values, (10.0, 20.0), 64.0)
         assert freq == pytest.approx(10.0)
 
     def test_boundary_bin_falls_back(self):
@@ -157,7 +157,7 @@ def test_refinement_beats_raw_bin_for_off_bin_tones():
     bins = band_bins(band, grid, 441.0)
     power, _ = stft_band_power(frames, bins, grid)
     refined, _ = band_peak(power, bins, grid, 441.0)
-    raw, _ = band_peak(power, bins, grid, 441.0, interpolate=False)
+    raw = bins[1 + np.argmax(power[:, 1:-1], axis=-1)] * 441.0 / grid
     wins = np.count_nonzero(np.abs(refined - f_true) < np.abs(raw - f_true))
     assert wins >= 95
 

@@ -66,8 +66,7 @@ def test_symmetry_every_kind(kind, n_points):
 
 
 def test_kaiser_default_beta():
-    np.testing.assert_array_equal(make_window("kaiser", 32),
-                                  make_window("kaiser", 32, beta=8.6))
+    np.testing.assert_array_equal(make_window("kaiser", 32), np.kaiser(32, 8.6))
 
 
 @pytest.mark.parametrize("n_points", [2, 3, 9, 441, 8820, 17640])
