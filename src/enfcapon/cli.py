@@ -125,9 +125,7 @@ def main():
 @main.command()
 @click.argument("wav", type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False),
-              help="Output track file.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
+              help="Output track CSV.")
 @click.option("--skip-seconds", type=float, default=0.0, show_default=True,
               help="Seconds to drop from the head of the recording.")
 @click.option("--json", "as_json", is_flag=True, help="Print a JSON summary.")
@@ -136,7 +134,7 @@ def main():
 @click.option("--window", type=click.Choice(WINDOW_KINDS), default=None,
               help=f"Temporal window.  [default: {PipelineConfig.window}]")
 @pipeline_options()
-def extract(wav, output, fmt, skip_seconds, as_json, **kw):
+def extract(wav, output, skip_seconds, as_json, **kw):
     """Extract an ENF track from a WAV recording."""
     if not 0.0 <= skip_seconds < math.inf:
         raise click.BadParameter("must be finite and non-negative",
@@ -150,11 +148,12 @@ def extract(wav, output, fmt, skip_seconds, as_json, **kw):
                 signal = signal.skip_head(skip_seconds)
         with _timed(timings, "prepare"):
             filtered = prepare(signal, config)
+        del signal  # the full-rate recording is not needed past prepare
         with _timed(timings, "estimate"):
             track = estimate(filtered, config)
 
     with _timed(timings, "write"):
-        write_track(track, output, fmt)
+        write_track(track, output)
     manifest = _write_manifest(output, "extract", dataclasses.asdict(config), [wav],
                                timings, [output])
 
@@ -251,7 +250,7 @@ def synth(seed, duration_seconds, snr_db, wav_out, ref_out):
         fixture.enf_hz[(seconds * int(rate)).clip(max=len(signal) - 1)],
         shift_s=1.0,
     )
-    write_track(truth, ref_out, "csv")
+    write_track(truth, ref_out)
     _write_manifest(ref_out, "synth", None, [], {}, [wav_out, ref_out])
     click.echo(f"wrote {wav_out} and {ref_out} (seed {seed})")
 
@@ -294,6 +293,7 @@ def compare_windows(wav, reference, windows, frame_lengths, output, plot_data,
             signal = read_wav(wav)
         with _timed(timings, "prepare"):
             filtered = prepare(signal, configs[0][0])
+        del signal
         with _timed(timings, "cells"):
             for win, row in zip(window_list, configs):
                 cells = []

@@ -67,7 +67,8 @@ def read_wav(path):
 
     Stereo channels are averaged.  Amplitudes are scaled by 1/32768 so the
     full negative scale maps to -1.0.  A partial sample frame at the end
-    of a truncated file is dropped.
+    of a truncated file is dropped.  wave opens only PCM, so any other
+    format tag fails there ("unknown format: 3").
     """
     try:
         reader = wave.open(str(path), "rb")
@@ -78,10 +79,6 @@ def read_wav(path):
     except (OSError, wave.Error) as exc:
         raise UnsupportedFormatError(f"cannot read WAV file {path}: {exc}") from exc
     with reader:
-        if reader.getcomptype() != "NONE":
-            raise UnsupportedFormatError(
-                f"{path}: compressed WAV ({reader.getcomptype()}) is not supported"
-            )
         if reader.getsampwidth() != 2:
             raise UnsupportedFormatError(
                 f"{path}: only 16-bit PCM is supported, got "

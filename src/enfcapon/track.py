@@ -1,13 +1,11 @@
-"""ENF track container and CSV/JSON persistence.
+"""ENF track container and CSV persistence.
 
 CSV schema: header ``frame_index,time_s,freq_hz``, one row per frame,
-UTF-8, LF line endings.  JSON is an array of objects with the same three
-keys.  Invalid (missing) estimates are stored as NaN and serialized as
-``nan`` / ``null``.
+UTF-8, LF line endings.  Invalid (missing) estimates are stored as NaN
+and serialized as ``nan``.
 """
 
 import io
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,7 +15,6 @@ import numpy as np
 from .errors import TrackFormatError
 
 CSV_HEADER = "frame_index,time_s,freq_hz"
-_JSON_ROW = ' {\n  "frame_index": %d,\n  "time_s": %s,\n  "freq_hz": %s\n }'
 
 # Frame times spaced equally to within this many seconds define a cadence.
 CADENCE_TOL_S = 1e-9
@@ -63,42 +60,19 @@ class EnfTrack:
         return ~np.isnan(self.freq_hz)
 
 
-def write_track(track, path, format="csv"):
-    """Serialize a track losslessly (repr round-trip for doubles)."""
-    if format == "csv":
-        lines = [CSV_HEADER]
-        for i, t, f in zip(track.frame_index.tolist(), track.time_s.tolist(),
-                           track.freq_hz.tolist()):
-            lines.append(f"{i},{t!r},{f!r}")
-        text = "\n".join(lines) + "\n"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    elif format == "json":
-        # The text json.dump(rows, fh, indent=1) writes, built without its
-        # pure-Python encoder.
-        rows = [
-            _JSON_ROW % row
-            for row in zip(track.frame_index.tolist(), _json_floats(track.time_s, "NaN"),
-                           _json_floats(track.freq_hz, "null"))
-        ]
-        text = "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        raise ValueError(f"unknown track format {format!r}")
-
-
-def _json_floats(values, nan):
-    """Each value as json writes a float, with nan in place of NaN."""
-    text = [repr(v) for v in values.tolist()]
-    for k in np.flatnonzero(~np.isfinite(values)).tolist():
-        value = values[k]
-        text[k] = nan if np.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
-    return text
+def write_track(track, path):
+    """Serialize a track as CSV, losslessly (repr round-trip for doubles)."""
+    lines = [CSV_HEADER]
+    for i, t, f in zip(track.frame_index.tolist(), track.time_s.tolist(),
+                       track.freq_hz.tolist()):
+        lines.append(f"{i},{t!r},{f!r}")
+    text = "\n".join(lines) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def read_track(path):
-    """Load a track written by write_track; format inferred from content.
+    """Load a CSV track written by write_track.
 
     shift_s is inferred from time_s when the times are uniformly spaced,
     and is None otherwise (or for fewer than two rows).  Every
@@ -110,33 +84,10 @@ def read_track(path):
     except UnicodeDecodeError as exc:
         raise TrackFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
-        return _parse_json(text) if text.lstrip().startswith("[") else _parse_csv(text)
+        return _parse_csv(text)
     except TrackFormatError as exc:
         exc.args = (f"{path}: {exc}",)  # exc.line stays
         raise
-
-
-def _parse_json(text):
-    try:
-        rows = json.loads(text)
-    # ValueError covers JSONDecodeError and Python's limit on integer digits.
-    except (ValueError, RecursionError) as exc:
-        raise TrackFormatError(f"invalid JSON: {exc}") from exc
-    idx, times, freqs = [], [], []
-    for n, row in enumerate(rows):
-        try:
-            index, t, f = row["frame_index"], row["time_s"], row["freq_hz"]
-            # int() and float() would take true as 1; int() would truncate 0.5 to 0.
-            if isinstance(index, bool) or (isinstance(index, float) and int(index) != index):
-                raise ValueError(f"frame index {index!r} is not an integer")
-            if isinstance(t, bool) or isinstance(f, bool):
-                raise ValueError(f"time {t!r} or frequency {f!r} is not a number")
-            idx.append(int(index))
-            times.append(float(t))
-            freqs.append(math.nan if f is None else _frequency(f))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise TrackFormatError(f"bad entry {n}: {exc}") from exc
-    return _track(idx, times, freqs)
 
 
 def _parse_csv(text):

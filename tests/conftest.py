@@ -23,12 +23,12 @@ def make_tone(freq_hz, sample_rate_hz, duration_s, amplitude=1.0, phase=0.0):
 
 
 # Track files that fail before any row is parsed, with the message each
-# gives: nesting past the recursion limit, an integer past Python's digit
-# limit, and a byte that is not UTF-8.
+# gives: a JSON track as earlier versions wrote it (CSV is the only track
+# format now), and a byte that is not UTF-8.
 UNDECODABLE_TRACKS = {
-    "deep.json": (b"[" * 200_000, "invalid JSON"),
-    "digits.json": (b'[{"frame_index": ' + b"9" * 5000 + b', "time_s": 0.0, "freq_hz": 60.0}]',
-                    "invalid JSON"),
+    "legacy.json": (b'[\n {\n  "frame_index": 0,\n  "time_s": 0.5,\n  "freq_hz": 60.01\n },\n'
+                    b' {\n  "frame_index": 1,\n  "time_s": 1.5,\n  "freq_hz": null\n }\n]\n',
+                    "line 1: expected header 'frame_index,time_s,freq_hz'"),
     "latin1.csv": (b"frame_index,time_s,freq_hz\n0,0.0,60.0\xff\n", "not UTF-8"),
 }
 

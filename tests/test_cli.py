@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import click
 import numpy as np
@@ -202,6 +203,18 @@ class TestExtract:
         assert isinstance(result.exception, SystemExit)
         assert "WAV header" in result.output
 
+    @pytest.mark.parametrize("tag", [3, 6])  # IEEE float, A-law
+    def test_non_pcm_format_tag_exit_code(self, runner, fixture_files, tmp_path, tag):
+        wav, _ = fixture_files
+        data = bytearray(wav.read_bytes())
+        data[20:22] = tag.to_bytes(2, "little")  # the fmt chunk's format tag
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(bytes(data))
+        result = runner.invoke(main, ["extract", str(bad), "-o", str(tmp_path / "x.csv")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"unknown format: {tag}" in result.output
+
     def test_wav_without_frames_exit_code(self, runner, tmp_path):
         empty = tmp_path / "empty.wav"
         write_wav(SampledSignal(np.zeros(1), 441.0), empty)
@@ -325,17 +338,6 @@ class TestMatch:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "frame indices must be consecutive" in result.output
-
-    def test_fractional_json_frame_index_exit_code(self, runner, tmp_path):
-        query, ref = tmp_path / "q.csv", tmp_path / "r.json"
-        write_cadence_track(query, 2, 1.0)
-        ref.write_text('[{"frame_index": 0, "time_s": 0.0, "freq_hz": 60.0},'
-                       ' {"frame_index": 0.5, "time_s": 1.0, "freq_hz": 60.0},'
-                       ' {"frame_index": 1, "time_s": 2.0, "freq_hz": 60.0}]')
-        result = runner.invoke(main, ["match", str(query), str(ref)])
-        assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)
-        assert "bad entry 1: frame index 0.5 is not an integer" in result.output
 
     @pytest.mark.parametrize("name", UNDECODABLE_TRACKS)
     def test_undecodable_reference_exit_code(self, runner, tmp_path, name):
@@ -549,6 +551,9 @@ class TestCompareWindows:
         (["--frame-lengths", "1,0.05"], "fewer than 3 grid points"),
         (["--estimator", "capon", "--capon-order", "65", "--frame-lengths", "100"],
          "capon order must be at most 64"),
+        (["--frame-lengths", "1,x"], "bad frame length"),
+        (["--frame-lengths", ","], "need at least one window and one frame length"),
+        (["--windows", " , "], "need at least one window and one frame length"),
     ])
     def test_unusable_layout_rejected_before_the_wav_is_read(
             self, runner, fixture_files, tmp_path, wav_reads, options, message):
@@ -691,6 +696,32 @@ def test_match_and_compare_windows_share_exit_codes(runner, fixture_files, tmp_p
         assert isinstance(result.exception, SystemExit)
 
 
+@pytest.mark.parametrize("command", ["extract", "compare-windows"])
+def test_full_rate_recording_released_after_prepare(runner, fixture_files, tmp_path,
+                                                    monkeypatch, command):
+    seconds, rate = 20, 44100
+    wav = tmp_path / "full_rate.wav"
+    write_wav(SampledSignal(0.5 * make_tone(180.0, rate, seconds), float(rate)), wav)
+    traced = []
+
+    def tracing_estimate(filtered, config):
+        if not traced:
+            traced.append(tracemalloc.get_traced_memory()[0])
+        return pipeline.estimate(filtered, config)
+
+    monkeypatch.setattr(cli, "estimate", tracing_estimate)
+    args = {"extract": [str(wav)],
+            "compare-windows": [str(wav), "--reference", str(fixture_files[1]),
+                                "--windows", "parzen", "--frame-lengths", "1"]}[command]
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, [command, *args, "-o", str(tmp_path / "x.csv")])
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    assert traced[0] < 0.5 * 8 * seconds * rate  # half the float64 recording
+
+
 class TestBench:
     def test_report_shape(self, runner):
         result = runner.invoke(main, ["bench", "--trials", "3"])
@@ -755,6 +786,7 @@ class TestConfigParity:
     @pytest.mark.parametrize("args", [
         ["extract", "--kaiser-beta", "8.6"],
         ["extract", "--no-interpolate"],
+        ["extract", "--format", "json"],
         ["compare-windows", "--kaiser-beta", "8.6"],
         ["compare-windows", "--no-interpolate"],
         ["bench", "--order", "10"],
@@ -882,12 +914,11 @@ def track_rows(draw):
 
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(query=track_rows(), reference=track_rows(), fmt=st.sampled_from(["csv", "json"]),
-       centered=st.booleans())
-def test_match_track_space_never_crashes(tmp_path, query, reference, fmt, centered):
-    paths = [tmp_path / f"query.{fmt}", tmp_path / f"reference.{fmt}"]
-    write_track(query, paths[0], fmt)
-    write_track(reference, paths[1], fmt)
+@given(query=track_rows(), reference=track_rows(), centered=st.booleans())
+def test_match_track_space_never_crashes(tmp_path, query, reference, centered):
+    paths = [tmp_path / "query.csv", tmp_path / "reference.csv"]
+    write_track(query, paths[0])
+    write_track(reference, paths[1])
     args = ["match", *map(str, paths)] + (["--centered"] if centered else [])
     result = CliRunner().invoke(main, args)
     assert result.exit_code in (0, 2, 3), (args, result.exception)

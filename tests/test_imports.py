@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module or listed in
-its __all__ (a stdlib-ast stand-in for a linter's unused-import rule), and
-the Capon, match and fisher paths load no scipy module."""
+its __all__ (a stdlib-ast stand-in for a linter's unused-import rule),
+every module-level private name is loaded in its module, and the Capon,
+match and fisher paths load no scipy module."""
 
 import ast
 import os
@@ -45,6 +46,39 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_private_names(source):
+    """Module-level private functions, classes and assigned names (_x, not
+    __x__) that the module never loads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    loaded = {node.id for node in ast.walk(tree)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in defined.items()
+                  if name.startswith("_") and not name.startswith("__") and name not in loaded)
+
+
+def test_detects_unused_private_name():
+    source = ("_USED, _PAIR = 1, 2\n_SPARE: int = 3\n__version__ = '1'\n"
+              "def _helper():\n    return _USED\n"
+              "class _Dead:\n    _attr = 4\n"
+              "def public(obj):\n    return _helper() + obj._SPARE\n")
+    assert unused_private_names(source) == [(1, "_PAIR"), (2, "_SPARE"), (6, "_Dead")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    assert unused_private_names(path.read_text(encoding="utf-8")) == []
 
 
 CAPON_MATCH_FISHER = """

@@ -108,6 +108,10 @@ class TestCorrelation:
         g = np.array([1.0, 2.0, 3.0, np.nan])
         assert correlation(f, g) == pytest.approx(1.0)
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            correlation(np.ones(3), np.ones(4))
+
 
 class TestBestLag:
     def test_planted_segment(self, rng):
@@ -147,6 +151,10 @@ class TestBestLag:
     def test_reference_too_short(self):
         with pytest.raises(ValueError):
             best_lag(np.ones(10), np.ones(5))
+
+    def test_two_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            best_lag(np.ones((2, 5)), np.ones(20))
 
     def test_matches_brute_force(self, rng):
         for _ in range(100):

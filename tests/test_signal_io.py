@@ -262,6 +262,7 @@ class TestSampledSignal:
         skipped = signal.skip_head(2.0)
         assert skipped.origin_offset_s == 2.0
         assert skipped.samples[0] == 20.0
+        assert signal.skip_head(0.04) is signal  # 0.4 samples round to none
         with pytest.raises(DegenerateInputError):
             signal.skip_head(100.0)
         with pytest.raises(DegenerateInputError):

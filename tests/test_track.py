@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -22,40 +21,15 @@ def small_track():
     )
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_round_trip_is_lossless(tmp_path, fmt):
-    path = tmp_path / f"track.{fmt}"
+def test_round_trip_is_lossless(tmp_path):
+    path = tmp_path / "track.csv"
     track = small_track()
-    write_track(track, path, fmt)
+    write_track(track, path)
     loaded = read_track(path)
     assert np.array_equal(loaded.frame_index, track.frame_index)
     assert np.array_equal(loaded.time_s, track.time_s)
     np.testing.assert_array_equal(loaded.freq_hz[:2], track.freq_hz[:2])
     assert np.isnan(loaded.freq_hz[2])
-
-
-def _json_dump_text(track):
-    """The text of the json.dump(rows, fh, indent=1) writer."""
-    rows = [
-        {"frame_index": int(i), "time_s": float(t),
-         "freq_hz": None if math.isnan(f) else float(f)}
-        for i, t, f in zip(track.frame_index, track.time_s, track.freq_hz)
-    ]
-    return json.dumps(rows, indent=1) + "\n"
-
-
-@pytest.mark.parametrize("times, freqs", [
-    ([0.0, 0.5, 1.0, 1.5], [59.98, np.nan, 60.017654321987654, np.nan]),
-    ([np.nan, np.inf, -np.inf, 1e300], [60.0, 59.99, np.inf, -np.inf]),
-    ([0.1, 0.30000000000000004, 5e-324, -0.0], [1.0, 2.0, 3.0, 4.0]),
-    ([], []),
-], ids=["nan-freqs", "non-finite-times", "repr-doubles", "empty"])
-def test_json_bytes_match_json_dumps(tmp_path, times, freqs):
-    track = EnfTrack(np.arange(10, 10 + len(times)), np.array(times, dtype=float),
-                     np.array(freqs, dtype=float))
-    path = tmp_path / "t.json"
-    write_track(track, path, "json")
-    assert path.read_bytes() == _json_dump_text(track).encode("utf-8")
 
 
 def test_csv_row_format(tmp_path):
@@ -69,7 +43,7 @@ def test_csv_row_format(tmp_path):
 
 def test_csv_header_line(tmp_path):
     path = tmp_path / "t.csv"
-    write_track(small_track(), path, "csv")
+    write_track(small_track(), path)
     text = path.read_text()
     assert text.startswith("frame_index,time_s,freq_hz\n")
     assert "\r" not in text
@@ -87,7 +61,6 @@ def test_non_numeric_freq_names_line(tmp_path):
 @pytest.mark.parametrize("name, content, message", [
     ("bad.csv", "frame_index,time_s,freq_hz\n0,0.0,59.98\n1,1.0,sixty\n", "line 3: "),
     ("gap.csv", "frame_index,time_s,freq_hz\n0,0.0,60.0\n2,1.0,60.0\n", "frame indices"),
-    ("bad.json", '[{"frame_index": 0, "time_s": 0.0}]', "bad entry 0: "),
     ("latin1.csv", b"frame_index,time_s,freq_hz\n0,0.0,60.0\xff\n", "not UTF-8 text"),
 ])
 def test_errors_start_with_the_path(tmp_path, name, content, message):
@@ -109,13 +82,6 @@ def test_infinite_freq_names_line(tmp_path, value):
     assert "infinite frequency" in str(err.value)
 
 
-def test_infinite_freq_in_json_rejected(tmp_path):
-    path = tmp_path / "inf.json"
-    path.write_text('[{"frame_index": 0, "time_s": 0.0, "freq_hz": Infinity}]')
-    with pytest.raises(TrackFormatError, match="bad entry 0: infinite frequency"):
-        read_track(path)
-
-
 def test_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n0,0.0,59.98\n")
@@ -128,12 +94,16 @@ def test_non_consecutive_indices_rejected():
         EnfTrack(np.array([0, 2]), np.array([0.0, 2.0]), np.array([60.0, 60.0]))
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_read_infers_uniform_cadence(tmp_path, fmt):
+def test_unequal_columns_rejected():
+    with pytest.raises(ValueError, match="equal-length"):
+        EnfTrack(np.array([0, 1]), np.array([0.0, 1.0]), np.array([60.0]))
+
+
+def test_read_infers_uniform_cadence(tmp_path):
     n = 1000
     times = 12.3 + 0.5 * np.arange(n)
-    path = tmp_path / f"track.{fmt}"
-    write_track(EnfTrack(np.arange(n), times, np.full(n, 60.0)), path, fmt)
+    path = tmp_path / "track.csv"
+    write_track(EnfTrack(np.arange(n), times, np.full(n, 60.0)), path)
     assert read_track(path).shift_s == pytest.approx(0.5, abs=1e-12)
 
 
@@ -159,35 +129,17 @@ def test_read_leaves_cadence_undefined(tmp_path, times):
      "frame indices must be consecutive"),
     ("huge.csv", "frame_index,time_s,freq_hz\n99999999999999999999999,0.0,60.0\n",
      "frame index outside the int64 range"),
-    ("inf.json", '[{"frame_index": 1e999, "time_s": 0.0, "freq_hz": 60.0}]',
-     "bad entry 0: cannot convert float infinity"),
-    ("half.json", '[{"frame_index": 0, "time_s": 0.0, "freq_hz": 60.0},'
-                  ' {"frame_index": 0.5, "time_s": 1.0, "freq_hz": 60.0}]',
-     "bad entry 1: frame index 0.5 is not an integer"),
-    ("bool.json", '[{"frame_index": false, "time_s": 0.0, "freq_hz": 60.0},'
-                  ' {"frame_index": true, "time_s": 1.0, "freq_hz": 60.0}]',
-     "bad entry 0: frame index False is not an integer"),
+    ("half.csv", "frame_index,time_s,freq_hz\n0,0.0,60.0\n0.5,1.0,60.0\n",
+     "line 3: invalid literal for int"),
     # np.diff wraps int64, so this pair differs by "1".
     ("wrap.csv",
      "frame_index,time_s,freq_hz\n9223372036854775807,0.0,60.0\n-9223372036854775808,1.0,60.0\n",
      "frame indices must be consecutive"),
-], ids=["gap", "int64-overflow", "json-infinite", "json-fractional", "json-boolean",
-        "int64-wrap"])
+], ids=["gap", "int64-overflow", "fractional", "int64-wrap"])
 def test_malformed_frame_indices_rejected(tmp_path, name, text, message):
     path = tmp_path / name
     path.write_text(text)
     with pytest.raises(TrackFormatError, match=message):
-        read_track(path)
-
-
-@pytest.mark.parametrize("entry", [
-    '{"frame_index": 0, "time_s": true, "freq_hz": 60.0}',
-    '{"frame_index": 0, "time_s": 0.0, "freq_hz": false}',
-], ids=["time", "frequency"])
-def test_boolean_time_or_frequency_rejected(tmp_path, entry):
-    path = tmp_path / "bool.json"
-    path.write_text(f"[{entry}]")
-    with pytest.raises(TrackFormatError, match="bad entry 0: .* is not a number"):
         read_track(path)
 
 
