@@ -9,7 +9,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import sys
 import time
 
@@ -55,8 +54,9 @@ def _timed(timings, key):
 
 @contextlib.contextmanager
 def _exit_codes():
-    """The one map from package errors to exit codes: 3 for degenerate
-    input, 2 (a usage error) for any other."""
+    """The one map from package and OS errors to exit codes: 3 for
+    degenerate input, 2 (a usage error) for any other, such as an output
+    path that cannot be written."""
     try:
         yield
     except DegenerateInputError as exc:
@@ -64,6 +64,8 @@ def _exit_codes():
         sys.exit(EXIT_DEGENERATE)
     except EnfError as exc:
         raise click.UsageError(str(exc))
+    except OSError as exc:
+        raise click.UsageError(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc))
 
 
 def _write_manifest(out_path, command, config, inputs, timings, outputs):
@@ -126,36 +128,28 @@ def main():
 @click.argument("wav", type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False),
               help="Output track CSV.")
-@click.option("--skip-seconds", type=float, default=0.0, show_default=True,
-              help="Seconds to drop from the head of the recording.")
 @click.option("--json", "as_json", is_flag=True, help="Print a JSON summary.")
 @click.option("--frame-seconds", "frame_len_s", type=float, default=None,
               help=f"Frame length in seconds.  [default: {PipelineConfig.frame_len_s:g}]")
 @click.option("--window", type=click.Choice(WINDOW_KINDS), default=None,
               help=f"Temporal window.  [default: {PipelineConfig.window}]")
 @pipeline_options()
-def extract(wav, output, skip_seconds, as_json, **kw):
+def extract(wav, output, as_json, **kw):
     """Extract an ENF track from a WAV recording."""
-    if not 0.0 <= skip_seconds < math.inf:
-        raise click.BadParameter("must be finite and non-negative",
-                                 param_hint="'--skip-seconds'")
     timings = {}
     with _exit_codes():
         config = _gather_config(**kw)
         with _timed(timings, "load"):
             signal = read_wav(wav)
-            if skip_seconds > 0:
-                signal = signal.skip_head(skip_seconds)
         with _timed(timings, "prepare"):
             filtered = prepare(signal, config)
         del signal  # the full-rate recording is not needed past prepare
         with _timed(timings, "estimate"):
             track = estimate(filtered, config)
-
-    with _timed(timings, "write"):
-        write_track(track, output)
-    manifest = _write_manifest(output, "extract", dataclasses.asdict(config), [wav],
-                               timings, [output])
+        with _timed(timings, "write"):
+            write_track(track, output)
+        manifest = _write_manifest(output, "extract", dataclasses.asdict(config), [wav],
+                                   timings, [output])
 
     summary = {
         "frames": len(track),
@@ -172,17 +166,22 @@ def extract(wav, output, skip_seconds, as_json, **kw):
 
 
 def _check_cadences(query, reference):
-    """Usage error unless both tracks have uniformly spaced times at the
-    same frame shift (a one-row track has no cadence and passes)."""
+    """The reference's frame shift; a usage error unless both tracks have
+    uniformly spaced times at the same frame shift (a one-row track has no
+    cadence and passes)."""
+    shifts = []
     for name, track in (("query", query), ("reference", reference)):
-        if track.shift_s is None and len(track) > 1:
+        shifts.append(track.shift_s)
+        if shifts[-1] is None and len(track) > 1:
             raise click.UsageError(f"{name} track times are not uniformly spaced")
-    if (query.shift_s is not None and reference.shift_s is not None
-            and abs(query.shift_s - reference.shift_s) > CADENCE_TOL_S):
+    query_shift, reference_shift = shifts
+    if (query_shift is not None and reference_shift is not None
+            and abs(query_shift - reference_shift) > CADENCE_TOL_S):
         raise click.UsageError(
-            f"query frame shift {query.shift_s:g} s differs from reference "
-            f"frame shift {reference.shift_s:g} s"
+            f"query frame shift {query_shift:g} s differs from reference "
+            f"frame shift {reference_shift:g} s"
         )
+    return reference_shift
 
 
 @main.command()
@@ -195,12 +194,12 @@ def match(extracted, reference, centered):
     with _exit_codes():
         f = read_track(extracted)
         g = read_track(reference)
-        _check_cadences(f, g)
+        shift_s = _check_cadences(f, g)
         result = best_lag(f.freq_hz, g.freq_hz, centered=centered)
-    # A defined correlation needs two pairs, so g.shift_s is known here.
+    # A defined correlation needs two pairs, so shift_s is known here.
     click.echo(json.dumps({
         "lag": result.lag_one_based,
-        "lag_seconds": float(result.best_lag * g.shift_s),
+        "lag_seconds": float(result.best_lag * shift_s),
         "correlation": result.correlation,
         "centered": result.centered,
         "n_used": result.n_used,
@@ -238,20 +237,18 @@ def synth(seed, duration_seconds, snr_db, wav_out, ref_out):
     fixture = make_power_fixture(seed, duration_s=duration_seconds, snr_db=snr_db)
     signal = fixture.signal
     peak = np.max(np.abs(signal.samples))
-    write_wav(
-        SampledSignal(signal.samples / peak * 0.99, signal.sample_rate_hz),
-        wav_out,
-    )
     rate = signal.sample_rate_hz
     seconds = np.arange(int(duration_seconds), dtype=np.int64)
     truth = EnfTrack(
         seconds,
         seconds.astype(np.float64),
         fixture.enf_hz[(seconds * int(rate)).clip(max=len(signal) - 1)],
-        shift_s=1.0,
     )
-    write_track(truth, ref_out)
-    _write_manifest(ref_out, "synth", None, [], {}, [wav_out, ref_out])
+    config = {"seed": seed, "duration_s": duration_seconds, "snr_db": snr_db}
+    with _exit_codes():
+        write_wav(SampledSignal(signal.samples / peak * 0.99, rate), wav_out)
+        write_track(truth, ref_out)
+        _write_manifest(ref_out, "synth", config, [], {}, [wav_out, ref_out])
     click.echo(f"wrote {wav_out} and {ref_out} (seed {seed})")
 
 
@@ -265,13 +262,10 @@ def synth(seed, duration_seconds, snr_db, wav_out, ref_out):
               help="Comma-separated frame lengths in seconds.")
 @click.option("-o", "--output", required=True, type=click.Path(dir_okay=False),
               help="Output correlation matrix CSV.")
-@click.option("--plot-data", type=click.Path(dir_okay=False), default=None,
-              help="Optional long-format plot data CSV.")
 @click.option("--centered/--uncentered", default=True, show_default=True,
               help="Correlation mode used against the reference.")
 @pipeline_options("stft")  # the window study is STFT-based
-def compare_windows(wav, reference, windows, frame_lengths, output, plot_data,
-                    centered, **kw):
+def compare_windows(wav, reference, windows, frame_lengths, output, centered, **kw):
     """Correlation matrix over window kinds and frame lengths."""
     # Each window is checked when its cells' configs are built.
     window_list = [w.strip() for w in windows.split(",") if w.strip()]
@@ -304,23 +298,16 @@ def compare_windows(wav, reference, windows, frame_lengths, output, plot_data,
                     cells.append(result.correlation)
                 rows.append((win, cells))
 
-    with _timed(timings, "write"):
-        lines = ["window," + ",".join(f"{length:g}" for length in lengths)]
-        lines += [win + "," + ",".join(f"{c!r}" for c in cells) for win, cells in rows]
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-        if plot_data:
-            with open(plot_data, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("window,frame_len_s,correlation\n")
-                for win, cells in rows:
-                    for length, c in zip(lengths, cells):
-                        fh.write(f"{win},{length:g},{c!r}\n")
-    # The cells' shared config, with the window and frame length lists that ran.
-    record = dict(dataclasses.asdict(configs[0][0]), window=window_list, frame_len_s=lengths,
-                  centered=centered)
-    _write_manifest(output, "compare-windows", record, [wav, reference], timings,
-                    [output] + ([plot_data] if plot_data else []))
+        with _timed(timings, "write"):
+            lines = ["window," + ",".join(f"{length:g}" for length in lengths)]
+            lines += [win + "," + ",".join(f"{c!r}" for c in cells) for win, cells in rows]
+            with open(output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("\n".join(lines) + "\n")
+        # The cells' shared config, with the window and frame length lists that ran.
+        record = dict(dataclasses.asdict(configs[0][0]), window=window_list,
+                      frame_len_s=lengths, centered=centered)
+        _write_manifest(output, "compare-windows", record, [wav, reference], timings,
+                        [output])
     click.echo(f"wrote {output}")
 
 

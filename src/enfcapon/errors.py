@@ -27,7 +27,7 @@ class IncompatibleInputError(EnfError, ValueError):
     order, pad factor, frame layout, an estimation band too narrow for
     the frequency grid), a fisher_test argument out of range, a
     sample rate that is not a multiple of the working rate, a query track
-    longer than its reference, a skip interval that is not finite."""
+    longer than its reference."""
 
 
 class UndefinedCorrelationError(DegenerateInputError):

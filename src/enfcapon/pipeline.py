@@ -197,9 +197,7 @@ def estimate(filtered, config):
     freqs[np.abs(freqs - config.nominal_hz) > VALID_ENVELOPE_HZ] = np.nan
 
     indices = np.arange(len(rows), dtype=np.int64)
-    shift_s = shift / rate
-    return EnfTrack(indices, filtered.origin_offset_s + indices * shift_s, freqs,
-                    frame_len_s=frame_len / rate, shift_s=shift_s)
+    return EnfTrack(indices, filtered.origin_offset_s + indices * (shift / rate), freqs)
 
 
 def extract_enf(signal, config):

@@ -4,13 +4,12 @@ WAV input is restricted to PCM 16-bit; anything else is rejected loudly
 rather than silently re-quantized.
 """
 
-import math
 import wave
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, IncompatibleInputError, UnsupportedFormatError
+from .errors import DegenerateInputError, UnsupportedFormatError
 
 PCM16_FULL_SCALE = 32768.0
 
@@ -26,8 +25,8 @@ class SampledSignal:
     """Uniformly sampled real-valued series.
 
     origin_offset_s tracks seconds trimmed from the head by upstream
-    processing (filter delay compensation, --skip-seconds) so frame
-    timestamps stay anchored to the original recording.
+    processing (filter delay compensation) so frame timestamps stay
+    anchored to the original recording.
     """
 
     samples: np.ndarray
@@ -44,22 +43,6 @@ class SampledSignal:
 
     def __len__(self):
         return self.samples.size
-
-    def skip_head(self, seconds):
-        """Drop the first `seconds` of the signal, tracking the offset."""
-        if not math.isfinite(seconds):
-            raise IncompatibleInputError(f"skip interval {seconds} s is not finite")
-        # Clamped before rounding: a huge skip's sample count overflows to inf.
-        n = int(round(min(seconds * self.sample_rate_hz, self.samples.size)))
-        if n <= 0:
-            return self
-        if n >= self.samples.size:
-            raise DegenerateInputError("skip interval longer than the signal")
-        return SampledSignal(
-            self.samples[n:],
-            self.sample_rate_hz,
-            self.origin_offset_s + n / self.sample_rate_hz,
-        )
 
 
 def read_wav(path):
@@ -107,7 +90,9 @@ def write_wav(signal, path):
     """Write a SampledSignal as mono PCM 16-bit WAV (test/fixture helper)."""
     clipped = np.clip(signal.samples, -1.0, 1.0 - 1.0 / PCM16_FULL_SCALE)
     pcm = np.round(clipped * PCM16_FULL_SCALE).astype("<i2")
-    with wave.open(str(path), "wb") as writer:
+    # wave.open(path) leaves a half-built writer whose __del__ fails when the
+    # path cannot be opened; opening the file first keeps that error plain.
+    with open(path, "wb") as fh, wave.open(fh, "wb") as writer:
         writer.setnchannels(1)
         writer.setsampwidth(2)
         writer.setframerate(int(round(signal.sample_rate_hz)))

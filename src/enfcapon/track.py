@@ -27,17 +27,14 @@ _CSV_FAST_PATH_EXCLUDED = "\x0b\x0c\x1c\x1d\x1e\x1f"
 
 @dataclass(frozen=True)
 class EnfTrack:
-    """Per-frame ENF estimates at a fixed shift cadence.
+    """Per-frame ENF estimates: exactly the three CSV columns.
 
-    freq_hz is NaN where the frame produced no usable estimate.  Metadata
-    fields are None when the track was loaded from a bare file.
+    freq_hz is NaN where the frame produced no usable estimate.
     """
 
     frame_index: np.ndarray
     time_s: np.ndarray
     freq_hz: np.ndarray
-    frame_len_s: float | None = None
-    shift_s: float | None = None
 
     def __post_init__(self):
         idx = np.asarray(self.frame_index, dtype=np.int64)
@@ -59,6 +56,12 @@ class EnfTrack:
     def valid(self):
         return ~np.isnan(self.freq_hz)
 
+    @property
+    def shift_s(self):
+        """The frame shift, when time_s is uniformly spaced; None otherwise
+        (or for fewer than two rows)."""
+        return _uniform_shift(self.time_s)
+
 
 def write_track(track, path):
     """Serialize a track as CSV, losslessly (repr round-trip for doubles)."""
@@ -74,9 +77,7 @@ def write_track(track, path):
 def read_track(path):
     """Load a CSV track written by write_track.
 
-    shift_s is inferred from time_s when the times are uniformly spaced,
-    and is None otherwise (or for fewer than two rows).  Every
-    TrackFormatError message starts with the path.
+    Every TrackFormatError message starts with the path.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -144,12 +145,9 @@ def _frequency(value):
 
 
 def _track(idx, times, freqs):
-    times = np.array(times, dtype=np.float64)
     try:
-        return EnfTrack(
-            np.array(idx, dtype=np.int64), times, np.array(freqs, dtype=np.float64),
-            shift_s=_uniform_shift(times),
-        )
+        return EnfTrack(np.array(idx, dtype=np.int64), np.array(times, dtype=np.float64),
+                        np.array(freqs, dtype=np.float64))
     except OverflowError as exc:
         raise TrackFormatError(f"frame index outside the int64 range: {exc}") from exc
     except ValueError as exc:

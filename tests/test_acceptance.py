@@ -34,14 +34,14 @@ def report(number, name):
     print(f"ACCEPTANCE {number} {name}: PASS")
 
 
-def ground_truth_for_track(fixture, track):
+def ground_truth_for_track(fixture, track, config):
     """Per-frame ground-truth fundamental aligned with a track's frames.
 
     Each value is the mean instantaneous fundamental over the frame's
     sample support in the fixture signal.
     """
     rate = fixture.signal.sample_rate_hz
-    frame_len = int(round(track.frame_len_s * rate))
+    frame_len = int(round(config.frame_len_s * rate))
     out = np.empty(len(track))
     for i, t0 in enumerate(track.time_s):
         start = int(round(t0 * rate))
@@ -76,7 +76,7 @@ def fixture_runs(power_fixture):
         t0 = time.perf_counter()
         track = extract_enf(power_fixture.signal, config)
         elapsed = time.perf_counter() - t0
-        truth = ground_truth_for_track(power_fixture, track)
+        truth = ground_truth_for_track(power_fixture, track, config)
         corr = correlation(track.freq_hz, truth, centered=True)
         runs[(estimator, window)] = {"corr": corr, "elapsed": elapsed}
     return runs

@@ -11,6 +11,7 @@ from enfcapon.pipeline import (PipelineConfig, estimate, extract_enf, power_conf
 from enfcapon.signal_io import SampledSignal
 from enfcapon.spectral import band_bins
 from enfcapon.synthetic import make_power_fixture
+from enfcapon.track import read_track, write_track
 from oracle import per_frame_track
 
 
@@ -153,9 +154,25 @@ class TestExtract:
         track = extract_enf(SampledSignal(samples, 441.0), power_config())
         assert len(track) == 1
         assert track.time_s[0] == 500 / 441.0
-        assert (track.frame_len_s, track.shift_s) == (1.0, 1.0)
+        assert track.shift_s is None
         with pytest.raises(DegenerateInputError, match="shorter than one 441-sample frame"):
             extract_enf(SampledSignal(samples[:-1], 441.0), power_config())
+
+    @pytest.mark.parametrize("n_samples, shift_s, expected", [
+        (10 * 441, 1.0, 1.0),
+        (10 * 441, 0.5, 220 / 441),  # 220.5 samples round to 220
+        (1000 + 441, 1.0, None),     # one frame after the filter trim
+    ])
+    def test_shift_survives_the_csv_round_trip(self, tmp_path, n_samples, shift_s, expected):
+        samples = np.cos(2.0 * np.pi * 180.0 / 441.0 * np.arange(n_samples))
+        track = extract_enf(SampledSignal(samples, 441.0), power_config(shift_s=shift_s))
+        path = tmp_path / "track.csv"
+        write_track(track, path)
+        assert read_track(path).shift_s == track.shift_s
+        if expected is None:
+            assert track.shift_s is None
+        else:
+            assert track.shift_s == pytest.approx(expected, abs=1e-12)
 
     def test_non_integer_rate_ratio_rejected(self):
         signal = SampledSignal(np.ones(1000), 1000.0)

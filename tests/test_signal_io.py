@@ -11,7 +11,6 @@ from conftest import make_tone
 from enfcapon.errors import (
     DegenerateInputError,
     EnfError,
-    IncompatibleInputError,
     UnsupportedFormatError,
 )
 from enfcapon.signal_io import (
@@ -256,19 +255,3 @@ class TestSampledSignal:
             SampledSignal(np.empty(0), 100.0)
         with pytest.raises(ValueError):
             SampledSignal(np.ones(10), 0.0)
-
-    def test_skip_head(self):
-        signal = SampledSignal(np.arange(100, dtype=float), 10.0)
-        skipped = signal.skip_head(2.0)
-        assert skipped.origin_offset_s == 2.0
-        assert skipped.samples[0] == 20.0
-        assert signal.skip_head(0.04) is signal  # 0.4 samples round to none
-        with pytest.raises(DegenerateInputError):
-            signal.skip_head(100.0)
-        with pytest.raises(DegenerateInputError):
-            signal.skip_head(1e308)  # the sample count overflows to inf
-
-    @pytest.mark.parametrize("seconds", [np.inf, -np.inf, np.nan])
-    def test_skip_head_rejects_non_finite(self, seconds):
-        with pytest.raises(IncompatibleInputError):
-            SampledSignal(np.ones(100), 10.0).skip_head(seconds)

@@ -16,8 +16,6 @@ def small_track():
         np.array([0, 1, 2]),
         np.array([0.0, 1.0, 2.0]),
         np.array([59.98, 60.017654321987654, np.nan]),
-        frame_len_s=1.0,
-        shift_s=1.0,
     )
 
 
@@ -97,6 +95,13 @@ def test_non_consecutive_indices_rejected():
 def test_unequal_columns_rejected():
     with pytest.raises(ValueError, match="equal-length"):
         EnfTrack(np.array([0, 1]), np.array([0.0, 1.0]), np.array([60.0]))
+
+
+@pytest.mark.parametrize("metadata", ["shift_s", "frame_len_s"])
+def test_shift_is_derived_from_the_times_not_stored(metadata):
+    with pytest.raises(TypeError):
+        EnfTrack(np.arange(3), [0.0, 1.0, 2.0], [60.0] * 3, **{metadata: 1.0})
+    assert EnfTrack(np.arange(3), [0.0, 2.0, 4.0], [60.0] * 3).shift_s == 2.0
 
 
 def test_read_infers_uniform_cadence(tmp_path):
@@ -247,7 +252,7 @@ def test_day_long_csv_track_takes_the_fast_path(tmp_path, monkeypatch):
     n = 86_400
     freqs = 60.0 + 0.01 * np.sin(np.arange(n) / 500.0)
     freqs[::997] = np.nan
-    track = EnfTrack(np.arange(n), np.arange(n) * 1.0, freqs, shift_s=1.0)
+    track = EnfTrack(np.arange(n), np.arange(n) * 1.0, freqs)
     path = tmp_path / "day.csv"
     write_track(track, path)
 
