@@ -9,6 +9,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -66,6 +67,15 @@ def _exit_codes():
         raise click.UsageError(str(exc))
     except OSError as exc:
         raise click.UsageError(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc))
+
+
+def _check_distinct(output, inputs):
+    """Usage error if output names one of inputs, checked before any is
+    read: by os.path.samefile where both exist, else by real path."""
+    for path in inputs:
+        if (os.path.samefile(output, path) if os.path.exists(output) and os.path.exists(path)
+                else os.path.realpath(output) == os.path.realpath(path)):
+            raise click.UsageError(f"output {output} is the same file as {path}")
 
 
 def _write_manifest(out_path, command, config, inputs, timings, outputs):
@@ -138,6 +148,7 @@ def extract(wav, output, as_json, **kw):
     """Extract an ENF track from a WAV recording."""
     timings = {}
     with _exit_codes():
+        _check_distinct(output, [wav])
         config = _gather_config(**kw)
         with _timed(timings, "load"):
             signal = read_wav(wav)
@@ -234,6 +245,8 @@ def synth(seed, duration_seconds, snr_db, wav_out, ref_out):
     if not abs(snr_db) <= MAX_SNR_DB:
         raise click.BadParameter(f"must be finite and within +/-{MAX_SNR_DB:g} dB",
                                  param_hint="'--snr-db'")
+    with _exit_codes():
+        _check_distinct(wav_out, [ref_out])
     fixture = make_power_fixture(seed, duration_s=duration_seconds, snr_db=snr_db)
     signal = fixture.signal
     peak = np.max(np.abs(signal.samples))
@@ -278,6 +291,7 @@ def compare_windows(wav, reference, windows, frame_lengths, output, centered, **
 
     rows, timings = [], {}
     with _exit_codes():
+        _check_distinct(output, [wav, reference])
         # Cells differ only in window and frame length, so they share one
         # prepared (decimated, band-passed) signal.
         configs = [[_gather_config(window=win, frame_len_s=length, **kw) for length in lengths]
@@ -316,7 +330,8 @@ def compare_windows(wav, reference, windows, frame_lengths, output, centered, **
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def bench(trials, seed):
     """Time the pipeline's in-band Capon kernel against an explicit inverse,
-    and its decimator against scipy's upfirdn."""
+    its STFT band kernel against scipy's zoom_fft, and its decimator
+    against scipy's upfirdn."""
     click.echo(json.dumps(run_bench(trials=trials, seed=seed), indent=1))
 
 

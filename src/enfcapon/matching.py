@@ -52,7 +52,7 @@ def correlation(f, g_seg, centered=False):
     """Sample correlation between equal-length vectors.
 
     Uncentered mode is cosine similarity; centered subtracts the means
-    first.  NaN entries are removed pairwise.
+    first.  NaN entries are removed pairwise.  The result lies in [-1, 1].
     """
     f = np.asarray(f, dtype=np.float64)
     g_seg = np.asarray(g_seg, dtype=np.float64)
@@ -78,7 +78,8 @@ def correlation(f, g_seg, centered=False):
         raise UndefinedCorrelationError(f"correlation undefined for {kind} vector")
     if not math.isfinite(norm_f * norm_g):
         raise UndefinedCorrelationError("correlation undefined for a vector of infinite norm")
-    return float(f @ g_seg / (norm_f * norm_g))
+    # Rounding can carry the ratio just past +/-1, e.g. for f = g_seg.
+    return min(1.0, max(-1.0, float(f @ g_seg / (norm_f * norm_g))))
 
 
 def best_lag(f, g, centered=False):

@@ -2,10 +2,10 @@
 
 Both estimators evaluate their spectrum, for all frames at once, only at
 the bins q of the grid omega_q = 2*pi*q/Q that lie in the estimation
-band, plus one neighbour on each side: the STFT by a chirp-z transform
-over that run of bins, Capon by its trigonometric polynomial.  The peak
-is the largest in-band bin, refined by fitting a parabola to three
-log-spectrum samples around it.
+band, plus one neighbour on each side: the STFT by Bluestein's chirp-z
+transform on numpy.fft over that run of bins, Capon by its trigonometric
+polynomial.  The peak is the largest in-band bin, refined by fitting a
+parabola to three log-spectrum samples around it.
 """
 
 import math
@@ -49,18 +49,47 @@ def phase_table(lags, bins, grid_size):
     return 2.0 * np.pi * (np.outer(lags, bins) % grid_size) / grid_size
 
 
+def _fast_length(n):
+    """Smallest 2^a 3^b 5^c at or above n, a length numpy.fft runs fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _chirp(m, grid_size):
+    """exp(-i pi m / Q) of integers m, each reduced mod 2Q before the exp."""
+    return np.exp(-1j * np.pi * (m % (2 * grid_size)) / grid_size)
+
+
 def stft_band_power(frames, bins, grid_size):
     """|DFT|^2 / N of every frame (K, N) zero-padded to Q, at the
-    contiguous bins, by a chirp-z transform (Rabiner, Schafer & Rader,
-    1969) that needs no Q-point FFT and no N x B DFT matrix.
+    contiguous bins q = q0 + b, b < B, by Bluestein's chirp-z transform on
+    numpy.fft (Bluestein, 1970; Rabiner, Schafer & Rader, 1969), which
+    needs no Q-point FFT and no N x B DFT matrix.  With
+    q t = q0 t + (t^2 + b^2 - (b - t)^2) / 2 the band is one circular
+    convolution of length L >= N + B - 1; the unit-modulus factor in b
+    drops out of the power.
 
     Returns (power, valid); a frame with no energy has no peak.
     """
-    from scipy.signal import zoom_fft  # the one scipy routine on this path
     frames = np.asarray(frames, dtype=np.float64)
-    n = frames.shape[-1]
-    spectrum = zoom_fft(frames, [bins[0], bins[-1] + 1], bins.size, fs=grid_size)
-    return np.abs(spectrum) ** 2 / n, np.einsum("...t,...t->...", frames, frames) > 0.0
+    n, first, size = frames.shape[-1], int(bins[0]), len(bins)
+    length = _fast_length(n + size - 1)
+    t = np.arange(n, dtype=np.int64)
+    k = np.arange(length, dtype=np.int64)
+    # Lag b - t runs over -(N-1)..B-1, which mod L do not overlap.
+    kernel = np.fft.fft(_chirp(np.where(k < size, k, length - k) ** 2, grid_size).conj())
+    spectrum = np.fft.fft(frames * _chirp(t * t + 2 * first * t, grid_size), length)
+    spectrum *= kernel
+    spectrum = np.fft.ifft(spectrum, out=spectrum)[..., :size]
+    return ((spectrum.real ** 2 + spectrum.imag ** 2) / n,
+            np.einsum("...t,...t->...", frames, frames) > 0.0)
 
 
 def band_peak(power, bins, grid_size, sample_rate_hz):

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import tracemalloc
+from pathlib import Path
 
 import click
 import numpy as np
@@ -271,6 +272,15 @@ class TestMatch:
         assert payload["centered"] is True
         assert payload["correlation"] > 0.9
         assert payload["lag"] >= 1
+
+    def test_self_match_is_exactly_one(self, runner, tmp_path):
+        ref = tmp_path / "r.csv"
+        result = runner.invoke(main, ["synth", "--seed", "1", "--duration-seconds", "600",
+                                      "--wav", str(tmp_path / "s.wav"), "--reference", str(ref)])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["match", str(ref), str(ref)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["correlation"] == 1.0
 
     def test_query_longer_than_reference_exit_code(self, runner, fixture_files, tmp_path):
         _, ref = fixture_files
@@ -695,6 +705,31 @@ def test_unwritable_output_exit_code(runner, fixture_files, tmp_path, monkeypatc
     assert unraisable == []
 
 
+@pytest.mark.parametrize("command, output", [
+    ("extract", "in.wav"), ("extract", "link.wav"), ("compare-windows", "in.wav"),
+    ("compare-windows", "sub/../ref.csv"), ("synth", "in.wav"), ("synth", "new.wav"),
+])
+def test_output_naming_an_input_exit_code(runner, fixture_files, tmp_path, command, output):
+    wav, ref = tmp_path / "in.wav", tmp_path / "ref.csv"
+    wav.write_bytes(fixture_files[0].read_bytes())
+    ref.write_bytes(fixture_files[1].read_bytes())
+    (tmp_path / "link.wav").symlink_to(wav)
+    (tmp_path / "sub").mkdir()
+    before = {path: path.read_bytes() for path in (wav, ref)}
+    output = str(tmp_path / output)
+    args = {"extract": [str(wav), "-o", output],
+            "compare-windows": [str(wav), "--reference", str(ref), "--windows", "parzen",
+                                "--frame-lengths", "1", "-o", output],
+            "synth": ["--duration-seconds", "2", "--wav", output,
+                      "--reference", str(tmp_path / "sub" / ".." / Path(output).name)]}[command]
+    result = runner.invoke(main, [command, *args])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert f"output {output} is the same file as" in result.output
+    assert {path: path.read_bytes() for path in (wav, ref)} == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "link.wav", "ref.csv", "sub"]
+
+
 @pytest.mark.parametrize("command", ["extract", "compare-windows"])
 def test_full_rate_recording_released_after_prepare(runner, fixture_files, tmp_path,
                                                     monkeypatch, command):
@@ -730,6 +765,11 @@ class TestBench:
         assert (report["frames"], report["frame_len"]) == (1797, 441)
         assert (report["grid_size"], report["bins"]) == (1764, 25)
         assert report["speedup"] > 0
+        stft = report["stft_band"]
+        assert [(row["frame_len_s"], row["frames"], row["frame_len"], row["bins"])
+                for row in stft] == [(1.0, 60, 441, 25), (5.0, 60, 2205, 121),
+                                     (10.0, 60, 4410, 239), (20.0, 60, 8820, 475)]
+        assert all(row["speedup"] > 0 for row in stft)
         decimation = report["decimate"]
         assert (decimation["samples"], decimation["factor"]) == (300 * 44100, 100)
         assert decimation["speedup"] > 0

@@ -1,7 +1,7 @@
 """Every name a package module imports is used in that module or listed in
 its __all__ (a stdlib-ast stand-in for a linter's unused-import rule),
-every module-level private name is loaded in its module, and the Capon,
-match and fisher paths load no scipy module."""
+every module-level private name is loaded in its module, and no run path
+(Capon or STFT extract, match, fisher) loads a scipy module."""
 
 import ast
 import os
@@ -81,28 +81,37 @@ def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text(encoding="utf-8")) == []
 
 
-CAPON_MATCH_FISHER = """
+RUN_PATHS = """
 import sys
 import numpy as np
 import enfcapon.cli
 from enfcapon.matching import best_lag, fisher_test
-from enfcapon.pipeline import extract_enf, power_config
+from enfcapon.pipeline import estimate, extract_enf, power_config, prepare
 from enfcapon.signal_io import SampledSignal
 
 t = np.arange(4410) / 441.0
-track = extract_enf(SampledSignal(np.cos(2 * np.pi * 180.0 * t), 441.0), power_config())
+signal = SampledSignal(np.cos(2 * np.pi * 180.0 * t), 441.0)
+track = extract_enf(signal, power_config())
 assert len(track) > 1
+assert len(extract_enf(signal, power_config(estimator="stft"))) == len(track)
 best_lag(track.freq_hz, np.concatenate([track.freq_hz, track.freq_hz]))
+# 20 s frames at a 1 s shift over 60 s run estimate in several blocks.
+t = np.arange(60 * 441) / 441.0
+signal = SampledSignal(np.cos(2 * np.pi * 180.0 * t), 441.0)
+for estimator in ("capon", "stft"):
+    config = power_config(estimator=estimator, frame_len_s=20.0)
+    filtered = prepare(signal, config)
+    assert len(estimate(filtered, config)) > 2 * (len(filtered) // 8820)
 fisher_test(0.9, 0.8, 100)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
-def test_capon_match_and_fisher_load_no_scipy():
+def test_run_paths_load_no_scipy():
     src = str(Path(enfcapon.__file__).parent.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", CAPON_MATCH_FISHER], env=env,
+    result = subprocess.run([sys.executable, "-c", RUN_PATHS], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"

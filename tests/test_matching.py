@@ -75,6 +75,15 @@ class TestCorrelation:
         f = rng.normal(size=20)
         assert correlation(f, f) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_self_match_is_exactly_one(self, centered):
+        # Unclipped, this ENF-like vector correlates with itself at
+        # 1.0000000000000002 in both modes.
+        f = 60.0 + np.random.default_rng(17).normal(0.0, 0.01, 600)
+        assert correlation(f, f, centered) == 1.0
+        assert correlation(f, -f, centered) == -1.0
+        assert best_lag(f, f, centered).correlation == 1.0
+
     def test_centered_constant_undefined(self):
         with pytest.raises(UndefinedCorrelationError):
             correlation(np.full(10, 3.0), np.arange(10.0), centered=True)

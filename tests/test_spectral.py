@@ -66,6 +66,34 @@ class TestPeriodogram:
         assert np.all(np.abs(power - expected) <= 1e-10 * scale)
 
 
+    @pytest.mark.parametrize("n, pad_factor, first, size", [
+        (1, 1, 0, 1), (1, 64, 0, 1), (1, 64, 0, 64), (2, 1, 1, 1), (441, 4, 0, 1),
+        (441, 4, 0, 1764), (441, 4, 1763, 1), (2500, 1, 0, 2500), (47, 64, 5, 3000),
+    ])
+    def test_band_edge_cases_match_fft(self, rng, n, pad_factor, first, size):
+        grid = pad_factor * n
+        self.assert_band_matches_fft(rng.normal(size=(2, n)), np.arange(first, first + size),
+                                     grid)
+
+    def test_random_bands_match_fft(self):
+        # Any frame length, pad factor and contiguous run of bins on the grid.
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            n, pad_factor = int(rng.integers(1, 2501)), int(rng.integers(1, 65))
+            grid = pad_factor * n
+            size = int(rng.integers(1, min(grid, 3000) + 1))
+            first = int(rng.integers(0, grid - size + 1))
+            frames = rng.normal(size=(int(rng.integers(1, 4)), n))
+            self.assert_band_matches_fft(frames, np.arange(first, first + size), grid)
+
+    @staticmethod
+    def assert_band_matches_fft(frames, bins, grid):
+        power, _ = stft_band_power(frames, bins, grid)
+        expected = np.abs(np.fft.fft(frames, grid)[:, bins]) ** 2 / frames.shape[-1]
+        scale = expected.max(axis=-1, keepdims=True)
+        assert np.all(np.abs(power - expected) <= 1e-12 * scale)
+
+
 class TestPeakSearch:
     def test_single_peak(self):
         values = np.ones(64)
