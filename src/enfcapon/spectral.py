@@ -87,7 +87,7 @@ def stft_band_power(frames, bins, grid_size):
     kernel = np.fft.fft(_chirp(np.where(k < size, k, length - k) ** 2, grid_size).conj())
     spectrum = np.fft.fft(frames * _chirp(t * t + 2 * first * t, grid_size), length)
     spectrum *= kernel
-    spectrum = np.fft.ifft(spectrum, out=spectrum)[..., :size]
+    spectrum = np.fft.ifft(spectrum)[..., :size]
     return ((spectrum.real ** 2 + spectrum.imag ** 2) / n,
             np.einsum("...t,...t->...", frames, frames) > 0.0)
 

@@ -273,15 +273,6 @@ class TestMatch:
         assert payload["correlation"] > 0.9
         assert payload["lag"] >= 1
 
-    def test_self_match_is_exactly_one(self, runner, tmp_path):
-        ref = tmp_path / "r.csv"
-        result = runner.invoke(main, ["synth", "--seed", "1", "--duration-seconds", "600",
-                                      "--wav", str(tmp_path / "s.wav"), "--reference", str(ref)])
-        assert result.exit_code == 0, result.output
-        result = runner.invoke(main, ["match", str(ref), str(ref)])
-        assert result.exit_code == 0, result.output
-        assert json.loads(result.output)["correlation"] == 1.0
-
     def test_query_longer_than_reference_exit_code(self, runner, fixture_files, tmp_path):
         _, ref = fixture_files
         short = tmp_path / "short.csv"
