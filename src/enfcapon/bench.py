@@ -1,6 +1,5 @@
 """Timing harness: the pipeline's in-band Capon kernel vs an explicit
-inverse, its STFT band kernel vs scipy's zoom_fft, and its decimator vs
-scipy's upfirdn.
+inverse, and its STFT band kernel at each frame length of the window study.
 
 Both Capon paths take the same batch of windowed frames to the Capon
 power at the same in-band bins, laid out as the default power config
@@ -10,13 +9,8 @@ autocovariance into (K, M, M) Toeplitz matrices, inverts them with
 np.linalg.inv, and evaluates the quadratic form a*(omega) R^-1 a(omega)
 at every bin as batched matrix products.
 
-Both STFT paths take the same Parzen-windowed noise frames to |DFT|^2 / N
-at the default power config's in-band bins, at each frame length of the
-window study: stft_band_power's chirp-z on numpy.fft, and zoom_fft.
-
-Both decimation paths take the same full-rate noise to the working rate
-with the same anti-alias taps: decimate's row-block matrix product, and
-upfirdn's polyphase filter with the same delay compensation.
+The STFT rows time stft_band_power alone, taking Parzen-windowed noise
+frames to |DFT|^2 / N at the default power config's in-band bins.
 """
 
 import contextlib
@@ -29,7 +23,6 @@ import numpy as np
 
 from . import capon, spectral
 from .pipeline import power_config
-from .signal_io import SampledSignal, anti_alias_filter, decimate
 from .windowing import make_window
 
 # Frames of a 30-minute recording at the default 1 s frames and shift,
@@ -40,12 +33,7 @@ BENCH_FRAMES = 1797
 STFT_FRAME_SECONDS = (1.0, 5.0, 10.0, 20.0)
 STFT_FRAMES = 60
 
-# Five minutes at 44.1 kHz, taken down to the 441 Hz working rate.
-DECIMATE_SECONDS = 300
-DECIMATE_RATE_HZ = 44100.0
-DECIMATE_FACTOR = 100
-
-# The BLAS and OpenMP thread settings the decimation median depends on.
+# The BLAS and OpenMP thread settings the dense baseline's median depends on.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS")
 
@@ -63,24 +51,6 @@ def dense_band_power(frames, bins, grid_size, order=capon.DEFAULT_ORDER):
     quad = sum(np.sum(part * (inverse @ part), axis=-2)
                for part in (np.cos(phase), np.sin(phase)))
     return (order + 1) / quad
-
-
-def zoom_fft_band_power(frames, bins, grid_size):
-    """stft_band_power's |DFT|^2 / N through scipy's zoom_fft."""
-    from scipy.signal import zoom_fft  # only the bench baseline needs scipy
-    spectrum = zoom_fft(frames, [bins[0], bins[-1] + 1], bins.size, fs=grid_size)
-    return np.abs(spectrum) ** 2 / frames.shape[-1]
-
-
-def upfirdn_decimate(signal, factor):
-    """decimate()'s working-rate samples through scipy's upfirdn: output j
-    is the full convolution at input index j * factor, so dropping the
-    first delay // factor outputs aligns them."""
-    from scipy.signal import upfirdn  # only the bench baseline needs scipy
-    taps = anti_alias_filter(factor, signal.sample_rate_hz)
-    start = (taps.size - 1) // 2 // factor
-    n_out = -(-len(signal) // factor)
-    return upfirdn(taps, signal.samples, 1, factor)[start : start + n_out]
 
 
 def host():
@@ -102,10 +72,8 @@ def run_bench(trials=100, seed=0):
     """Median time of capon_band_power vs dense_band_power at the default
     order, on one seeded batch of white-noise frames under the default
     window at the bins and on the grid the default power config searches;
-    under "stft_band", of stft_band_power vs zoom_fft_band_power at each
-    of STFT_FRAME_SECONDS; under "decimate", of decimate vs
-    upfirdn_decimate on seeded full-rate white noise; "host" records what
-    else the medians depend on."""
+    under "stft_band", of stft_band_power at each of STFT_FRAME_SECONDS;
+    "host" records what else the medians depend on."""
     config = power_config()
     frame_len, grid_size, bins = config.frame_samples[0], config.grid_size, config.search_bins
     rng = np.random.default_rng(seed)
@@ -129,7 +97,6 @@ def run_bench(trials=100, seed=0):
         "dense_median_s": dense_median,
         "speedup": dense_median / fast_median,
         "stft_band": [_bench_stft_band(trials, rng, seconds) for seconds in STFT_FRAME_SECONDS],
-        "decimate": _bench_decimate(trials, rng),
         "host": host(),
     }
 
@@ -138,37 +105,11 @@ def _bench_stft_band(trials, rng, frame_len_s):
     config = power_config(frame_len_s=frame_len_s)
     frame_len, grid_size, bins = config.frame_samples[0], config.grid_size, config.search_bins
     frames = rng.standard_normal((STFT_FRAMES, frame_len)) * make_window("parzen", frame_len)
-    fast = partial(spectral.stft_band_power, frames, bins, grid_size)
-    baseline = partial(zoom_fft_band_power, frames, bins, grid_size)
-    expected = baseline()
-    np.testing.assert_allclose(fast()[0], expected, rtol=0.0, atol=1e-10 * expected.max())
-    fast_median, baseline_median = (_median_s(path, trials) for path in (fast, baseline))
     return {
         "frame_len_s": frame_len_s,
         "frames": STFT_FRAMES,
         "frame_len": frame_len,
         "grid_size": grid_size,
         "bins": int(bins.size),
-        "fast_median_s": fast_median,
-        "zoom_fft_median_s": baseline_median,
-        "speedup": baseline_median / fast_median,
-    }
-
-
-def _bench_decimate(trials, rng):
-    signal = SampledSignal(
-        rng.standard_normal(round(DECIMATE_SECONDS * DECIMATE_RATE_HZ)), DECIMATE_RATE_HZ)
-    fast = partial(decimate, signal, DECIMATE_FACTOR)
-    baseline = partial(upfirdn_decimate, signal, DECIMATE_FACTOR)
-    # The check also warms decimate: a process's first calls run slow
-    # while its BLAS threads start.
-    np.testing.assert_allclose(fast().samples, baseline(), rtol=0.0, atol=1e-12)
-    fast_median, baseline_median = (_median_s(path, trials) for path in (fast, baseline))
-    return {
-        "samples": len(signal),
-        "rate_hz": DECIMATE_RATE_HZ,
-        "factor": DECIMATE_FACTOR,
-        "fast_median_s": fast_median,
-        "upfirdn_median_s": baseline_median,
-        "speedup": baseline_median / fast_median,
+        "median_s": _median_s(partial(spectral.stft_band_power, frames, bins, grid_size), trials),
     }

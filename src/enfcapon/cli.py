@@ -6,6 +6,7 @@ well-formed input with no usable content.
 
 import contextlib
 import dataclasses
+import errno
 import functools
 import hashlib
 import json
@@ -27,6 +28,9 @@ from .track import CADENCE_TOL_S, EnfTrack, read_track, write_track
 from .windowing import WINDOW_KINDS
 
 MANIFEST_SCHEMA = 2
+
+# A command's manifest sits next to its last output, at that path plus this suffix.
+MANIFEST_SUFFIX = ".manifest.json"
 
 EXIT_DEGENERATE = 3
 
@@ -69,16 +73,25 @@ def _exit_codes():
         raise click.UsageError(f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc))
 
 
-def _check_distinct(output, inputs):
-    """Usage error if output names one of inputs, checked before any is
-    read: by os.path.samefile where both exist, else by real path."""
-    for path in inputs:
-        if (os.path.samefile(output, path) if os.path.exists(output) and os.path.exists(path)
-                else os.path.realpath(output) == os.path.realpath(path)):
-            raise click.UsageError(f"output {output} is the same file as {path}")
+def _check_outputs(outputs, inputs):
+    """Check every output and the manifest before any input is read: an
+    OSError if its directory is missing or not writable, a usage error if
+    it names an input or a later output (by os.path.samefile where both
+    exist, else by real path)."""
+    outputs = [*outputs, outputs[-1] + MANIFEST_SUFFIX]
+    for i, output in enumerate(outputs):
+        parent = os.path.dirname(os.path.abspath(output))
+        if not os.path.isdir(parent):
+            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), output)
+        if not os.access(parent, os.W_OK):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES), output)
+        for path in [*inputs, *outputs[i + 1:]]:
+            if (os.path.samefile(output, path) if os.path.exists(output) and os.path.exists(path)
+                    else os.path.realpath(output) == os.path.realpath(path)):
+                raise click.UsageError(f"output {output} is the same file as {path}")
 
 
-def _write_manifest(out_path, command, config, inputs, timings, outputs):
+def _write_manifest(command, config, inputs, timings, outputs):
     manifest = {
         "schema_version": MANIFEST_SCHEMA,
         "tool_version": __version__,
@@ -88,7 +101,7 @@ def _write_manifest(out_path, command, config, inputs, timings, outputs):
         "timings_s": timings,
         "outputs": [str(p) for p in outputs],
     }
-    path = f"{out_path}.manifest.json"
+    path = outputs[-1] + MANIFEST_SUFFIX
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1)
         fh.write("\n")
@@ -148,7 +161,7 @@ def extract(wav, output, as_json, **kw):
     """Extract an ENF track from a WAV recording."""
     timings = {}
     with _exit_codes():
-        _check_distinct(output, [wav])
+        _check_outputs([output], [wav])
         config = _gather_config(**kw)
         with _timed(timings, "load"):
             signal = read_wav(wav)
@@ -159,8 +172,8 @@ def extract(wav, output, as_json, **kw):
             track = estimate(filtered, config)
         with _timed(timings, "write"):
             write_track(track, output)
-        manifest = _write_manifest(output, "extract", dataclasses.asdict(config), [wav],
-                                   timings, [output])
+        manifest = _write_manifest("extract", dataclasses.asdict(config), [wav], timings,
+                                   [output])
 
     summary = {
         "frames": len(track),
@@ -246,7 +259,7 @@ def synth(seed, duration_seconds, snr_db, wav_out, ref_out):
         raise click.BadParameter(f"must be finite and within +/-{MAX_SNR_DB:g} dB",
                                  param_hint="'--snr-db'")
     with _exit_codes():
-        _check_distinct(wav_out, [ref_out])
+        _check_outputs([wav_out, ref_out], [])
     fixture = make_power_fixture(seed, duration_s=duration_seconds, snr_db=snr_db)
     signal = fixture.signal
     peak = np.max(np.abs(signal.samples))
@@ -261,7 +274,7 @@ def synth(seed, duration_seconds, snr_db, wav_out, ref_out):
     with _exit_codes():
         write_wav(SampledSignal(signal.samples / peak * 0.99, rate), wav_out)
         write_track(truth, ref_out)
-        _write_manifest(ref_out, "synth", config, [], {}, [wav_out, ref_out])
+        _write_manifest("synth", config, [], {}, [wav_out, ref_out])
     click.echo(f"wrote {wav_out} and {ref_out} (seed {seed})")
 
 
@@ -291,7 +304,7 @@ def compare_windows(wav, reference, windows, frame_lengths, output, centered, **
 
     rows, timings = [], {}
     with _exit_codes():
-        _check_distinct(output, [wav, reference])
+        _check_outputs([output], [wav, reference])
         # Cells differ only in window and frame length, so they share one
         # prepared (decimated, band-passed) signal.
         configs = [[_gather_config(window=win, frame_len_s=length, **kw) for length in lengths]
@@ -320,8 +333,7 @@ def compare_windows(wav, reference, windows, frame_lengths, output, centered, **
         # The cells' shared config, with the window and frame length lists that ran.
         record = dict(dataclasses.asdict(configs[0][0]), window=window_list,
                       frame_len_s=lengths, centered=centered)
-        _write_manifest(output, "compare-windows", record, [wav, reference], timings,
-                        [output])
+        _write_manifest("compare-windows", record, [wav, reference], timings, [output])
     click.echo(f"wrote {output}")
 
 
@@ -330,8 +342,7 @@ def compare_windows(wav, reference, windows, frame_lengths, output, centered, **
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def bench(trials, seed):
     """Time the pipeline's in-band Capon kernel against an explicit inverse,
-    its STFT band kernel against scipy's zoom_fft, and its decimator
-    against scipy's upfirdn."""
+    and its STFT band kernel at each frame length of the window study."""
     click.echo(json.dumps(run_bench(trials=trials, seed=seed), indent=1))
 
 

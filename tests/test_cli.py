@@ -673,24 +673,33 @@ def test_match_and_compare_windows_share_exit_codes(runner, fixture_files, tmp_p
         assert isinstance(result.exception, SystemExit)
 
 
-@pytest.mark.parametrize("command", ["extract", "compare-windows", "synth"])
-def test_unwritable_output_exit_code(runner, fixture_files, tmp_path, monkeypatch, command):
+@pytest.mark.parametrize("command", [
+    "extract", "compare-windows", "synth",
+    pytest.param("synth --reference", id="synth-reference"),
+])
+def test_unwritable_output_exit_code(runner, fixture_files, tmp_path, monkeypatch, wav_reads,
+                                     command):
     wav, ref = fixture_files
     missing = tmp_path / "missing" / ("s.wav" if command == "synth" else "out.csv")
     args = {"extract": [str(wav), "-o", str(missing)],
             "compare-windows": [str(wav), "--reference", str(ref), "--windows", "parzen",
                                 "--frame-lengths", "1", "-o", str(missing)],
             "synth": ["--duration-seconds", "2", "--wav", str(missing),
-                      "--reference", str(tmp_path / "r.csv")]}[command]
+                      "--reference", str(tmp_path / "r.csv")],
+            "synth --reference": ["--duration-seconds", "2", "--wav", str(tmp_path / "s.wav"),
+                                  "--reference", str(missing)]}[command]
     # A writer left half-built by the failed open, such as wave's, can fail
     # again when collected, and Python prints that traceback to stderr.
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-    result = runner.invoke(main, [command, *args])
+    result = runner.invoke(main, [command.split()[0], *args])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert f"{missing}: No such file or directory" in result.output
     assert "Traceback" not in result.output
+    # Checked before the recording is read, or synth's WAV is written.
+    assert wav_reads == []
+    assert not (tmp_path / "s.wav").exists()
     del result
     gc.collect()
     assert unraisable == []
@@ -699,26 +708,36 @@ def test_unwritable_output_exit_code(runner, fixture_files, tmp_path, monkeypatc
 @pytest.mark.parametrize("command, output", [
     ("extract", "in.wav"), ("extract", "link.wav"), ("compare-windows", "in.wav"),
     ("compare-windows", "sub/../ref.csv"), ("synth", "in.wav"), ("synth", "new.wav"),
+    # The manifest of t.csv is the WAV (synth's --wav) or, for compare-windows, the reference.
+    ("extract", "t.csv"), ("compare-windows", "t.csv"), ("synth", "t.csv"),
 ])
 def test_output_naming_an_input_exit_code(runner, fixture_files, tmp_path, command, output):
     wav, ref = tmp_path / "in.wav", tmp_path / "ref.csv"
+    manifest_case = output == "t.csv"
+    if manifest_case:
+        manifest = tmp_path / "t.csv.manifest.json"
+        wav, ref = (wav, manifest) if command == "compare-windows" else (manifest, ref)
     wav.write_bytes(fixture_files[0].read_bytes())
     ref.write_bytes(fixture_files[1].read_bytes())
     (tmp_path / "link.wav").symlink_to(wav)
     (tmp_path / "sub").mkdir()
     before = {path: path.read_bytes() for path in (wav, ref)}
     output = str(tmp_path / output)
+    synth_outputs = ([str(wav), output] if manifest_case
+                     else [output, str(tmp_path / "sub" / ".." / Path(output).name)])
     args = {"extract": [str(wav), "-o", output],
             "compare-windows": [str(wav), "--reference", str(ref), "--windows", "parzen",
                                 "--frame-lengths", "1", "-o", output],
-            "synth": ["--duration-seconds", "2", "--wav", output,
-                      "--reference", str(tmp_path / "sub" / ".." / Path(output).name)]}[command]
+            "synth": ["--duration-seconds", "2", "--wav", synth_outputs[0],
+                      "--reference", synth_outputs[1]]}[command]
     result = runner.invoke(main, [command, *args])
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
-    assert f"output {output} is the same file as" in result.output
+    named = output + ".manifest.json" if manifest_case else output
+    assert f"output {named} is the same file as" in result.output
     assert {path: path.read_bytes() for path in (wav, ref)} == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.wav", "link.wav", "ref.csv", "sub"]
+    assert (sorted(p.name for p in tmp_path.iterdir())
+            == sorted([wav.name, "link.wav", ref.name, "sub"]))
 
 
 @pytest.mark.parametrize("command", ["extract", "compare-windows"])
@@ -760,10 +779,8 @@ class TestBench:
         assert [(row["frame_len_s"], row["frames"], row["frame_len"], row["bins"])
                 for row in stft] == [(1.0, 60, 441, 25), (5.0, 60, 2205, 121),
                                      (10.0, 60, 4410, 239), (20.0, 60, 8820, 475)]
-        assert all(row["speedup"] > 0 for row in stft)
-        decimation = report["decimate"]
-        assert (decimation["samples"], decimation["factor"]) == (300 * 44100, 100)
-        assert decimation["speedup"] > 0
+        assert all(row["median_s"] > 0 for row in stft)
+        assert "decimate" not in report
         host = report["host"]
         assert host["cpu_model"] and host["cpu_count"] >= 1
         assert set(host["threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",

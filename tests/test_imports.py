@@ -1,10 +1,13 @@
 """Every name a package module imports is used in that module or listed in
 its __all__ (a stdlib-ast stand-in for a linter's unused-import rule),
-every module-level private name is loaded in its module, and no run path
-(Capon or STFT extract, match, fisher) loads a scipy module."""
+every module-level private name is loaded in its module, the package
+imports exactly the standard library and its declared dependencies, and
+no run path (Capon or STFT extract, match, fisher, bench) loads a scipy
+module."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -81,10 +84,40 @@ def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text(encoding="utf-8")) == []
 
 
+def top_level_imports(source):
+    """Top-level names of every absolute import in source, function bodies included."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_detects_top_level_imports():
+    source = ("import os.path, json as j\nfrom . import capon\nfrom .bench import host\n"
+              "def f():\n    from scipy.signal import upfirdn\n")
+    assert top_level_imports(source) == {"os", "json", "scipy"}
+
+
+def test_dependency_census():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        requirements = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group() for req in requirements}
+    imported = set().union(*(top_level_imports(path.read_text(encoding="utf-8"))
+                             for path in MODULES))
+    assert imported - set(sys.stdlib_module_names) - {"enfcapon"} == declared
+    assert declared == {"numpy", "click"}
+
+
 RUN_PATHS = """
 import sys
 import numpy as np
 import enfcapon.cli
+from enfcapon.bench import run_bench
 from enfcapon.matching import best_lag, fisher_test
 from enfcapon.pipeline import estimate, extract_enf, power_config, prepare
 from enfcapon.signal_io import SampledSignal
@@ -103,6 +136,7 @@ for estimator in ("capon", "stft"):
     filtered = prepare(signal, config)
     assert len(estimate(filtered, config)) > 2 * (len(filtered) // 8820)
 fisher_test(0.9, 0.8, 100)
+run_bench(trials=1)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
