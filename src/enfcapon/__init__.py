@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .signal_io import SampledSignal, decimate, read_wav
+from .signal_io import PcmRecording, SampledSignal, decimate, read_wav
 from .track import EnfTrack, read_track, write_track
 from .pipeline import PipelineConfig, extract_enf, power_config, speech_config
 from .matching import best_lag, correlation, fisher_test
@@ -10,6 +10,7 @@ from .matching import best_lag, correlation, fisher_test
 __all__ = [
     "__version__",
     "SampledSignal",
+    "PcmRecording",
     "EnfTrack",
     "PipelineConfig",
     "read_wav",

@@ -64,16 +64,21 @@ def host():
             "threads": {name: os.environ.get(name) for name in THREAD_VARS}}
 
 
-def _median_s(path, trials):
-    return float(np.median(timeit.repeat(path, number=1, repeat=trials)))
+def _spread_s(path, trials, prefix=""):
+    """Minimum, quartiles and median of trials timed calls of path, in
+    seconds: medians alone spread up to 2x between runs on a shared host."""
+    times = timeit.repeat(path, number=1, repeat=trials)
+    return {f"{prefix}{name}_s": float(value) for name, value in
+            zip(("min", "q1", "median", "q3"), np.percentile(times, [0, 25, 50, 75]))}
 
 
 def run_bench(trials=100, seed=0):
-    """Median time of capon_band_power vs dense_band_power at the default
-    order, on one seeded batch of white-noise frames under the default
-    window at the bins and on the grid the default power config searches;
-    under "stft_band", of stft_band_power at each of STFT_FRAME_SECONDS;
-    "host" records what else the medians depend on."""
+    """Time of capon_band_power vs dense_band_power at the default order,
+    on one seeded batch of white-noise frames under the default window at
+    the bins and on the grid the default power config searches; under
+    "stft_band", of stft_band_power at each of STFT_FRAME_SECONDS.  Each
+    time is reported as its minimum, quartiles and median over the
+    trials; "host" records what else the times depend on."""
     config = power_config()
     frame_len, grid_size, bins = config.frame_samples[0], config.grid_size, config.search_bins
     rng = np.random.default_rng(seed)
@@ -84,7 +89,7 @@ def run_bench(trials=100, seed=0):
     dense = partial(dense_band_power, frames, bins, grid_size)
     # Sanity: both paths agree while we are at it.
     np.testing.assert_allclose(fast()[0], dense(), rtol=1e-6)
-    fast_median, dense_median = (_median_s(path, trials) for path in (fast, dense))
+    spread = {**_spread_s(fast, trials, "fast_"), **_spread_s(dense, trials, "dense_")}
     return {
         "order": capon.DEFAULT_ORDER,
         "trials": trials,
@@ -93,9 +98,8 @@ def run_bench(trials=100, seed=0):
         "frame_len": frame_len,
         "grid_size": grid_size,
         "bins": int(bins.size),
-        "fast_median_s": fast_median,
-        "dense_median_s": dense_median,
-        "speedup": dense_median / fast_median,
+        **spread,
+        "speedup": spread["dense_median_s"] / spread["fast_median_s"],
         "stft_band": [_bench_stft_band(trials, rng, seconds) for seconds in STFT_FRAME_SECONDS],
         "host": host(),
     }
@@ -111,5 +115,5 @@ def _bench_stft_band(trials, rng, frame_len_s):
         "frame_len": frame_len,
         "grid_size": grid_size,
         "bins": int(bins.size),
-        "median_s": _median_s(partial(spectral.stft_band_power, frames, bins, grid_size), trials),
+        **_spread_s(partial(spectral.stft_band_power, frames, bins, grid_size), trials),
     }

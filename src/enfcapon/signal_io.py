@@ -1,9 +1,13 @@
 """Recording ingest and anti-alias decimation.
 
 WAV input is restricted to PCM 16-bit; anything else is rejected loudly
-rather than silently re-quantized.
+rather than silently re-quantized.  A recording is kept as its 16-bit
+codes, and decimation makes float64 samples of one slice at a time.
 """
 
+import mmap
+import os
+import stat
 import wave
 from dataclasses import dataclass
 
@@ -13,16 +17,27 @@ from .errors import DegenerateInputError, UnsupportedFormatError
 
 PCM16_FULL_SCALE = 32768.0
 
-# Rows of `factor` input samples per matrix product in decimate.  One
-# block's product holds width (11) x 16,384 doubles, about 1.4 MB, while
-# each product is large enough that BLAS, not the Python loop, sets the
-# pace.
+# Most bytes read_wav asks the wave reader for at once.
+_READ_BYTES = 1 << 20
+
+# Decimation views the input as rows of `factor` samples and filters
+# _BLOCK_ROWS rows per block: one block's product holds width (11) x
+# 16,384 doubles, about 1.4 MB, and is large enough that BLAS, not the
+# Python loop, sets the pace.  The block fixes the order in which rows add
+# into each output, so it also fixes the outputs' last bits.
 _BLOCK_ROWS = 16384
+
+# Input samples made float64 and multiplied at once (2 MB): a block's
+# product is formed in nearly equal slices of at most this many samples,
+# so a PCM recording is never float64 more than a slice at a time.
+_SLICE_SAMPLES = 1 << 18
 
 
 @dataclass(frozen=True)
 class SampledSignal:
-    """Uniformly sampled real-valued series.
+    """Uniformly sampled real-valued series in float64: the output of
+    decimate and the band-pass.  A recording read by read_wav stays a
+    PcmRecording of 16-bit codes until decimate makes it one.
 
     origin_offset_s tracks seconds trimmed from the head by upstream
     processing (filter delay compensation) so frame timestamps stay
@@ -44,46 +59,110 @@ class SampledSignal:
     def __len__(self):
         return self.samples.size
 
+    def floats(self, start=0, stop=None):
+        """Samples start:stop, a view."""
+        return self.samples[start:stop]
+
+
+@dataclass(frozen=True)
+class PcmRecording:
+    """A PCM 16-bit recording kept as its codes, int16 (frames, channels),
+    two bytes per sample per channel.
+
+    floats() makes mono float64 samples of a range of frames: the channel
+    mean, then x 1/32768, so the full negative scale maps to -1.0.  Both
+    steps are exact, so any range gives the same bits as converting the
+    whole recording at once.
+    """
+
+    codes: np.ndarray
+    sample_rate_hz: float
+    origin_offset_s = 0.0  # a recording starts at its own origin
+
+    def __post_init__(self):
+        if self.codes.dtype != np.int16 or self.codes.ndim != 2 or self.codes.size < 1:
+            raise ValueError("codes must be a non-empty int16 (frames, channels) array")
+        if not self.sample_rate_hz > 0:
+            raise ValueError("sample_rate_hz must be positive")
+
+    def __len__(self):
+        return len(self.codes)
+
+    def floats(self, start=0, stop=None):
+        """Mono float64 samples of frames start:stop."""
+        codes = self.codes[start:stop]
+        if codes.shape[1] == 1:
+            return codes[:, 0] * (1.0 / PCM16_FULL_SCALE)
+        # Scaling by the power of two 1/32768 is exact, so it may follow
+        # the channel mean in place.
+        samples = codes.mean(axis=1)
+        samples *= 1.0 / PCM16_FULL_SCALE
+        return samples
+
 
 def read_wav(path):
-    """Read a PCM 16-bit WAV file into a normalized mono SampledSignal.
+    """Read a PCM 16-bit WAV file as a PcmRecording of its codes.
 
-    Stereo channels are averaged.  Amplitudes are scaled by 1/32768 so the
-    full negative scale maps to -1.0.  A partial sample frame at the end
-    of a truncated file is dropped.  wave opens only PCM, so any other
-    format tag fails there ("unknown format: 3").
+    Only the bytes the file holds are read, however many frames the
+    header claims, in blocks of at most 1 MB into one int16 array.  A
+    partial sample frame at the end of a truncated file is dropped.  wave
+    opens only PCM, so any other format tag fails there ("unknown format:
+    3").
     """
     try:
-        reader = wave.open(str(path), "rb")
-    except EOFError as exc:
-        raise UnsupportedFormatError(f"{path}: file ends inside the WAV header") from exc
-    except RuntimeError as exc:  # wave's bare error for a seek outside a chunk
-        raise UnsupportedFormatError(f"{path}: a WAV chunk size is inconsistent") from exc
-    except (OSError, wave.Error) as exc:
+        fh = open(path, "rb")
+    except OSError as exc:
         raise UnsupportedFormatError(f"cannot read WAV file {path}: {exc}") from exc
-    with reader:
-        if reader.getsampwidth() != 2:
-            raise UnsupportedFormatError(
-                f"{path}: only 16-bit PCM is supported, got "
-                f"{8 * reader.getsampwidth()}-bit"
-            )
-        n_channels = reader.getnchannels()
-        rate = reader.getframerate()
-        raw = reader.readframes(reader.getnframes())
-    if rate <= 0:
-        raise UnsupportedFormatError(f"{path}: sample rate {rate} Hz in header")
-    n_frames = len(raw) // (2 * n_channels)
-    if n_frames == 0:
+    with fh:
+        try:
+            reader = wave.open(fh)
+        except EOFError as exc:
+            raise UnsupportedFormatError(f"{path}: file ends inside the WAV header") from exc
+        except RuntimeError as exc:  # wave's bare error for a seek outside a chunk
+            raise UnsupportedFormatError(f"{path}: a WAV chunk size is inconsistent") from exc
+        except (OSError, wave.Error) as exc:
+            raise UnsupportedFormatError(f"cannot read WAV file {path}: {exc}") from exc
+        with reader:
+            if reader.getsampwidth() != 2:
+                raise UnsupportedFormatError(
+                    f"{path}: only 16-bit PCM is supported, got "
+                    f"{8 * reader.getsampwidth()}-bit"
+                )
+            rate = reader.getframerate()
+            if rate <= 0:
+                raise UnsupportedFormatError(f"{path}: sample rate {rate} Hz in header")
+            codes = _read_codes(reader, fh)
+    if codes.size == 0:
         raise DegenerateInputError(f"{path}: no audio frames")
-    data = np.frombuffer(raw, dtype="<i2", count=n_frames * n_channels)
-    # One float64 array either way; scaling by the power of two 1/32768 is
-    # exact, so it may follow the channel mean in place.
-    if n_channels == 1:
-        samples = data * (1.0 / PCM16_FULL_SCALE)
-    else:
-        samples = data.reshape(-1, n_channels).mean(axis=1)
-        samples *= 1.0 / PCM16_FULL_SCALE
-    return SampledSignal(samples, float(rate))
+    return PcmRecording(codes, float(rate))
+
+
+def _read_codes(reader, fh):
+    """The whole frames of the data chunk that the file holds.  wave has
+    just read the chunk's header, so fh stands at its first byte."""
+    n_channels = reader.getnchannels()
+    frame_bytes = 2 * n_channels
+    n_frames = reader.getnframes()
+    status = os.fstat(fh.fileno())
+    if stat.S_ISREG(status.st_mode):  # a pipe's length is known only once read
+        n_frames = min(n_frames, (status.st_size - fh.tell()) // frame_bytes)
+    # An anonymous map goes back to the system when the recording is
+    # dropped; a malloc'ed buffer of this size would raise malloc's mmap
+    # threshold and stay on its heap from the next read on.
+    buffer = mmap.mmap(-1, max(1, n_frames * frame_bytes))
+    codes = np.frombuffer(buffer, np.int16, n_frames * n_channels).reshape(n_frames, n_channels)
+    step = max(1, _READ_BYTES // frame_bytes)
+    filled = 0
+    while filled < len(codes):
+        raw = reader.readframes(min(step, len(codes) - filled))
+        count = len(raw) // frame_bytes
+        if count == 0:
+            break
+        codes[filled : filled + count] = np.frombuffer(
+            raw, np.int16, count * n_channels).reshape(count, n_channels)
+        filled += count
+        del raw  # one block's bytes at a time
+    return codes[:filled]
 
 
 def write_wav(signal, path):
@@ -125,16 +204,17 @@ def anti_alias_filter(factor, input_rate_hz):
 def decimate(signal, factor):
     """Reduce the sample rate by an integer factor with anti-alias filtering.
 
-    The low-pass group delay is compensated so the output is time-aligned
-    with the input; origin_offset_s is unchanged.  Only the kept outputs
-    are computed, by polyphase decomposition (Crochiere & Rabiner,
-    Multirate Digital Signal Processing, 1983, ch. 3): one matrix product
-    per block of rows of `factor` samples.
+    signal is a SampledSignal or a PcmRecording; the result is a
+    SampledSignal.  The low-pass group delay is compensated so the output
+    is time-aligned with the input; origin_offset_s is unchanged.  Only
+    the kept outputs are computed, by polyphase decomposition (Crochiere &
+    Rabiner, Multirate Digital Signal Processing, 1983, ch. 3): one matrix
+    product per block of rows of `factor` samples.
     """
     if not isinstance(factor, (int, np.integer)) or factor <= 0:
         raise ValueError("decimation factor must be a positive integer")
     if factor == 1:
-        return signal
+        return SampledSignal(signal.floats(), signal.sample_rate_hz, signal.origin_offset_s)
     # Checked before the design, which for a huge factor is itself huge.
     n_taps = _anti_alias_taps(int(factor))
     if len(signal) <= n_taps:
@@ -144,42 +224,51 @@ def decimate(signal, factor):
         )
     taps = anti_alias_filter(int(factor), signal.sample_rate_hz)
     return SampledSignal(
-        _polyphase_filter(taps, signal.samples, int(factor)),
+        _polyphase_filter(taps, signal, int(factor)),
         signal.sample_rate_hz / factor,
         signal.origin_offset_s,
     )
 
 
-def _polyphase_filter(taps, samples, factor):
+def _polyphase_filter(taps, signal, factor):
     """Every factor-th output of the delay-compensated convolution of the
-    samples with the taps, as one matrix product per block of rows.
+    signal's samples with the taps, as one matrix product per block of rows.
 
     With 10 * factor + 1 taps, the delay 5 * factor is a whole number of
     output samples, and output j is sum_k taps[k] x[(j + 5) * factor - k].
     Viewing the samples as rows of `factor`, row r adds
     phases[i] @ row r to output r + i - width // 2, where
     phases[i, q] = taps[i * factor - q] (zero outside the taps) and
-    width = 11.  Full rows are a view of the samples; only the partial
-    last row is copied, into a zero-padded buffer.
+    width = 11.  signal.floats makes the rows of each slice float64 (a view
+    of a SampledSignal); the partial last row goes into a zero-padded
+    buffer.
     """
     width = (taps.size - 1) // factor + 1
     phases = np.ascontiguousarray(
         np.concatenate((np.zeros(factor - 1), taps)).reshape(width, factor)[:, ::-1]
     )
-    full, rest = divmod(samples.size, factor)
-    rows = samples[: full * factor].reshape(full, factor)
+    full, rest = divmod(len(signal), factor)
     # Output j accumulates at j + width // 2, so rows near either end need
     # no clipping; the margins are sliced off at the end.
     acc = np.zeros(full + (rest > 0) + width - 1)
     # One product buffer, reused by every block.
     product = np.empty((width, min(full, _BLOCK_ROWS)))
     for first in range(0, full, _BLOCK_ROWS):
-        block = rows[first : first + _BLOCK_ROWS]
-        lines = np.matmul(phases, block.T, out=product[:, : len(block)])
-        for i, line in enumerate(lines):
-            acc[first + i : first + i + line.size] += line
+        n_rows = min(_BLOCK_ROWS, full - first)
+        # Nearly equal slices, each over half _SLICE_SAMPLES if there are
+        # several: BLAS forms the columns of a product that large as it
+        # does those of the whole block's, so the bits stay as they were
+        # (a much narrower product may take another kernel).
+        n_slices = -(-n_rows * factor // _SLICE_SAMPLES)
+        bounds = [n_rows * k // n_slices for k in range(n_slices + 1)]
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            rows = signal.floats((first + start) * factor, (first + stop) * factor)
+            np.matmul(phases, rows.reshape(-1, factor).T, out=product[:, start:stop])
+            del rows  # a PCM slice's floats go before the next slice's come
+        for i, line in enumerate(product[:, :n_rows]):
+            acc[first + i : first + i + n_rows] += line
     if rest:
         tail = np.zeros(factor)
-        tail[:rest] = samples[full * factor :]
+        tail[:rest] = signal.floats(full * factor)
         acc[full : full + width] += phases @ tail
     return acc[width // 2 : acc.size - width // 2]

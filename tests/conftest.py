@@ -22,6 +22,14 @@ def make_tone(freq_hz, sample_rate_hz, duration_s, amplitude=1.0, phase=0.0):
     return amplitude * np.cos(2.0 * np.pi * freq_hz * t + phase)
 
 
+def backing_nbytes(array):
+    """Bytes of the buffer that holds an array's data, which tracemalloc
+    does not see when it is a memory map."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array.nbytes if array.base is None else memoryview(array.base).nbytes
+
+
 # Track files that fail before any row is parsed, with the message each
 # gives: a JSON track as earlier versions wrote it (CSV is the only track
 # format now), and a byte that is not UTF-8.

@@ -8,7 +8,9 @@ spectrum, a peak search over the whole band and a scalar quadratic
 refinement.  The full-grid spectrum comes from one Hermitian FFT of the
 denominator coefficients (capon_psd) or from an explicit inverse and
 its quadratic form at every bin (capon_psd_dense).  The dense helpers
-form the Toeplitz machinery with explicit matrices.  The package
+form the Toeplitz machinery with explicit matrices.  The package keeps
+a WAV as its 16-bit codes and makes float64 samples of one slice at a
+time; wav_floats here converts the whole data chunk at once.  It
 decimates by one matrix product per block of polyphase rows and
 band-passes by overlap-save in fixed real-FFT blocks; the full-rate
 helpers here convolve the whole signal with one FFT and keep the
@@ -16,6 +18,8 @@ outputs they need.  The package matches a
 track by FFT sums that nominate candidate lags; the scan here scores
 every lag through `correlation`.
 """
+
+import wave
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, toeplitz
@@ -28,6 +32,21 @@ from enfcapon.matching import MatchResult, correlation
 from enfcapon.pipeline import VALID_ENVELOPE_HZ, _decimation_factor
 from enfcapon.signal_io import SampledSignal, anti_alias_filter
 from enfcapon.windowing import make_window
+
+
+def wav_floats(path):
+    """read_wav(path).floats(): the data chunk read whole, its whole
+    frames' channel mean, then x 1/32768."""
+    with wave.open(str(path), "rb") as reader:
+        n_channels = reader.getnchannels()
+        raw = reader.readframes(reader.getnframes())
+    n_frames = len(raw) // (2 * n_channels)
+    data = np.frombuffer(raw, dtype="<i2", count=n_frames * n_channels)
+    if n_channels == 1:
+        return data * (1.0 / 32768.0)
+    samples = data.reshape(-1, n_channels).mean(axis=1)
+    samples *= 1.0 / 32768.0
+    return samples
 
 
 def decimate_full_rate(signal, factor):

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import click
@@ -766,6 +767,32 @@ def test_full_rate_recording_released_after_prepare(runner, fixture_files, tmp_p
     assert traced[0] < 0.5 * 8 * seconds * rate  # half the float64 recording
 
 
+@pytest.mark.parametrize("command", ["extract", "compare-windows"])
+def test_recording_dropped_before_estimate(runner, fixture_files, tmp_path, monkeypatch,
+                                           command):
+    # tracemalloc does not see the codes, which sit in a memory map.
+    recordings, alive = [], []
+
+    def keeping_read_wav(path):
+        recording = read_wav(path)
+        recordings.append(weakref.ref(recording))
+        return recording
+
+    def checking_estimate(filtered, config):
+        alive.append(recordings[0]() is not None)
+        return pipeline.estimate(filtered, config)
+
+    monkeypatch.setattr(cli, "read_wav", keeping_read_wav)
+    monkeypatch.setattr(cli, "estimate", checking_estimate)
+    wav, ref = fixture_files
+    args = {"extract": [str(wav)],
+            "compare-windows": [str(wav), "--reference", str(ref),
+                                "--windows", "parzen", "--frame-lengths", "1"]}[command]
+    result = runner.invoke(main, [command, *args, "-o", str(tmp_path / "x.csv")])
+    assert result.exit_code == 0, result.output
+    assert alive == [False]
+
+
 class TestBench:
     def test_report_shape(self, runner):
         result = runner.invoke(main, ["bench", "--trials", "3"])
@@ -780,6 +807,9 @@ class TestBench:
                 for row in stft] == [(1.0, 60, 441, 25), (5.0, 60, 2205, 121),
                                      (10.0, 60, 4410, 239), (20.0, 60, 8820, 475)]
         assert all(row["median_s"] > 0 for row in stft)
+        for row, prefix in [(report, "fast_"), (report, "dense_"), *((r, "") for r in stft)]:
+            spread = [row[f"{prefix}{name}_s"] for name in ("min", "q1", "median", "q3")]
+            assert 0 < spread[0] <= spread[1] <= spread[2] <= spread[3]
         assert "decimate" not in report
         host = report["host"]
         assert host["cpu_model"] and host["cpu_count"] >= 1

@@ -1,14 +1,15 @@
 import time
 import tracemalloc
+import wave
 
 import numpy as np
 import pytest
 
-from conftest import make_tone
+from conftest import backing_nbytes, make_tone
 from enfcapon.errors import DegenerateInputError, IncompatibleInputError
 from enfcapon.pipeline import (PipelineConfig, estimate, extract_enf, power_config,
-                               speech_config)
-from enfcapon.signal_io import SampledSignal
+                               prepare, speech_config)
+from enfcapon.signal_io import SampledSignal, read_wav
 from enfcapon.spectral import band_bins
 from enfcapon.synthetic import make_power_fixture
 from enfcapon.track import read_track, write_track
@@ -232,6 +233,30 @@ class TestExtract:
         high = SampledSignal(make_tone(180.0, 4410, 30.0), 4410.0)
         track = extract_enf(high, power_config())
         assert np.all(np.abs(track.freq_hz[track.valid] - 60.0) < 0.01)
+
+    def test_full_rate_recording_never_held_as_float64(self, tmp_path):
+        # 60 s of 44.1 kHz stereo: 10.6 MB of codes, 21.2 MB as mono float64.
+        seconds, rate = 60, 44100
+        tone = make_tone(180.0, rate, seconds)
+        codes = np.round(16000.0 * np.stack((tone, -0.5 * tone), axis=1)).astype("<i2")
+        path = tmp_path / "stereo.wav"
+        with wave.open(str(path), "wb") as writer:
+            writer.setnchannels(2)
+            writer.setsampwidth(2)
+            writer.setframerate(rate)
+            writer.writeframes(codes.tobytes())
+        bound = codes.nbytes + (6 << 20)
+        assert bound < 8 * seconds * rate
+        del tone, codes
+        tracemalloc.start()
+        try:
+            recording = read_wav(path)
+            filtered = prepare(recording, power_config())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(filtered) == seconds * 441 - 1000
+        assert peak + backing_nbytes(recording.codes) <= bound
 
     def test_timestamps_account_for_filter_delay(self):
         track = extract_enf(tone_signal(180.0), power_config())

@@ -1,3 +1,5 @@
+import os
+import threading
 import tracemalloc
 import wave
 
@@ -7,21 +9,25 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import firwin
 
-from conftest import make_tone
+from conftest import backing_nbytes, make_tone
 from enfcapon.errors import (
     DegenerateInputError,
     EnfError,
     UnsupportedFormatError,
 )
+from enfcapon import signal_io
 from enfcapon.signal_io import (
     _BLOCK_ROWS,
+    _READ_BYTES,
+    _SLICE_SAMPLES,
+    PcmRecording,
     SampledSignal,
     anti_alias_filter,
     decimate,
     read_wav,
     write_wav,
 )
-from oracle import decimate_full_rate
+from oracle import decimate_full_rate, wav_floats
 
 
 def write_raw_wav(path, pcm, n_channels=1, sampwidth=2, rate=44100):
@@ -40,14 +46,14 @@ class TestReadWav:
         loaded = read_wav(path)
         assert len(loaded) == 44100
         assert loaded.sample_rate_hz == 44100.0
-        assert np.allclose(loaded.samples, signal.samples, atol=1.0 / 32768)
+        assert np.allclose(loaded.floats(), signal.samples, atol=1.0 / 32768)
 
     def test_full_scale_normalization(self, tmp_path):
         path = tmp_path / "fs.wav"
         pcm = np.full(100, 32767, dtype="<i2").tobytes()
         write_raw_wav(path, pcm)
         loaded = read_wav(path)
-        assert np.all(np.abs(loaded.samples - 32767.0 / 32768.0) < 1e-9)
+        assert np.all(np.abs(loaded.floats() - 32767.0 / 32768.0) < 1e-9)
 
     def test_stereo_opposite_channels_cancel(self, tmp_path, rng):
         path = tmp_path / "stereo.wav"
@@ -57,7 +63,7 @@ class TestReadWav:
         interleaved[1::2] = -left
         write_raw_wav(path, interleaved.tobytes(), n_channels=2)
         loaded = read_wav(path)
-        assert np.all(loaded.samples == 0.0)
+        assert np.all(loaded.floats() == 0.0)
 
     def test_rejects_non_16bit(self, tmp_path):
         path = tmp_path / "8bit.wav"
@@ -114,7 +120,7 @@ class TestReadWav:
         write_raw_wav(path, np.arange(400, dtype="<i2").tobytes(), n_channels=2)
         cut = tmp_path / "cut.wav"
         cut.write_bytes(path.read_bytes()[:-3])
-        assert np.array_equal(read_wav(cut).samples, read_wav(path).samples[:-1])
+        assert np.array_equal(read_wav(cut).floats(), read_wav(path).floats()[:-1])
 
     @pytest.mark.parametrize("n_channels", [1, 2])
     def test_bit_identical_to_two_step_scaling(self, tmp_path, rng, n_channels):
@@ -123,21 +129,135 @@ class TestReadWav:
         path = tmp_path / "pcm.wav"
         write_raw_wav(path, pcm.tobytes(), n_channels=n_channels)
         two_step = pcm.astype(np.float64).reshape(-1, n_channels).mean(axis=1) / 32768.0
-        assert read_wav(path).samples.tobytes() == two_step.tobytes()
+        assert read_wav(path).floats().tobytes() == two_step.tobytes()
 
     @pytest.mark.parametrize("n_channels", [1, 2])
-    def test_one_float64_copy(self, tmp_path, n_channels):
-        # 10 s at 44.1 kHz: a second float64 array would add 3.5 MB.
+    def test_holds_only_the_codes(self, tmp_path, n_channels):
+        # 10 s at 44.1 kHz: a float64 copy would add 3.5 MB, one read
+        # block's bytes add at most 1 MB.
         n_frames = 441_000
         path = tmp_path / "pcm.wav"
         write_raw_wav(path, bytes(2 * n_channels * n_frames), n_channels=n_channels)
         tracemalloc.start()
         try:
-            read_wav(path)
+            recording = read_wav(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * n_channels * n_frames + 8 * n_frames + (1 << 20)
+        assert peak + backing_nbytes(recording.codes) <= 2 * n_channels * n_frames + (2 << 20)
+
+
+    def test_header_claiming_more_data_than_the_file_holds(self, tmp_path):
+        # 1,000 frames whose RIFF and data chunks claim 2 GB: a buffer sized
+        # from the claim would take that much.
+        pcm = np.arange(-500, 500, dtype="<i2")
+        path = tmp_path / "claims.wav"
+        write_raw_wav(path, pcm.tobytes())
+        data = bytearray(path.read_bytes())
+        data[4:8] = (0x7FFFFFF8).to_bytes(4, "little")  # the RIFF chunk's size
+        data[40:44] = (0x7FFFFFF0).to_bytes(4, "little")  # the data chunk's size
+        path.write_bytes(bytes(data))
+        tracemalloc.start()
+        try:
+            loaded = read_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert backing_nbytes(loaded.codes) <= len(data)
+        assert loaded.floats().tobytes() == (pcm * (1.0 / 32768)).tobytes()
+
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_from_a_pipe(self, tmp_path):
+        # A pipe's length is unknown, so the header's claim sizes the buffer.
+        path = tmp_path / "file.wav"
+        write_raw_wav(path, np.arange(-500, 500, dtype="<i2").tobytes(), n_channels=2)
+        pipe = tmp_path / "pipe.wav"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_bytes, args=(path.read_bytes(),))
+        writer.start()
+        try:
+            loaded = read_wav(pipe)
+        finally:
+            writer.join()
+        assert np.array_equal(loaded.codes, read_wav(path).codes)
+
+
+def write_random_wav(path, rng, n_frames, n_channels):
+    pcm = rng.integers(-32768, 32768, n_frames * n_channels).astype("<i2")
+    pcm[:2] = (-32768, 32767)
+    write_raw_wav(path, pcm.tobytes(), n_channels=n_channels)
+
+
+class TestPcmRecording:
+    """read_wav's codes made float64 a range at a time agree bit for bit
+    with the whole data chunk converted at once."""
+
+    @pytest.mark.parametrize("n_channels", [1, 2, 3])
+    def test_floats_match_whole_conversion(self, tmp_path, rng, n_channels):
+        path = tmp_path / "pcm.wav"
+        write_random_wav(path, rng, 3000, n_channels)
+        recording, expected = read_wav(path), wav_floats(path)
+        assert recording.codes.shape == (3000, n_channels)
+        assert recording.floats().tobytes() == expected.tobytes()
+        for start, stop in [(0, 1), (5, 17), (1000, None), (2999, 3000)]:
+            assert recording.floats(start, stop).tobytes() == expected[start:stop].tobytes()
+
+    @pytest.mark.parametrize("n_channels, cut", [(2, 3), (3, 1), (3, 5)])
+    def test_truncated_file_with_a_partial_last_frame(self, tmp_path, rng, n_channels, cut):
+        path = tmp_path / "pcm.wav"
+        write_random_wav(path, rng, 3000, n_channels)
+        path.write_bytes(path.read_bytes()[:-cut])
+        recording = read_wav(path)
+        assert len(recording) == 2999
+        assert recording.floats().tobytes() == wav_floats(path).tobytes()
+
+    @pytest.mark.parametrize("n_channels", [1, 2])
+    def test_partial_last_decimation_row(self, tmp_path, rng, n_channels):
+        path = tmp_path / "pcm.wav"
+        write_random_wav(path, rng, 37 * 100 + 41, n_channels)
+        out = decimate(read_wav(path), 100)
+        expected = decimate(SampledSignal(wav_floats(path), 44100.0), 100)
+        assert len(out) == 38
+        assert out.sample_rate_hz == expected.sample_rate_hz
+        assert out.samples.tobytes() == expected.samples.tobytes()
+
+    @pytest.mark.parametrize("read_bytes", [1000, _READ_BYTES])
+    def test_many_read_blocks_and_decimation_blocks(self, tmp_path, rng, monkeypatch,
+                                                     read_bytes):
+        # Factor 20: each 16,384-row block of 20 samples is formed in two
+        # slices, and 3-channel frames of 6 bytes straddle the read blocks.
+        factor, n_channels = 20, 3
+        n_frames = (2 * _BLOCK_ROWS + 5) * factor + 7
+        assert n_frames * 2 * n_channels > 3 * read_bytes
+        assert _BLOCK_ROWS * factor > _SLICE_SAMPLES
+        monkeypatch.setattr(signal_io, "_READ_BYTES", read_bytes)
+        path = tmp_path / "pcm.wav"
+        write_random_wav(path, rng, n_frames, n_channels)
+        recording, expected = read_wav(path), wav_floats(path)
+        assert recording.floats().tobytes() == expected.tobytes()
+        out = decimate(recording, factor)
+        assert out.samples.tobytes() == decimate(
+            SampledSignal(expected, 44100.0), factor).samples.tobytes()
+
+    def test_factor_one_converts_the_whole_recording(self, tmp_path, rng):
+        path = tmp_path / "pcm.wav"
+        write_random_wav(path, rng, 3000, 2)
+        out = decimate(read_wav(path), 1)
+        assert isinstance(out, SampledSignal)
+        assert (out.sample_rate_hz, out.origin_offset_s) == (44100.0, 0.0)
+        assert out.samples.tobytes() == wav_floats(path).tobytes()
+
+    def test_invariants(self):
+        with pytest.raises(ValueError):
+            PcmRecording(np.zeros((0, 1), np.int16), 441.0)
+        with pytest.raises(ValueError):
+            PcmRecording(np.zeros(10, np.int16), 441.0)
+        with pytest.raises(ValueError):
+            PcmRecording(np.zeros((10, 1)), 441.0)
+        with pytest.raises(ValueError):
+            PcmRecording(np.zeros((10, 1), np.int16), 0.0)
 
 
 class TestDecimate:
