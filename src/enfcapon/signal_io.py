@@ -2,7 +2,7 @@
 
 WAV input is restricted to PCM 16-bit; anything else is rejected loudly
 rather than silently re-quantized.  A recording is kept as its 16-bit
-codes, and decimation makes float64 samples of one slice at a time.
+codes, and decimation makes float64 samples of one block at a time.
 """
 
 import mmap
@@ -17,20 +17,14 @@ from .errors import DegenerateInputError, UnsupportedFormatError
 
 PCM16_FULL_SCALE = 32768.0
 
-# Most bytes read_wav asks the wave reader for at once.
-_READ_BYTES = 1 << 20
-
-# Decimation views the input as rows of `factor` samples and filters
-# _BLOCK_ROWS rows per block: one block's product holds width (11) x
-# 16,384 doubles, about 1.4 MB, and is large enough that BLAS, not the
-# Python loop, sets the pace.  The block fixes the order in which rows add
-# into each output, so it also fixes the outputs' last bits.
-_BLOCK_ROWS = 16384
-
-# Input samples made float64 and multiplied at once (2 MB): a block's
-# product is formed in nearly equal slices of at most this many samples,
-# so a PCM recording is never float64 more than a slice at a time.
-_SLICE_SAMPLES = 1 << 18
+# Input samples made float64 and multiplied at once (2 MB): decimation
+# views the input as rows of `factor` samples and filters
+# max(1, _BLOCK_SAMPLES // factor) rows per block, so a PCM recording is
+# never float64 more than a block at a time, and a block is large enough
+# that BLAS, not the Python loop, sets the pace.  The block fixes the order
+# in which rows add into each output, so it also fixes the outputs' last
+# bits.
+_BLOCK_SAMPLES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -80,7 +74,8 @@ class PcmRecording:
     origin_offset_s = 0.0  # a recording starts at its own origin
 
     def __post_init__(self):
-        if self.codes.dtype != np.int16 or self.codes.ndim != 2 or self.codes.size < 1:
+        if (self.codes.dtype not in (np.dtype("<i2"), np.dtype(">i2"))
+                or self.codes.ndim != 2 or self.codes.size < 1):
             raise ValueError("codes must be a non-empty int16 (frames, channels) array")
         if not self.sample_rate_hz > 0:
             raise ValueError("sample_rate_hz must be positive")
@@ -104,10 +99,9 @@ def read_wav(path):
     """Read a PCM 16-bit WAV file as a PcmRecording of its codes.
 
     Only the bytes the file holds are read, however many frames the
-    header claims, in blocks of at most 1 MB into one int16 array.  A
-    partial sample frame at the end of a truncated file is dropped.  wave
-    opens only PCM, so any other format tag fails there ("unknown format:
-    3").
+    header claims, in one read into one int16 array.  A partial sample
+    frame at the end of a truncated file is dropped.  wave opens only PCM,
+    so any other format tag fails there ("unknown format: 3").
     """
     try:
         fh = open(path, "rb")
@@ -139,7 +133,9 @@ def read_wav(path):
 
 def _read_codes(reader, fh):
     """The whole frames of the data chunk that the file holds.  wave has
-    just read the chunk's header, so fh stands at its first byte."""
+    just read the chunk's header, so fh stands at its first byte; the
+    buffer ends at or before the chunk's end, so one read never takes the
+    bytes of a chunk after it."""
     n_channels = reader.getnchannels()
     frame_bytes = 2 * n_channels
     n_frames = reader.getnframes()
@@ -150,23 +146,13 @@ def _read_codes(reader, fh):
     # dropped; a malloc'ed buffer of this size would raise malloc's mmap
     # threshold and stay on its heap from the next read on.
     buffer = mmap.mmap(-1, max(1, n_frames * frame_bytes))
-    codes = np.frombuffer(buffer, np.int16, n_frames * n_channels).reshape(n_frames, n_channels)
-    step = max(1, _READ_BYTES // frame_bytes)
-    filled = 0
-    while filled < len(codes):
-        raw = reader.readframes(min(step, len(codes) - filled))
-        count = len(raw) // frame_bytes
-        if count == 0:
-            break
-        codes[filled : filled + count] = np.frombuffer(
-            raw, np.int16, count * n_channels).reshape(count, n_channels)
-        filled += count
-        del raw  # one block's bytes at a time
-    return codes[:filled]
+    # WAV samples are little-endian whatever the host's byte order.
+    n_frames = fh.readinto(buffer) // frame_bytes
+    return np.frombuffer(buffer, "<i2", n_frames * n_channels).reshape(n_frames, n_channels)
 
 
 def write_wav(signal, path):
-    """Write a SampledSignal as mono PCM 16-bit WAV (test/fixture helper)."""
+    """Write a SampledSignal as mono PCM 16-bit WAV."""
     clipped = np.clip(signal.samples, -1.0, 1.0 - 1.0 / PCM16_FULL_SCALE)
     pcm = np.round(clipped * PCM16_FULL_SCALE).astype("<i2")
     # wave.open(path) leaves a half-built writer whose __del__ fails when the
@@ -209,7 +195,8 @@ def decimate(signal, factor):
     is time-aligned with the input; origin_offset_s is unchanged.  Only
     the kept outputs are computed, by polyphase decomposition (Crochiere &
     Rabiner, Multirate Digital Signal Processing, 1983, ch. 3): one matrix
-    product per block of rows of `factor` samples.
+    product per block of max(1, 2**18 // factor) rows of `factor` samples,
+    so a block is made float64 in at most 2 MB unless one row is longer.
     """
     if not isinstance(factor, (int, np.integer)) or factor <= 0:
         raise ValueError("decimation factor must be a positive integer")
@@ -239,9 +226,9 @@ def _polyphase_filter(taps, signal, factor):
     Viewing the samples as rows of `factor`, row r adds
     phases[i] @ row r to output r + i - width // 2, where
     phases[i, q] = taps[i * factor - q] (zero outside the taps) and
-    width = 11.  signal.floats makes the rows of each slice float64 (a view
-    of a SampledSignal); the partial last row goes into a zero-padded
-    buffer.
+    width = 11.  signal.floats makes the rows of each block float64 (a view
+    of a SampledSignal), and they go once the block's product is formed;
+    the partial last row goes into a zero-padded buffer.
     """
     width = (taps.size - 1) // factor + 1
     phases = np.ascontiguousarray(
@@ -251,22 +238,12 @@ def _polyphase_filter(taps, signal, factor):
     # Output j accumulates at j + width // 2, so rows near either end need
     # no clipping; the margins are sliced off at the end.
     acc = np.zeros(full + (rest > 0) + width - 1)
-    # One product buffer, reused by every block.
-    product = np.empty((width, min(full, _BLOCK_ROWS)))
-    for first in range(0, full, _BLOCK_ROWS):
-        n_rows = min(_BLOCK_ROWS, full - first)
-        # Nearly equal slices, each over half _SLICE_SAMPLES if there are
-        # several: BLAS forms the columns of a product that large as it
-        # does those of the whole block's, so the bits stay as they were
-        # (a much narrower product may take another kernel).
-        n_slices = -(-n_rows * factor // _SLICE_SAMPLES)
-        bounds = [n_rows * k // n_slices for k in range(n_slices + 1)]
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            rows = signal.floats((first + start) * factor, (first + stop) * factor)
-            np.matmul(phases, rows.reshape(-1, factor).T, out=product[:, start:stop])
-            del rows  # a PCM slice's floats go before the next slice's come
-        for i, line in enumerate(product[:, :n_rows]):
-            acc[first + i : first + i + n_rows] += line
+    step = max(1, _BLOCK_SAMPLES // factor)
+    for first in range(0, full, step):
+        stop = min(first + step, full)
+        product = phases @ signal.floats(first * factor, stop * factor).reshape(-1, factor).T
+        for i, line in enumerate(product):
+            acc[first + i : stop + i] += line
     if rest:
         tail = np.zeros(factor)
         tail[:rest] = signal.floats(full * factor)

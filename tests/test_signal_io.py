@@ -15,11 +15,8 @@ from enfcapon.errors import (
     EnfError,
     UnsupportedFormatError,
 )
-from enfcapon import signal_io
 from enfcapon.signal_io import (
-    _BLOCK_ROWS,
-    _READ_BYTES,
-    _SLICE_SAMPLES,
+    _BLOCK_SAMPLES,
     PcmRecording,
     SampledSignal,
     anti_alias_filter,
@@ -133,8 +130,8 @@ class TestReadWav:
 
     @pytest.mark.parametrize("n_channels", [1, 2])
     def test_holds_only_the_codes(self, tmp_path, n_channels):
-        # 10 s at 44.1 kHz: a float64 copy would add 3.5 MB, one read
-        # block's bytes add at most 1 MB.
+        # 10 s at 44.1 kHz: a float64 copy would add 3.5 MB, and the data
+        # chunk is read straight into the codes' buffer.
         n_frames = 441_000
         path = tmp_path / "pcm.wav"
         write_raw_wav(path, bytes(2 * n_channels * n_frames), n_channels=n_channels)
@@ -144,7 +141,7 @@ class TestReadWav:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak + backing_nbytes(recording.codes) <= 2 * n_channels * n_frames + (2 << 20)
+        assert peak + backing_nbytes(recording.codes) <= 2 * n_channels * n_frames + (64 << 10)
 
 
     def test_header_claiming_more_data_than_the_file_holds(self, tmp_path):
@@ -182,6 +179,31 @@ class TestReadWav:
         finally:
             writer.join()
         assert np.array_equal(loaded.codes, read_wav(path).codes)
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    def test_chunk_after_data_is_not_read(self, tmp_path, source):
+        pcm = np.arange(-500, 500, dtype="<i2")
+        path = tmp_path / "file.wav"
+        write_raw_wav(path, pcm.tobytes(), n_channels=2)
+        data = bytearray(path.read_bytes())
+        data += b"LIST" + (12).to_bytes(4, "little") + b"INFO" + b"\x7f" * 8
+        data[4:8] = (len(data) - 8).to_bytes(4, "little")  # the RIFF chunk's size
+        path.write_bytes(bytes(data))
+        if source == "pipe":
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("needs named pipes")
+            pipe = tmp_path / "pipe.wav"
+            os.mkfifo(pipe)
+            writer = threading.Thread(target=pipe.write_bytes, args=(bytes(data),))
+            writer.start()
+            try:
+                loaded = read_wav(pipe)
+            finally:
+                writer.join()
+        else:
+            loaded = read_wav(path)
+        assert loaded.codes.tobytes() == pcm.tobytes()
+        assert loaded.codes.shape == (500, 2)
 
 
 def write_random_wav(path, rng, n_frames, n_channels):
@@ -223,16 +245,12 @@ class TestPcmRecording:
         assert out.sample_rate_hz == expected.sample_rate_hz
         assert out.samples.tobytes() == expected.samples.tobytes()
 
-    @pytest.mark.parametrize("read_bytes", [1000, _READ_BYTES])
-    def test_many_read_blocks_and_decimation_blocks(self, tmp_path, rng, monkeypatch,
-                                                     read_bytes):
-        # Factor 20: each 16,384-row block of 20 samples is formed in two
-        # slices, and 3-channel frames of 6 bytes straddle the read blocks.
+    def test_many_decimation_blocks(self, tmp_path, rng):
+        # Factor 20 does not divide _BLOCK_SAMPLES, so a block holds fewer
+        # samples than that; each frame's 3 channels are averaged.
         factor, n_channels = 20, 3
-        n_frames = (2 * _BLOCK_ROWS + 5) * factor + 7
-        assert n_frames * 2 * n_channels > 3 * read_bytes
-        assert _BLOCK_ROWS * factor > _SLICE_SAMPLES
-        monkeypatch.setattr(signal_io, "_READ_BYTES", read_bytes)
+        assert _BLOCK_SAMPLES % factor
+        n_frames = (2 * (_BLOCK_SAMPLES // factor) + 5) * factor + 7
         path = tmp_path / "pcm.wav"
         write_random_wav(path, rng, n_frames, n_channels)
         recording, expected = read_wav(path), wav_floats(path)
@@ -341,8 +359,8 @@ class TestDecimate:
         lambda f: 37 * f + 1,
         lambda f: 37 * f,
         lambda f: 400 * f - 1,
-        lambda f: 2 * _BLOCK_ROWS * f,
-        lambda f: (2 * _BLOCK_ROWS + 1) * f + 1,
+        lambda f: 2 * (_BLOCK_SAMPLES // f) * f,
+        lambda f: (2 * (_BLOCK_SAMPLES // f) + 1) * f + 1,
     ], ids=["taps_plus_one", "not_a_multiple", "multiple", "long_not_a_multiple",
             "two_blocks", "past_two_blocks"])
     def test_matches_full_rate_filtering(self, rng, factor, length):
