@@ -245,15 +245,38 @@ class TestPcmRecording:
         assert out.sample_rate_hz == expected.sample_rate_hz
         assert out.samples.tobytes() == expected.samples.tobytes()
 
-    def test_many_decimation_blocks(self, tmp_path, rng):
-        # Factor 20 does not divide _BLOCK_SAMPLES, so a block holds fewer
-        # samples than that; each frame's 3 channels are averaged.
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("read_bytes", [1000, 1 << 20])
+    def test_many_read_blocks_and_decimation_blocks(self, tmp_path, rng, read_bytes):
+        # The file reaches read_wav through a pipe in pieces of read_bytes,
+        # so its one read gathers many pieces, and 3-channel frames of 6
+        # bytes straddle them.  Factor 20 does not divide _BLOCK_SAMPLES, so
+        # a decimation block holds fewer samples than that; each frame's 3
+        # channels are averaged.
         factor, n_channels = 20, 3
         assert _BLOCK_SAMPLES % factor
         n_frames = (2 * (_BLOCK_SAMPLES // factor) + 5) * factor + 7
+        assert n_frames * 2 * n_channels > read_bytes
+        assert read_bytes % (2 * n_channels)
         path = tmp_path / "pcm.wav"
         write_random_wav(path, rng, n_frames, n_channels)
-        recording, expected = read_wav(path), wav_floats(path)
+        data = path.read_bytes()
+        pipe = tmp_path / "pipe.wav"
+        os.mkfifo(pipe)
+
+        def write_in_pieces():
+            with open(pipe, "wb", buffering=0) as fh:
+                for start in range(0, len(data), read_bytes):
+                    fh.write(data[start:start + read_bytes])
+
+        writer = threading.Thread(target=write_in_pieces)
+        writer.start()
+        try:
+            recording = read_wav(pipe)
+        finally:
+            writer.join()
+        expected = wav_floats(path)
+        assert recording.codes.tobytes() == read_wav(path).codes.tobytes()
         assert recording.floats().tobytes() == expected.tobytes()
         out = decimate(recording, factor)
         assert out.samples.tobytes() == decimate(
