@@ -68,34 +68,26 @@ def _overlap_save(coeffs, samples):
 
     Block j holds samples[j*step : j*step + block]; its circular
     convolution with the taps is exact past the first taps - 1 outputs,
-    which give outputs j*step .. (j+1)*step - 1.  Full blocks are strided
-    views of the samples; only the last, partial one is copied, into a
-    zero-padded buffer.
+    which give outputs j*step .. (j+1)*step - 1.  Each call views the
+    blocks of one run of samples; only a short last run is zero-padded.
     """
     n_taps = coeffs.size
     block = _block_length(n_taps)
     step = block - (n_taps - 1)
     n_out = samples.size - n_taps + 1
+    n_blocks = -(-n_out // step)
     response = np.fft.rfft(coeffs, block)
-    filtered = np.empty(n_out)
-    # Zero when the signal (longer than the taps) is shorter than a block.
-    n_full = (samples.size - block) // step + 1
-    stride = samples.strides[0]
-    blocks = np.lib.stride_tricks.as_strided(
-        samples, (n_full, block), (step * stride, stride), writeable=False
-    )
-    for first in range(0, n_full, _BLOCKS_PER_CALL):
-        last = min(first + _BLOCKS_PER_CALL, n_full)
-        spectra = np.fft.rfft(blocks[first:last], axis=-1)
+    filtered = np.empty(n_blocks * step)
+    for first in range(0, n_blocks, _BLOCKS_PER_CALL):
+        last = min(first + _BLOCKS_PER_CALL, n_blocks)
+        run = samples[first * step : last * step + n_taps - 1]
+        short = last * step + n_taps - 1 - samples.size
+        if short > 0:
+            run = np.concatenate((run, np.zeros(short)))
+        blocks = np.lib.stride_tricks.sliding_window_view(run, block)[::step]
+        spectra = np.fft.rfft(blocks, axis=-1)
         spectra *= response
         filtered[first * step : last * step].reshape(last - first, step)[:] = (
             np.fft.irfft(spectra, block, axis=-1)[:, n_taps - 1 :]
         )
-    done = n_full * step
-    if done < n_out:
-        tail = np.zeros(block)
-        tail[: samples.size - done] = samples[done:]
-        filtered[done:] = np.fft.irfft(np.fft.rfft(tail) * response, block)[
-            n_taps - 1 : n_taps - 1 + n_out - done
-        ]
-    return filtered
+    return filtered[:n_out]

@@ -260,18 +260,17 @@ def synth(seed, duration_seconds, snr_db, wav_out, ref_out):
                                  param_hint="'--snr-db'")
     with _exit_codes():
         _check_outputs([wav_out, ref_out], [])
-    fixture = make_power_fixture(seed, duration_s=duration_seconds, snr_db=snr_db)
-    signal = fixture.signal
-    peak = np.max(np.abs(signal.samples))
-    rate = signal.sample_rate_hz
-    seconds = np.arange(int(duration_seconds), dtype=np.int64)
-    truth = EnfTrack(
-        seconds,
-        seconds.astype(np.float64),
-        fixture.enf_hz[(seconds * int(rate)).clip(max=len(signal) - 1)],
-    )
-    config = {"seed": seed, "duration_s": duration_seconds, "snr_db": snr_db}
-    with _exit_codes():
+        fixture = make_power_fixture(seed, duration_s=duration_seconds, snr_db=snr_db)
+        signal = fixture.signal
+        peak = np.max(np.abs(signal.samples))
+        rate = signal.sample_rate_hz
+        seconds = np.arange(int(duration_seconds), dtype=np.int64)
+        truth = EnfTrack(
+            seconds,
+            seconds.astype(np.float64),
+            fixture.enf_hz[(seconds * int(rate)).clip(max=len(signal) - 1)],
+        )
+        config = {"seed": seed, "duration_s": duration_seconds, "snr_db": snr_db}
         write_wav(SampledSignal(signal.samples / peak * 0.99, rate), wav_out)
         write_track(truth, ref_out)
         _write_manifest("synth", config, [], {}, [wav_out, ref_out])

@@ -25,7 +25,8 @@ class IncompatibleInputError(EnfError, ValueError):
     """Inputs or settings that cannot be used together: every setting
     PipelineConfig rejects (estimator, window, harmonic band, taps, Capon
     order, pad factor, frame layout, an estimation band too narrow for
-    the frequency grid), a fisher_test argument out of range, a
+    the frequency grid, and a harmonic, tap count, Capon order or pad
+    factor that is not an integer), a fisher_test argument out of range, a
     sample rate that is not a multiple of the working rate, a query track
     longer than its reference."""
 

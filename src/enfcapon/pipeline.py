@@ -7,6 +7,7 @@ deep stopband can never win the argmax.
 """
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -53,6 +54,10 @@ class PipelineConfig:
             raise IncompatibleInputError(f"estimator must be one of {ESTIMATORS}")
         if self.window not in WINDOW_KINDS:
             raise IncompatibleInputError(f"window must be one of {WINDOW_KINDS}")
+        # A float here would fail mid-run or analyse a fractional harmonic or grid.
+        for name in ("harmonic", "taps", "capon_order", "pad_factor"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise IncompatibleInputError(f"{name} must be an integer")
         # Integers beyond float range would overflow the float arithmetic below.
         if not 1 <= self.harmonic <= sys.float_info.max:
             raise IncompatibleInputError("harmonic must be a positive integer in float range")

@@ -226,26 +226,26 @@ def _polyphase_filter(taps, signal, factor):
     Viewing the samples as rows of `factor`, row r adds
     phases[i] @ row r to output r + i - width // 2, where
     phases[i, q] = taps[i * factor - q] (zero outside the taps) and
-    width = 11.  signal.floats makes the rows of each block float64 (a view
-    of a SampledSignal), and they go once the block's product is formed;
-    the partial last row goes into a zero-padded buffer.
+    width = 11.  The ceil(len / factor) rows go in blocks: signal.floats
+    makes a block's rows float64 (a view of a SampledSignal), zero-padded
+    if the last row is partial, and they go once the product is formed.
     """
     width = (taps.size - 1) // factor + 1
     phases = np.ascontiguousarray(
         np.concatenate((np.zeros(factor - 1), taps)).reshape(width, factor)[:, ::-1]
     )
-    full, rest = divmod(len(signal), factor)
+    n_rows = -(-len(signal) // factor)
     # Output j accumulates at j + width // 2, so rows near either end need
     # no clipping; the margins are sliced off at the end.
-    acc = np.zeros(full + (rest > 0) + width - 1)
+    acc = np.zeros(n_rows + width - 1)
     step = max(1, _BLOCK_SAMPLES // factor)
-    for first in range(0, full, step):
-        stop = min(first + step, full)
-        product = phases @ signal.floats(first * factor, stop * factor).reshape(-1, factor).T
+    for first in range(0, n_rows, step):
+        stop = min(first + step, n_rows)
+        floats = signal.floats(first * factor, stop * factor)
+        if floats.size < (stop - first) * factor:
+            floats = np.concatenate((floats, np.zeros((stop - first) * factor - floats.size)))
+        product = phases @ floats.reshape(-1, factor).T
+        del floats  # so one block's float64 is held at a time
         for i, line in enumerate(product):
             acc[first + i : stop + i] += line
-    if rest:
-        tail = np.zeros(factor)
-        tail[:rest] = signal.floats(full * factor)
-        acc[full : full + width] += phases @ tail
     return acc[width // 2 : acc.size - width // 2]

@@ -176,6 +176,26 @@ def test_silence_across_a_block_boundary_filters_to_exact_zero(rng, power_filter
 
 
 @pytest.mark.parametrize("taps", [1001, 4801])
+def test_extending_the_signal_keeps_earlier_outputs_bit_for_bit(rng, taps):
+    # Blocks and calls are laid out from the first sample at sizes fixed by
+    # the taps alone, so a prefix ending on a call edge is filtered by the
+    # same transforms as the start of the longer signal.  The longer one
+    # ends in a partial call and block, and zero runs cross both cuts.
+    flt = design_bandpass(441.0, 180.0, 0.1, taps)
+    call = _BLOCKS_PER_CALL * _block_step(taps)
+    samples = rng.normal(size=2 * call + call // 3 + taps - 1)
+    for k in (1, 2):
+        samples[k * call - taps - 500 : k * call + taps + 500] = 0.0
+    full = apply_zero_phase(flt, SampledSignal(samples, 441.0)).samples
+    for k in (1, 2):
+        prefix = samples[: k * call + taps - 1]
+        out = apply_zero_phase(flt, SampledSignal(prefix, 441.0)).samples
+        assert out.size == k * call
+        assert np.all(out[k * call - taps - 500 :] == 0.0)
+        assert out.tobytes() == full[: k * call].tobytes()
+
+
+@pytest.mark.parametrize("taps", [1001, 4801])
 def test_traced_peak_stays_within_two_signal_copies(rng, taps):
     # The output is one signal copy; the blocks in flight may add at most
     # another.  A padded copy of the whole signal, or the spectra of all

@@ -85,6 +85,10 @@ class TestConfig:
         {"capon_order": 0},
         {"pad_factor": 0},
         {"pad_factor": 65},                        # would build a huge grid
+        {"harmonic": 2.5},
+        {"taps": 1001.0},
+        {"capon_order": 10.5},
+        {"pad_factor": 4.5},
     ])
     def test_rejects_unusable_settings(self, overrides):
         with pytest.raises(ValueError):
@@ -106,12 +110,22 @@ class TestConfig:
         {"frame_len_s": 0.0},
         {"frame_len_s": 0.01},
         {"estimator": "stft", "frame_len_s": 0.05},
+        {"harmonic": 2.5},
+        {"taps": 1001.0},
+        {"capon_order": 10.5},
+        {"pad_factor": 4.5},
     ])
     def test_every_rejection_is_incompatible_input(self, overrides):
         with pytest.raises(IncompatibleInputError):
             power_config(**overrides)
         with pytest.raises(IncompatibleInputError):
             speech_config(**overrides)
+
+    def test_numpy_integers_accepted(self):
+        config = power_config(harmonic=np.int64(3), taps=np.int64(1001),
+                              capon_order=np.int64(10), pad_factor=np.int64(4))
+        assert config == power_config()
+        assert config.grid_size == 4 * 441
 
     def test_presets_build_the_config_once(self, monkeypatch):
         built = []

@@ -394,6 +394,20 @@ class TestDecimate:
         assert (out.sample_rate_hz, out.origin_offset_s) == (441.0, 2.5)
         assert np.max(np.abs(out.samples - expected.samples)) <= 1e-12
 
+    @pytest.mark.parametrize("factor", [20, 100, 109])
+    def test_extending_the_signal_keeps_earlier_outputs_bit_for_bit(self, rng, factor):
+        # Blocks of rows are laid out from the first sample at a size fixed
+        # by the factor alone, so outputs that read only the first two
+        # blocks' rows (all but the last width // 2 = 5 of a two-block
+        # prefix) take the same products and sums in a longer signal,
+        # here one ending in a partial block and a partial row.
+        step = max(1, _BLOCK_SAMPLES // factor)
+        samples = rng.normal(size=(3 * step + 3) * factor + factor // 2 + 1)
+        prefix = decimate(SampledSignal(samples[: 2 * step * factor], 441.0 * factor), factor)
+        full = decimate(SampledSignal(samples, 441.0 * factor), factor)
+        n = 2 * step - 5
+        assert prefix.samples[:n].tobytes() == full.samples[:n].tobytes()
+
     def test_transient_stays_below_a_whole_signal_product(self, rng):
         # Two minutes at 44.1 kHz: the (n_out, 11) product of every row at
         # once would take 4.7 MB beside the 0.4 MB output.
@@ -404,6 +418,22 @@ class TestDecimate:
         tracemalloc.start()
         try:
             decimate(signal, 100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+    def test_a_recording_holds_one_block_of_float64_at_a_time(self, rng):
+        # Two minutes of 44.1 kHz codes: each block's float64 (2.1 MB) must
+        # go before the next block's is made; two at once would not fit.
+        codes = rng.integers(-(1 << 15), 1 << 15, size=(120 * 44100, 1), dtype=np.int16)
+        recording = PcmRecording(codes, 44100.0)
+        block_bytes = 8 * (_BLOCK_SAMPLES // 100) * 100
+        bound = 8 * (len(recording) // 100) + block_bytes + (1 << 20)
+        assert bound < 8 * (len(recording) // 100) + 2 * block_bytes
+        tracemalloc.start()
+        try:
+            decimate(recording, 100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
