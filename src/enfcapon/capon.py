@@ -39,8 +39,7 @@ def estimate_autocovariance(frames, order=DEFAULT_ORDER):
     """
     frames = np.asarray(frames, dtype=np.float64)
     n = frames.shape[-1]
-    lags = [np.einsum("...t,...t->...", frames[..., k:], frames[..., : n - k])
-            for k in range(order + 1)]
+    lags = [np.vecdot(frames[..., k:], frames[..., : n - k]) for k in range(order + 1)]
     return np.stack(lags, axis=-1) / n
 
 
@@ -60,7 +59,7 @@ def levinson_solve(rho):
     w = np.zeros(rho.shape[:-1] + (0,))
     with np.errstate(all="ignore"):  # failed rows run on, and are reset below
         for k in range(1, rho.shape[-1]):
-            acc = rho[..., k] + np.einsum("...i,...i->...", w, rho[..., k - 1 : 0 : -1])
+            acc = rho[..., k] + np.vecdot(w, rho[..., k - 1 : 0 : -1])
             reflection = -acc / alpha
             alpha = alpha * (1.0 - reflection * reflection)
             valid = valid & (alpha > 0.0)

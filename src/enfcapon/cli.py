@@ -43,11 +43,8 @@ MAX_SYNTH_SECONDS = 86400.0
 
 
 def _sha256(path):
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 @contextlib.contextmanager

@@ -19,12 +19,12 @@ PCM16_FULL_SCALE = 32768.0
 
 # Input samples made float64 and multiplied at once (2 MB): decimation
 # views the input as rows of `factor` samples and filters
-# max(1, _BLOCK_SAMPLES // factor) rows per block, so a PCM recording is
+# max(1, BLOCK_SAMPLES // factor) rows per block, so a PCM recording is
 # never float64 more than a block at a time, and a block is large enough
 # that BLAS, not the Python loop, sets the pace.  The block fixes the order
 # in which rows add into each output, so it also fixes the outputs' last
-# bits.
-_BLOCK_SAMPLES = 1 << 18
+# bits.  The STFT's chirp-z transform takes the same budget per FFT call.
+BLOCK_SAMPLES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -103,18 +103,14 @@ def read_wav(path):
     frame at the end of a truncated file is dropped.  wave opens only PCM,
     so any other format tag fails there ("unknown format: 3").
     """
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise UnsupportedFormatError(f"cannot read WAV file {path}: {exc}") from exc
-    with fh:
+    with open(path, "rb") as fh:
         try:
             reader = wave.open(fh)
         except EOFError as exc:
             raise UnsupportedFormatError(f"{path}: file ends inside the WAV header") from exc
         except RuntimeError as exc:  # wave's bare error for a seek outside a chunk
             raise UnsupportedFormatError(f"{path}: a WAV chunk size is inconsistent") from exc
-        except (OSError, wave.Error) as exc:
+        except wave.Error as exc:
             raise UnsupportedFormatError(f"cannot read WAV file {path}: {exc}") from exc
         with reader:
             if reader.getsampwidth() != 2:
@@ -238,7 +234,7 @@ def _polyphase_filter(taps, signal, factor):
     # Output j accumulates at j + width // 2, so rows near either end need
     # no clipping; the margins are sliced off at the end.
     acc = np.zeros(n_rows + width - 1)
-    step = max(1, _BLOCK_SAMPLES // factor)
+    step = max(1, BLOCK_SAMPLES // factor)
     for first in range(0, n_rows, step):
         stop = min(first + step, n_rows)
         floats = signal.floats(first * factor, stop * factor)

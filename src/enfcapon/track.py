@@ -80,7 +80,7 @@ def read_track(path):
     Every TrackFormatError message starts with the path.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise TrackFormatError(f"{path}: not UTF-8 text: {exc}") from exc

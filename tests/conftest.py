@@ -32,12 +32,15 @@ def backing_nbytes(array):
 
 # Track files that fail before any row is parsed, with the message each
 # gives: a JSON track as earlier versions wrote it (CSV is the only track
-# format now), and a byte that is not UTF-8.
+# format now), and a byte that is not UTF-8, with and without the UTF-8
+# byte-order mark that read_track drops.
 UNDECODABLE_TRACKS = {
     "legacy.json": (b'[\n {\n  "frame_index": 0,\n  "time_s": 0.5,\n  "freq_hz": 60.01\n },\n'
                     b' {\n  "frame_index": 1,\n  "time_s": 1.5,\n  "freq_hz": null\n }\n]\n',
                     "line 1: expected header 'frame_index,time_s,freq_hz'"),
     "latin1.csv": (b"frame_index,time_s,freq_hz\n0,0.0,60.0\xff\n", "not UTF-8"),
+    "bom-latin1.csv": (b"\xef\xbb\xbfframe_index,time_s,freq_hz\n0,0.0,60.0\xff\n",
+                       "not UTF-8"),
 }
 
 

@@ -19,7 +19,8 @@ from conftest import make_tone, random_pd_toeplitz
 from enfcapon.bench import run_bench
 from enfcapon.capon import denom_coeffs, estimate_autocovariance, gs_factors, levinson_solve
 from enfcapon.matching import best_lag, correlation, fisher_test
-from enfcapon.pipeline import PipelineConfig, estimate_frames, extract_enf, power_config
+from enfcapon.pipeline import (PipelineConfig, estimate, estimate_frames, extract_enf,
+                               power_config)
 from enfcapon.signal_io import SampledSignal
 from enfcapon.spectral import band_peak
 from enfcapon.synthetic import make_power_fixture
@@ -196,6 +197,23 @@ def test_long_overlapping_frames_stay_within_a_few_signal_copies(five_minute_fix
     # The filtered signal, one block of windowed frames and the
     # estimator's work arrays, not one copy per overlapping frame.
     assert peak <= 12 * 8 * len(signal)
+
+
+def test_long_stft_estimate_stays_within_two_signal_copies():
+    # Two hours at 1 s frames run as one block of 7,200 windowed frames,
+    # the size of the signal; the chirp-z's complex arrays come on top
+    # of it one FFT chunk at a time, not for every frame at once.
+    config = power_config(estimator="stft")
+    rate = config.working_rate_hz
+    n = int(2 * 3600 * rate)
+    filtered = SampledSignal(np.cos(2 * np.pi * config.center_hz / rate * np.arange(n)), rate)
+    tracemalloc.start()
+    try:
+        estimate(filtered, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * filtered.samples.nbytes
 
 
 def test_criterion_6_quadratic_interpolation_exactness():

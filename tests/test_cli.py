@@ -274,6 +274,21 @@ class TestMatch:
         assert payload["correlation"] > 0.9
         assert payload["lag"] >= 1
 
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_reference_with_utf8_bom_matches_as_plain(self, runner, fixture_files, tmp_path,
+                                                      centered):
+        _, ref = fixture_files
+        query, bom = tmp_path / "q.csv", tmp_path / "bom.csv"
+        track = read_track(ref)
+        write_track(EnfTrack(np.arange(30), track.time_s[:30], track.freq_hz[10:40]), query)
+        bom.write_bytes(b"\xef\xbb\xbf" + ref.read_bytes())
+        flag = ["--centered"] if centered else []
+        plain = runner.invoke(main, ["match", str(query), str(ref), *flag])
+        marked = runner.invoke(main, ["match", str(query), str(bom), *flag])
+        assert plain.exit_code == 0, plain.output
+        assert marked.exit_code == 0, marked.output
+        assert marked.output == plain.output
+
     def test_query_longer_than_reference_exit_code(self, runner, fixture_files, tmp_path):
         _, ref = fixture_files
         short = tmp_path / "short.csv"

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -102,7 +103,6 @@ def test_detects_top_level_imports():
 
 
 def test_dependency_census():
-    tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         requirements = tomllib.load(fh)["project"]["dependencies"]

@@ -16,7 +16,7 @@ from enfcapon.errors import (
     UnsupportedFormatError,
 )
 from enfcapon.signal_io import (
-    _BLOCK_SAMPLES,
+    BLOCK_SAMPLES,
     PcmRecording,
     SampledSignal,
     anti_alias_filter,
@@ -69,7 +69,8 @@ class TestReadWav:
             read_wav(path)
 
     def test_rejects_missing_file(self, tmp_path):
-        with pytest.raises(UnsupportedFormatError):
+        # An OS error passes through, as from read_track; the CLI maps both.
+        with pytest.raises(FileNotFoundError):
             read_wav(tmp_path / "nope.wav")
 
     @pytest.mark.parametrize("keep_bytes", [4, 30])
@@ -250,12 +251,12 @@ class TestPcmRecording:
     def test_many_read_blocks_and_decimation_blocks(self, tmp_path, rng, read_bytes):
         # The file reaches read_wav through a pipe in pieces of read_bytes,
         # so its one read gathers many pieces, and 3-channel frames of 6
-        # bytes straddle them.  Factor 20 does not divide _BLOCK_SAMPLES, so
+        # bytes straddle them.  Factor 20 does not divide BLOCK_SAMPLES, so
         # a decimation block holds fewer samples than that; each frame's 3
         # channels are averaged.
         factor, n_channels = 20, 3
-        assert _BLOCK_SAMPLES % factor
-        n_frames = (2 * (_BLOCK_SAMPLES // factor) + 5) * factor + 7
+        assert BLOCK_SAMPLES % factor
+        n_frames = (2 * (BLOCK_SAMPLES // factor) + 5) * factor + 7
         assert n_frames * 2 * n_channels > read_bytes
         assert read_bytes % (2 * n_channels)
         path = tmp_path / "pcm.wav"
@@ -382,8 +383,8 @@ class TestDecimate:
         lambda f: 37 * f + 1,
         lambda f: 37 * f,
         lambda f: 400 * f - 1,
-        lambda f: 2 * (_BLOCK_SAMPLES // f) * f,
-        lambda f: (2 * (_BLOCK_SAMPLES // f) + 1) * f + 1,
+        lambda f: 2 * (BLOCK_SAMPLES // f) * f,
+        lambda f: (2 * (BLOCK_SAMPLES // f) + 1) * f + 1,
     ], ids=["taps_plus_one", "not_a_multiple", "multiple", "long_not_a_multiple",
             "two_blocks", "past_two_blocks"])
     def test_matches_full_rate_filtering(self, rng, factor, length):
@@ -401,7 +402,7 @@ class TestDecimate:
         # blocks' rows (all but the last width // 2 = 5 of a two-block
         # prefix) take the same products and sums in a longer signal,
         # here one ending in a partial block and a partial row.
-        step = max(1, _BLOCK_SAMPLES // factor)
+        step = max(1, BLOCK_SAMPLES // factor)
         samples = rng.normal(size=(3 * step + 3) * factor + factor // 2 + 1)
         prefix = decimate(SampledSignal(samples[: 2 * step * factor], 441.0 * factor), factor)
         full = decimate(SampledSignal(samples, 441.0 * factor), factor)
@@ -428,7 +429,7 @@ class TestDecimate:
         # go before the next block's is made; two at once would not fit.
         codes = rng.integers(-(1 << 15), 1 << 15, size=(120 * 44100, 1), dtype=np.int16)
         recording = PcmRecording(codes, 44100.0)
-        block_bytes = 8 * (_BLOCK_SAMPLES // 100) * 100
+        block_bytes = 8 * (BLOCK_SAMPLES // 100) * 100
         bound = 8 * (len(recording) // 100) + block_bytes + (1 << 20)
         assert bound < 8 * (len(recording) // 100) + 2 * block_bytes
         tracemalloc.start()

@@ -30,6 +30,16 @@ def test_round_trip_is_lossless(tmp_path):
     assert np.isnan(loaded.freq_hz[2])
 
 
+def test_leading_utf8_bom_is_dropped(tmp_path):
+    # Spreadsheet and Notepad "UTF-8 with BOM" saves start with U+FEFF.
+    path, bom = tmp_path / "track.csv", tmp_path / "bom.csv"
+    write_track(small_track(), path)
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    plain, loaded = read_track(path), read_track(bom)
+    for name in ("frame_index", "time_s", "freq_hz"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(plain, name))
+
+
 def test_csv_row_format(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("frame_index,time_s,freq_hz\n0,0.0,59.98\n")
