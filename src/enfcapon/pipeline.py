@@ -157,9 +157,10 @@ def estimate_frames(frames, config):
 def prepare(signal, config):
     """Decimate to the working rate and band-pass around the harmonic.
 
-    signal is a SampledSignal or read_wav's PcmRecording.  Only the rate,
-    harmonic, nominal, passband and tap count of the config are read, so
-    one prepared signal serves every window and frame layout.
+    signal is a SampledSignal or read_wav's PcmRecording, whose samples
+    are read from its file here, by decimate.  Only the rate, harmonic,
+    nominal, passband and tap count of the config are read, so one
+    prepared signal serves every window and frame layout.
     """
     factor = _decimation_factor(signal.sample_rate_hz, config.working_rate_hz)
     # Checked before decimate, which designs a 10 * factor + 1-tap filter.

@@ -1,14 +1,13 @@
 """Recording ingest and anti-alias decimation.
 
 WAV input is restricted to PCM 16-bit; anything else is rejected loudly
-rather than silently re-quantized.  A recording is kept as its 16-bit
-codes, and decimation makes float64 samples of one block at a time.
+rather than silently re-quantized.  read_wav reads only the header, and
+decimation reads a recording's samples one block at a time.
 """
 
-import mmap
 import os
-import stat
 import wave
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +29,8 @@ BLOCK_SAMPLES = 1 << 18
 @dataclass(frozen=True)
 class SampledSignal:
     """Uniformly sampled real-valued series in float64: the output of
-    decimate and the band-pass.  A recording read by read_wav stays a
-    PcmRecording of 16-bit codes until decimate makes it one.
+    decimate and the band-pass.  A recording opened by read_wav stays a
+    PcmRecording, samples on file, until decimate makes it one.
 
     origin_offset_s tracks seconds trimmed from the head by upstream
     processing (filter delay compensation) so frame timestamps stay
@@ -58,35 +57,51 @@ class SampledSignal:
         return self.samples[start:stop]
 
 
-@dataclass(frozen=True)
 class PcmRecording:
-    """A PCM 16-bit recording kept as its codes, int16 (frames, channels),
-    two bytes per sample per channel.
+    """A PCM 16-bit WAV recording that holds its open file, not its
+    samples, and closes it when dropped.
 
-    floats() makes mono float64 samples of a range of frames: the channel
-    mean, then x 1/32768, so the full negative scale maps to -1.0.  Both
-    steps are exact, so any range gives the same bits as converting the
-    whole recording at once.
+    floats(start, stop) reads frames start:stop into one reused int16
+    buffer and makes them mono float64: the channel mean, then x 1/32768,
+    so the full negative scale maps to -1.0.  Both steps are exact, so any
+    range gives the same bits as converting the whole recording at once.
+    A pipe (offset None) serves ranges only in order, each from where the
+    last one stopped.
     """
 
-    codes: np.ndarray
-    sample_rate_hz: float
     origin_offset_s = 0.0  # a recording starts at its own origin
 
-    def __post_init__(self):
-        if (self.codes.dtype not in (np.dtype("<i2"), np.dtype(">i2"))
-                or self.codes.ndim != 2 or self.codes.size < 1):
-            raise ValueError("codes must be a non-empty int16 (frames, channels) array")
-        if not self.sample_rate_hz > 0:
-            raise ValueError("sample_rate_hz must be positive")
+    def __init__(self, fh, offset, n_frames, n_channels, sample_rate_hz):
+        weakref.finalize(self, fh.close)  # first, so a failed check closes fh too
+        if min(n_frames, n_channels) < 1 or not sample_rate_hz > 0:
+            raise ValueError("a recording needs a frame, a channel and a positive rate")
+        self._fh, self._offset, self._n_frames = fh, offset, n_frames
+        self.n_channels, self.sample_rate_hz = n_channels, float(sample_rate_hz)
+        self._next = 0  # the frame a pipe stands at
+        self._codes = np.empty((0, n_channels), "<i2")  # WAV is little-endian
 
     def __len__(self):
-        return len(self.codes)
+        return self._n_frames
 
     def floats(self, start=0, stop=None):
         """Mono float64 samples of frames start:stop."""
-        codes = self.codes[start:stop]
-        if codes.shape[1] == 1:
+        start, stop, _ = slice(start, stop).indices(self._n_frames)
+        if self._offset is not None:
+            self._fh.seek(self._offset + 2 * self.n_channels * start)
+        elif start != self._next:
+            raise UnsupportedFormatError(f"{self._fh.name}: a pipe is read once, in order: "
+                                         f"frame {start} was asked for at frame {self._next}")
+        if stop - start > len(self._codes):
+            self._codes = np.empty((stop - start, self.n_channels), "<i2")
+        codes = self._codes[: max(0, stop - start)]
+        # A buffered file's readinto gathers a pipe's short reads, so it
+        # stops short only where the data ends.
+        n_read = self._fh.readinto(codes) // (2 * self.n_channels)
+        if n_read < len(codes):
+            raise UnsupportedFormatError(f"{self._fh.name}: data ends at frame "
+                                         f"{start + n_read} of {self._n_frames}")
+        self._next = start + n_read
+        if self.n_channels == 1:
             return codes[:, 0] * (1.0 / PCM16_FULL_SCALE)
         # Scaling by the power of two 1/32768 is exact, so it may follow
         # the channel mean in place.
@@ -96,14 +111,16 @@ class PcmRecording:
 
 
 def read_wav(path):
-    """Read a PCM 16-bit WAV file as a PcmRecording of its codes.
+    """Open a PCM 16-bit WAV file as a PcmRecording, reading only its
+    header: the samples are read where they are used, a block at a time.
 
-    Only the bytes the file holds are read, however many frames the
-    header claims, in one read into one int16 array.  A partial sample
-    frame at the end of a truncated file is dropped.  wave opens only PCM,
-    so any other format tag fails there ("unknown format: 3").
+    The recording has the header's frame count, or for a regular file the
+    whole frames the file holds if fewer, so a partial sample frame at the
+    end of a truncated file is dropped.  wave opens only PCM, so any other
+    format tag fails there ("unknown format: 3").
     """
-    with open(path, "rb") as fh:
+    fh = open(path, "rb")
+    try:
         try:
             reader = wave.open(fh)
         except EOFError as exc:
@@ -112,39 +129,25 @@ def read_wav(path):
             raise UnsupportedFormatError(f"{path}: a WAV chunk size is inconsistent") from exc
         except wave.Error as exc:
             raise UnsupportedFormatError(f"cannot read WAV file {path}: {exc}") from exc
-        with reader:
+        with reader:  # closes the reader, not fh
             if reader.getsampwidth() != 2:
-                raise UnsupportedFormatError(
-                    f"{path}: only 16-bit PCM is supported, got "
-                    f"{8 * reader.getsampwidth()}-bit"
-                )
+                raise UnsupportedFormatError(f"{path}: only 16-bit PCM is supported, "
+                                             f"got {8 * reader.getsampwidth()}-bit")
             rate = reader.getframerate()
             if rate <= 0:
                 raise UnsupportedFormatError(f"{path}: sample rate {rate} Hz in header")
-            codes = _read_codes(reader, fh)
-    if codes.size == 0:
-        raise DegenerateInputError(f"{path}: no audio frames")
-    return PcmRecording(codes, float(rate))
-
-
-def _read_codes(reader, fh):
-    """The whole frames of the data chunk that the file holds.  wave has
-    just read the chunk's header, so fh stands at its first byte; the
-    buffer ends at or before the chunk's end, so one read never takes the
-    bytes of a chunk after it."""
-    n_channels = reader.getnchannels()
-    frame_bytes = 2 * n_channels
-    n_frames = reader.getnframes()
-    status = os.fstat(fh.fileno())
-    if stat.S_ISREG(status.st_mode):  # a pipe's length is known only once read
-        n_frames = min(n_frames, (status.st_size - fh.tell()) // frame_bytes)
-    # An anonymous map goes back to the system when the recording is
-    # dropped; a malloc'ed buffer of this size would raise malloc's mmap
-    # threshold and stay on its heap from the next read on.
-    buffer = mmap.mmap(-1, max(1, n_frames * frame_bytes))
-    # WAV samples are little-endian whatever the host's byte order.
-    n_frames = fh.readinto(buffer) // frame_bytes
-    return np.frombuffer(buffer, "<i2", n_frames * n_channels).reshape(n_frames, n_channels)
+            n_channels, n_frames = reader.getnchannels(), reader.getnframes()
+        # wave has just read the data chunk's header, so fh stands at its
+        # first byte.  A pipe's length is known only once read.
+        offset = fh.tell() if fh.seekable() else None
+        if offset is not None:
+            n_frames = min(n_frames, (fh.seek(0, os.SEEK_END) - offset) // (2 * n_channels))
+        if n_frames <= 0:  # negative if the file shrank below the header meanwhile
+            raise DegenerateInputError(f"{path}: no audio frames")
+    except BaseException:
+        fh.close()
+        raise
+    return PcmRecording(fh, offset, n_frames, n_channels, rate)
 
 
 def write_wav(signal, path):
@@ -193,6 +196,8 @@ def decimate(signal, factor):
     Rabiner, Multirate Digital Signal Processing, 1983, ch. 3): one matrix
     product per block of max(1, 2**18 // factor) rows of `factor` samples,
     so a block is made float64 in at most 2 MB unless one row is longer.
+    A recording's blocks are read from its file here, in increasing
+    order, so a recording of a pipe is decimated once.
     """
     if not isinstance(factor, (int, np.integer)) or factor <= 0:
         raise ValueError("decimation factor must be a positive integer")
@@ -223,8 +228,8 @@ def _polyphase_filter(taps, signal, factor):
     phases[i] @ row r to output r + i - width // 2, where
     phases[i, q] = taps[i * factor - q] (zero outside the taps) and
     width = 11.  The ceil(len / factor) rows go in blocks: signal.floats
-    makes a block's rows float64 (a view of a SampledSignal), zero-padded
-    if the last row is partial, and they go once the product is formed.
+    makes a block's rows float64 (read from file for a PcmRecording),
+    zero-padded if the last row is partial; they go once multiplied.
     """
     width = (taps.size - 1) // factor + 1
     phases = np.ascontiguousarray(

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -22,12 +24,11 @@ def make_tone(freq_hz, sample_rate_hz, duration_s, amplitude=1.0, phase=0.0):
     return amplitude * np.cos(2.0 * np.pi * freq_hz * t + phase)
 
 
-def backing_nbytes(array):
-    """Bytes of the buffer that holds an array's data, which tracemalloc
-    does not see when it is a memory map."""
-    while isinstance(array.base, np.ndarray):
-        array = array.base
-    return array.nbytes if array.base is None else memoryview(array.base).nbytes
+def resident_bytes():
+    """This process's resident memory, which counts memory maps and other
+    buffers that tracemalloc does not see (Linux /proc only)."""
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
 # Track files that fail before any row is parsed, with the message each

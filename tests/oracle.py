@@ -8,13 +8,13 @@ spectrum, a peak search over the whole band and a scalar quadratic
 refinement.  The full-grid spectrum comes from one Hermitian FFT of the
 denominator coefficients (capon_psd) or from an explicit inverse and
 its quadratic form at every bin (capon_psd_dense).  The dense helpers
-form the Toeplitz machinery with explicit matrices.  The package keeps
-a WAV as its 16-bit codes and makes float64 samples of one slice at a
-time; wav_floats here converts the whole data chunk at once.  It
-decimates by one matrix product per block of polyphase rows and
-band-passes by overlap-save in fixed real-FFT blocks; the full-rate
-helpers here convolve the whole signal with one FFT and keep the
-outputs they need.  The package matches a
+form the Toeplitz machinery with explicit matrices.  The package reads
+a WAV's data chunk one block at a time into a reused int16 buffer and
+makes float64 samples of each block; wav_floats here reads and converts
+the whole data chunk at once.  It decimates by one matrix product per
+block of polyphase rows and band-passes by overlap-save in fixed
+real-FFT blocks; the full-rate helpers here convolve the whole signal
+with one FFT and keep the outputs they need.  The package matches a
 track by FFT sums that nominate candidate lags; the scan here scores
 every lag through `correlation`.
 """

@@ -1,8 +1,12 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import math
+import os
+import select
 import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -785,7 +789,8 @@ def test_full_rate_recording_released_after_prepare(runner, fixture_files, tmp_p
 @pytest.mark.parametrize("command", ["extract", "compare-windows"])
 def test_recording_dropped_before_estimate(runner, fixture_files, tmp_path, monkeypatch,
                                            command):
-    # tracemalloc does not see the codes, which sit in a memory map.
+    # A recording holds its file open, and the file is not needed past
+    # prepare.
     recordings, alive = [], []
 
     def keeping_read_wav(path):
@@ -806,6 +811,64 @@ def test_recording_dropped_before_estimate(runner, fixture_files, tmp_path, monk
     result = runner.invoke(main, [command, *args, "-o", str(tmp_path / "x.csv")])
     assert result.exit_code == 0, result.output
     assert alive == [False]
+
+
+def test_extract_of_a_file_truncated_after_it_was_opened(runner, tmp_path, monkeypatch):
+    # read_wav checks the header; the samples are read in prepare, where a
+    # file cut in between is caught.
+    seconds, rate = 20, 44100
+    wav = tmp_path / "full_rate.wav"
+    write_wav(SampledSignal(0.5 * make_tone(180.0, rate, seconds), float(rate)), wav)
+
+    def truncating_read_wav(path):
+        recording = read_wav(path)
+        os.truncate(path, 44 + 2 * 5 * rate)  # 5 s of 20 left
+        return recording
+
+    monkeypatch.setattr(cli, "read_wav", truncating_read_wav)
+    out = tmp_path / "track.csv"
+    result = runner.invoke(main, ["extract", str(wav), "-o", str(out)])
+    assert result.exit_code == 2
+    assert f"{wav}: data ends at frame {5 * rate} of {seconds * rate}" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo") or not hasattr(select, "poll"),
+                    reason="needs named pipes")
+def test_extract_from_a_named_pipe(runner, tmp_path):
+    # The manifest hashes its input by opening it again, so the pipe is
+    # fed twice: once for the samples and, once the recording has closed
+    # it, once more for the hash.
+    seconds, rate = 20, 44100
+    wav = tmp_path / "full_rate.wav"
+    write_wav(SampledSignal(0.5 * make_tone(180.0, rate, seconds), float(rate)), wav)
+    data = wav.read_bytes()
+    pipe = tmp_path / "pipe.wav"
+    os.mkfifo(pipe)
+
+    def serve_twice():
+        with open(pipe, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            poller = select.poll()
+            poller.register(fh, select.POLLERR)  # raised when the reader closes
+            poller.poll(60_000)
+        with open(pipe, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=serve_twice, daemon=True)
+    writer.start()
+    try:
+        piped = runner.invoke(main, ["extract", str(pipe), "-o", str(tmp_path / "piped.csv")])
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert piped.exit_code == 0, piped.output
+    result = runner.invoke(main, ["extract", str(wav), "-o", str(tmp_path / "file.csv")])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "piped.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
+    manifest = json.loads((tmp_path / "piped.csv.manifest.json").read_text())
+    assert manifest["inputs"][0]["sha256"] == hashlib.sha256(data).hexdigest()
 
 
 class TestBench:

@@ -1,3 +1,4 @@
+import os
 import time
 import tracemalloc
 import wave
@@ -5,11 +6,11 @@ import wave
 import numpy as np
 import pytest
 
-from conftest import backing_nbytes, make_tone
+from conftest import make_tone, resident_bytes
 from enfcapon.errors import DegenerateInputError, IncompatibleInputError
 from enfcapon.pipeline import (PipelineConfig, estimate, extract_enf, power_config,
                                prepare, speech_config)
-from enfcapon.signal_io import SampledSignal, read_wav
+from enfcapon.signal_io import BLOCK_SAMPLES, SampledSignal, read_wav
 from enfcapon.spectral import band_bins
 from enfcapon.synthetic import make_power_fixture
 from enfcapon.track import read_track, write_track
@@ -248,8 +249,13 @@ class TestExtract:
         track = extract_enf(high, power_config())
         assert np.all(np.abs(track.freq_hz[track.valid] - 60.0) < 0.01)
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc")
     def test_full_rate_recording_never_held_as_float64(self, tmp_path):
         # 60 s of 44.1 kHz stereo: 10.6 MB of codes, 21.2 MB as mono float64.
+        # prepare holds the working-rate signal twice (decimated, then
+        # band-passed), one block of stereo codes and one of float64, plus
+        # 1 MB for the rest; resident memory counts what tracemalloc does
+        # not see, such as a memory map.
         seconds, rate = 60, 44100
         tone = make_tone(180.0, rate, seconds)
         codes = np.round(16000.0 * np.stack((tone, -0.5 * tone), axis=1)).astype("<i2")
@@ -259,18 +265,21 @@ class TestExtract:
             writer.setsampwidth(2)
             writer.setframerate(rate)
             writer.writeframes(codes.tobytes())
-        bound = codes.nbytes + (6 << 20)
-        assert bound < 8 * seconds * rate
+        block = (BLOCK_SAMPLES // 100) * 100
+        bound = 2 * 8 * seconds * 441 + (2 * 2 + 8) * block + (1 << 20)
+        assert bound < codes.nbytes
         del tone, codes
         tracemalloc.start()
         try:
+            resident = resident_bytes()
             recording = read_wav(path)
+            grown = resident_bytes() - resident
             filtered = prepare(recording, power_config())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(filtered) == seconds * 441 - 1000
-        assert peak + backing_nbytes(recording.codes) <= bound
+        assert peak + grown <= bound
 
     def test_timestamps_account_for_filter_delay(self):
         track = extract_enf(tone_signal(180.0), power_config())

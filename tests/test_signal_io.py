@@ -1,6 +1,9 @@
+import contextlib
 import os
+import re
 import threading
 import tracemalloc
+import warnings
 import wave
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import firwin
 
-from conftest import backing_nbytes, make_tone
+from conftest import make_tone, resident_bytes
 from enfcapon.errors import (
     DegenerateInputError,
     EnfError,
@@ -33,6 +36,42 @@ def write_raw_wav(path, pcm, n_channels=1, sampwidth=2, rate=44100):
         writer.setsampwidth(sampwidth)
         writer.setframerate(rate)
         writer.writeframes(pcm)
+
+
+needs_pipes = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+
+
+@contextlib.contextmanager
+def fed_pipe(path, data, piece=None):
+    """A named pipe at path that a thread writes data into, in pieces of
+    `piece` bytes if given, and that is joined on leaving."""
+    os.mkfifo(path)
+    piece = piece or len(data)
+
+    def write_in_pieces():
+        with open(path, "wb", buffering=0) as fh:
+            for start in range(0, len(data), piece):
+                fh.write(data[start:start + piece])
+
+    writer = threading.Thread(target=write_in_pieces, daemon=True)
+    writer.start()
+    try:
+        yield path
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+
+
+def open_fds(path):
+    """How many of this process's file descriptors are open on path."""
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{fd}") == str(path)
+        except FileNotFoundError:  # the listing's own descriptor, closed since
+            pass
+    return count
 
 
 class TestReadWav:
@@ -103,7 +142,7 @@ class TestReadWav:
             data[index] = value
         path.write_bytes(bytes(data))
         try:
-            read_wav(path)
+            read_wav(path).floats()
         except EnfError:
             pass
 
@@ -129,26 +168,33 @@ class TestReadWav:
         two_step = pcm.astype(np.float64).reshape(-1, n_channels).mean(axis=1) / 32768.0
         assert read_wav(path).floats().tobytes() == two_step.tobytes()
 
+    @needs_proc
     @pytest.mark.parametrize("n_channels", [1, 2])
-    def test_holds_only_the_codes(self, tmp_path, n_channels):
-        # 10 s at 44.1 kHz: a float64 copy would add 3.5 MB, and the data
-        # chunk is read straight into the codes' buffer.
-        n_frames = 441_000
+    def test_holds_at_most_one_read_block(self, tmp_path, n_channels):
+        # 60 s at 44.1 kHz, 5.3 MB of codes per channel: read_wav reads the
+        # header only, so what it holds, traced or resident (which counts
+        # memory maps), stays within one block of codes whatever the length.
+        n_frames = 60 * 44100
         path = tmp_path / "pcm.wav"
         write_raw_wav(path, bytes(2 * n_channels * n_frames), n_channels=n_channels)
         tracemalloc.start()
         try:
+            resident = resident_bytes()
             recording = read_wav(path)
+            grown = resident_bytes() - resident
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak + backing_nbytes(recording.codes) <= 2 * n_channels * n_frames + (64 << 10)
+        assert len(recording) == n_frames
+        assert peak + grown <= 2 * n_channels * BLOCK_SAMPLES
 
-
-    def test_header_claiming_more_data_than_the_file_holds(self, tmp_path):
-        # 1,000 frames whose RIFF and data chunks claim 2 GB: a buffer sized
-        # from the claim would take that much.
-        pcm = np.arange(-500, 500, dtype="<i2")
+    @needs_proc
+    def test_header_claiming_more_data_than_the_file_holds(self, tmp_path, rng):
+        # 1 MB of codes whose RIFF and data chunks claim 2 GB: a buffer sized
+        # from the claim would take that much, and the frame count is the
+        # file's.  Reading the last 1,000 frames holds only those.
+        n_frames = 2 * BLOCK_SAMPLES + 1000
+        pcm = rng.integers(-32768, 32768, n_frames).astype("<i2")
         path = tmp_path / "claims.wav"
         write_raw_wav(path, pcm.tobytes())
         data = bytearray(path.read_bytes())
@@ -157,29 +203,27 @@ class TestReadWav:
         path.write_bytes(bytes(data))
         tracemalloc.start()
         try:
+            resident = resident_bytes()
             loaded = read_wav(path)
+            tail = loaded.floats(n_frames - 1000)
+            grown = resident_bytes() - resident
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20
-        assert backing_nbytes(loaded.codes) <= len(data)
-        assert loaded.floats().tobytes() == (pcm * (1.0 / 32768)).tobytes()
+        assert peak + grown < 1 << 20
+        assert len(loaded) == n_frames
+        assert tail.tobytes() == (pcm[-1000:] * (1.0 / 32768)).tobytes()
 
-
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @needs_pipes
     def test_reads_from_a_pipe(self, tmp_path):
-        # A pipe's length is unknown, so the header's claim sizes the buffer.
+        # A pipe's length is unknown, so the header's claim is its frame count.
         path = tmp_path / "file.wav"
         write_raw_wav(path, np.arange(-500, 500, dtype="<i2").tobytes(), n_channels=2)
-        pipe = tmp_path / "pipe.wav"
-        os.mkfifo(pipe)
-        writer = threading.Thread(target=pipe.write_bytes, args=(path.read_bytes(),))
-        writer.start()
-        try:
+        with fed_pipe(tmp_path / "pipe.wav", path.read_bytes()) as pipe:
             loaded = read_wav(pipe)
-        finally:
-            writer.join()
-        assert np.array_equal(loaded.codes, read_wav(path).codes)
+            floats = loaded.floats()
+        assert (len(loaded), loaded.n_channels) == (500, 2)
+        assert floats.tobytes() == read_wav(path).floats().tobytes()
 
     @pytest.mark.parametrize("source", ["file", "pipe"])
     def test_chunk_after_data_is_not_read(self, tmp_path, source):
@@ -193,18 +237,15 @@ class TestReadWav:
         if source == "pipe":
             if not hasattr(os, "mkfifo"):
                 pytest.skip("needs named pipes")
-            pipe = tmp_path / "pipe.wav"
-            os.mkfifo(pipe)
-            writer = threading.Thread(target=pipe.write_bytes, args=(bytes(data),))
-            writer.start()
-            try:
+            with fed_pipe(tmp_path / "pipe.wav", bytes(data)) as pipe:
                 loaded = read_wav(pipe)
-            finally:
-                writer.join()
+                floats = loaded.floats()
         else:
             loaded = read_wav(path)
-        assert loaded.codes.tobytes() == pcm.tobytes()
-        assert loaded.codes.shape == (500, 2)
+            floats = loaded.floats()
+        assert (len(loaded), loaded.n_channels) == (500, 2)
+        two_step = pcm.astype(np.float64).reshape(-1, 2).mean(axis=1) / 32768.0
+        assert floats.tobytes() == two_step.tobytes()
 
 
 def write_random_wav(path, rng, n_frames, n_channels):
@@ -214,15 +255,15 @@ def write_random_wav(path, rng, n_frames, n_channels):
 
 
 class TestPcmRecording:
-    """read_wav's codes made float64 a range at a time agree bit for bit
-    with the whole data chunk converted at once."""
+    """A recording's frames read and made float64 a range at a time agree
+    bit for bit with the whole data chunk converted at once."""
 
     @pytest.mark.parametrize("n_channels", [1, 2, 3])
     def test_floats_match_whole_conversion(self, tmp_path, rng, n_channels):
         path = tmp_path / "pcm.wav"
         write_random_wav(path, rng, 3000, n_channels)
         recording, expected = read_wav(path), wav_floats(path)
-        assert recording.codes.shape == (3000, n_channels)
+        assert (len(recording), recording.n_channels) == (3000, n_channels)
         assert recording.floats().tobytes() == expected.tobytes()
         for start, stop in [(0, 1), (5, 17), (1000, None), (2999, 3000)]:
             assert recording.floats(start, stop).tobytes() == expected[start:stop].tobytes()
@@ -246,14 +287,15 @@ class TestPcmRecording:
         assert out.sample_rate_hz == expected.sample_rate_hz
         assert out.samples.tobytes() == expected.samples.tobytes()
 
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @needs_pipes
     @pytest.mark.parametrize("read_bytes", [1000, 1 << 20])
     def test_many_read_blocks_and_decimation_blocks(self, tmp_path, rng, read_bytes):
         # The file reaches read_wav through a pipe in pieces of read_bytes,
-        # so its one read gathers many pieces, and 3-channel frames of 6
-        # bytes straddle them.  Factor 20 does not divide BLOCK_SAMPLES, so
-        # a decimation block holds fewer samples than that; each frame's 3
-        # channels are averaged.
+        # so a read gathers many pieces, and 3-channel frames of 6 bytes
+        # straddle them.  Factor 20 does not divide BLOCK_SAMPLES, so a
+        # decimation block holds fewer samples than that; each frame's 3
+        # channels are averaged.  A pipe is read once, so the whole read
+        # and the decimation each take their own.
         factor, n_channels = 20, 3
         assert BLOCK_SAMPLES % factor
         n_frames = (2 * (BLOCK_SAMPLES // factor) + 5) * factor + 7
@@ -261,27 +303,66 @@ class TestPcmRecording:
         assert read_bytes % (2 * n_channels)
         path = tmp_path / "pcm.wav"
         write_random_wav(path, rng, n_frames, n_channels)
-        data = path.read_bytes()
-        pipe = tmp_path / "pipe.wav"
-        os.mkfifo(pipe)
-
-        def write_in_pieces():
-            with open(pipe, "wb", buffering=0) as fh:
-                for start in range(0, len(data), read_bytes):
-                    fh.write(data[start:start + read_bytes])
-
-        writer = threading.Thread(target=write_in_pieces)
-        writer.start()
-        try:
-            recording = read_wav(pipe)
-        finally:
-            writer.join()
-        expected = wav_floats(path)
-        assert recording.codes.tobytes() == read_wav(path).codes.tobytes()
-        assert recording.floats().tobytes() == expected.tobytes()
-        out = decimate(recording, factor)
+        data, expected = path.read_bytes(), wav_floats(path)
+        with fed_pipe(tmp_path / "whole.wav", data, read_bytes) as pipe:
+            assert read_wav(pipe).floats().tobytes() == expected.tobytes()
+        with fed_pipe(tmp_path / "blocks.wav", data, read_bytes) as pipe:
+            out = decimate(read_wav(pipe), factor)
         assert out.samples.tobytes() == decimate(
             SampledSignal(expected, 44100.0), factor).samples.tobytes()
+
+    def test_file_truncated_after_read_wav(self, tmp_path, rng):
+        path = tmp_path / "pcm.wav"
+        write_random_wav(path, rng, 3000, 2)
+        recording = read_wav(path)
+        os.truncate(path, 44 + 4 * 2000 + 3)  # 2,000 frames and 3 bytes of data
+        with pytest.raises(UnsupportedFormatError,
+                           match=re.escape(f"{path}: data ends at frame 2000 of 3000")):
+            decimate(recording, 20)
+
+    @needs_pipes
+    def test_pipe_ending_before_its_header_claim(self, tmp_path, rng):
+        path = tmp_path / "pcm.wav"
+        write_random_wav(path, rng, 3000, 2)
+        with fed_pipe(tmp_path / "pipe.wav", path.read_bytes()[:-4001]) as pipe:
+            recording = read_wav(pipe)
+            assert len(recording) == 3000  # the header's claim
+            with pytest.raises(UnsupportedFormatError,
+                               match=re.escape(f"{pipe}: data ends at frame 1999 of 3000")):
+                decimate(recording, 20)
+
+    @needs_pipes
+    def test_pipe_serves_ranges_in_order_only(self, tmp_path, rng):
+        path = tmp_path / "pcm.wav"
+        write_random_wav(path, rng, 3000, 2)
+        expected = wav_floats(path)
+        with fed_pipe(tmp_path / "pipe.wav", path.read_bytes()) as pipe:
+            recording = read_wav(pipe)
+            assert recording.floats(0, 1000).tobytes() == expected[:1000].tobytes()
+            assert recording.floats(1000, 2000).tobytes() == expected[1000:2000].tobytes()
+            with pytest.raises(UnsupportedFormatError,
+                               match="frame 500 was asked for at frame 2000"):
+                recording.floats(500, 1000)
+            assert recording.floats(2000).tobytes() == expected[2000:].tobytes()
+
+    @needs_proc
+    @pytest.mark.parametrize("factor", [20, 1000])
+    def test_a_dropped_recording_closes_its_file(self, tmp_path, rng, factor):
+        # 3,000 frames are too short for factor 1,000's 10,001 taps.
+        path = tmp_path / "pcm.wav"
+        write_random_wav(path, rng, 3000, 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            recording = read_wav(path)
+            assert open_fds(path) == 1
+            if factor == 1000:
+                with pytest.raises(DegenerateInputError):
+                    decimate(recording, factor)
+            else:
+                decimate(recording, factor)
+            del recording
+            assert open_fds(path) == 0
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_factor_one_converts_the_whole_recording(self, tmp_path, rng):
         path = tmp_path / "pcm.wav"
@@ -291,15 +372,14 @@ class TestPcmRecording:
         assert (out.sample_rate_hz, out.origin_offset_s) == (44100.0, 0.0)
         assert out.samples.tobytes() == wav_floats(path).tobytes()
 
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            PcmRecording(np.zeros((0, 1), np.int16), 441.0)
-        with pytest.raises(ValueError):
-            PcmRecording(np.zeros(10, np.int16), 441.0)
-        with pytest.raises(ValueError):
-            PcmRecording(np.zeros((10, 1)), 441.0)
-        with pytest.raises(ValueError):
-            PcmRecording(np.zeros((10, 1), np.int16), 0.0)
+    def test_invariants(self, tmp_path):
+        path = tmp_path / "pcm.wav"
+        write_raw_wav(path, bytes(400))
+        for n_frames, n_channels, rate in [(0, 1, 441.0), (10, 0, 441.0), (10, 1, 0.0)]:
+            fh = open(path, "rb")
+            with pytest.raises(ValueError):
+                PcmRecording(fh, 44, n_frames, n_channels, rate)
+            assert fh.closed
 
 
 class TestDecimate:
@@ -424,21 +504,27 @@ class TestDecimate:
             tracemalloc.stop()
         assert peak <= bound
 
-    def test_a_recording_holds_one_block_of_float64_at_a_time(self, rng):
+    @needs_proc
+    def test_a_recording_holds_one_block_of_float64_at_a_time(self, tmp_path, rng):
         # Two minutes of 44.1 kHz codes: each block's float64 (2.1 MB) must
         # go before the next block's is made; two at once would not fit.
-        codes = rng.integers(-(1 << 15), 1 << 15, size=(120 * 44100, 1), dtype=np.int16)
-        recording = PcmRecording(codes, 44100.0)
-        block_bytes = 8 * (BLOCK_SAMPLES // 100) * 100
-        bound = 8 * (len(recording) // 100) + block_bytes + (1 << 20)
-        assert bound < 8 * (len(recording) // 100) + 2 * block_bytes
+        # Beside them the recording holds one block of codes (0.5 MB) and
+        # nothing resident that tracemalloc does not see.
+        path = tmp_path / "pcm.wav"
+        write_random_wav(path, rng, 120 * 44100, 1)
+        block = (BLOCK_SAMPLES // 100) * 100
         tracemalloc.start()
         try:
+            resident = resident_bytes()
+            recording = read_wav(path)
+            grown = resident_bytes() - resident
+            bound = 8 * (len(recording) // 100) + (8 + 2) * block + (1 << 20)
+            assert bound < 8 * (len(recording) // 100) + 2 * 8 * block
             decimate(recording, 100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound
+        assert peak + grown <= bound
 
 
 class TestSampledSignal:
