@@ -16,7 +16,7 @@ import numpy as np
 from . import capon, spectral
 from .bandpass import HAMMING_TRANSITION_FACTOR, apply_zero_phase, design_bandpass
 from .errors import DegenerateInputError, IncompatibleInputError
-from .signal_io import decimate
+from .signal_io import BLOCK_SAMPLES, decimate
 from .track import EnfTrack
 from .windowing import WINDOW_KINDS, make_window
 
@@ -158,9 +158,10 @@ def prepare(signal, config):
     """Decimate to the working rate and band-pass around the harmonic.
 
     signal is a SampledSignal or read_wav's PcmRecording, whose samples
-    are read from its file here, by decimate.  Only the rate, harmonic,
-    nominal, passband and tap count of the config are read, so one
-    prepared signal serves every window and frame layout.
+    are read from its file here, by decimate.  The band-pass writes into
+    the array decimate returns, so one working-rate signal is held.  Only
+    the rate, harmonic, nominal, passband and tap count of the config are
+    read, so one prepared signal serves every window and frame layout.
     """
     factor = _decimation_factor(signal.sample_rate_hz, config.working_rate_hz)
     # Checked before decimate, which designs a 10 * factor + 1-tap filter.
@@ -173,7 +174,8 @@ def prepare(signal, config):
     working = decimate(signal, factor)
     coeffs = design_bandpass(working.sample_rate_hz, config.center_hz,
                              config.passband_hz, config.taps)
-    return apply_zero_phase(coeffs, working)
+    n_filtered = len(working) - config.taps + 1
+    return apply_zero_phase(coeffs, working, out=working.samples[:n_filtered])
 
 
 def estimate(filtered, config):
@@ -193,10 +195,10 @@ def estimate(filtered, config):
         )
     window = make_window(config.window, frame_len)
     rows = np.lib.stride_tricks.sliding_window_view(filtered.samples, frame_len)[::shift]
-    # Windowed frames are formed len(filtered) // frame_len rows at a time,
-    # so a block never holds more samples than the filtered signal and
-    # non-overlapping layouts run as one block.
-    block = len(filtered) // frame_len
+    # Windowed frames are formed min(len(filtered), BLOCK_SAMPLES) //
+    # frame_len rows at a time (at least one), so a block and the
+    # estimator's work arrays stay a few MB however long the signal.
+    block = max(1, min(len(filtered), BLOCK_SAMPLES) // frame_len)
     freqs = np.concatenate([
         estimate_frames(rows[start : start + block] * window, config)
         for start in range(0, len(rows), block)

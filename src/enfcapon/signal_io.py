@@ -22,7 +22,9 @@ PCM16_FULL_SCALE = 32768.0
 # never float64 more than a block at a time, and a block is large enough
 # that BLAS, not the Python loop, sets the pace.  The block fixes the order
 # in which rows add into each output, so it also fixes the outputs' last
-# bits.  The STFT's chirp-z transform takes the same budget per FFT call.
+# bits.  The STFT's chirp-z transform takes the same budget per FFT call,
+# pipeline.estimate windows at most this many frame samples at once, and
+# the band-pass marks digital silence this many samples at a time.
 BLOCK_SAMPLES = 1 << 18
 
 
@@ -197,12 +199,17 @@ def decimate(signal, factor):
     product per block of max(1, 2**18 // factor) rows of `factor` samples,
     so a block is made float64 in at most 2 MB unless one row is longer.
     A recording's blocks are read from its file here, in increasing
-    order, so a recording of a pipe is decimated once.
+    order, so a recording of a pipe is decimated once.  At factor 1 the
+    samples are copied a block at a time into a new array, which the
+    caller may overwrite: the result never shares memory with the input.
     """
     if not isinstance(factor, (int, np.integer)) or factor <= 0:
         raise ValueError("decimation factor must be a positive integer")
     if factor == 1:
-        return SampledSignal(signal.floats(), signal.sample_rate_hz, signal.origin_offset_s)
+        samples = np.empty(len(signal))
+        for start in range(0, samples.size, BLOCK_SAMPLES):
+            samples[start : start + BLOCK_SAMPLES] = signal.floats(start, start + BLOCK_SAMPLES)
+        return SampledSignal(samples, signal.sample_rate_hz, signal.origin_offset_s)
     # Checked before the design, which for a huge factor is itself huge.
     n_taps = _anti_alias_taps(int(factor))
     if len(signal) <= n_taps:

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,16 @@ def random_pd_toeplitz(rng, order, near_singular=False):
 def make_tone(freq_hz, sample_rate_hz, duration_s, amplitude=1.0, phase=0.0):
     t = np.arange(int(round(duration_s * sample_rate_hz))) / sample_rate_hz
     return amplitude * np.cos(2.0 * np.pi * freq_hz * t + phase)
+
+
+def traced_peak(fn):
+    """(fn(), the peak of the memory tracemalloc traced while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def resident_bytes():

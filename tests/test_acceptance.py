@@ -7,7 +7,6 @@ power fixture.
 
 import math
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import toeplitz
 
-from conftest import make_tone, random_pd_toeplitz
+from conftest import make_tone, random_pd_toeplitz, traced_peak
 from enfcapon.bench import run_bench
 from enfcapon.capon import denom_coeffs, estimate_autocovariance, gs_factors, levinson_solve
 from enfcapon.matching import best_lag, correlation, fisher_test
@@ -188,12 +187,7 @@ def test_long_overlapping_frames_stay_within_a_few_signal_copies(five_minute_fix
     signal = five_minute_fixture.signal
     config = power_config(estimator=estimator, pad_factor=pad_factor,
                           frame_len_s=20.0, shift_s=1.0)
-    tracemalloc.start()
-    try:
-        extract_enf(signal, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: extract_enf(signal, config))[1]
     # The filtered signal, one block of windowed frames and the
     # estimator's work arrays, not one copy per overlapping frame.
     assert peak <= 12 * 8 * len(signal)
@@ -207,13 +201,7 @@ def test_long_stft_estimate_stays_within_two_signal_copies():
     rate = config.working_rate_hz
     n = int(2 * 3600 * rate)
     filtered = SampledSignal(np.cos(2 * np.pi * config.center_hz / rate * np.arange(n)), rate)
-    tracemalloc.start()
-    try:
-        estimate(filtered, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * filtered.samples.nbytes
+    assert traced_peak(lambda: estimate(filtered, config))[1] <= 2 * filtered.samples.nbytes
 
 
 def test_criterion_6_quadratic_interpolation_exactness():

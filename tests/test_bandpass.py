@@ -1,12 +1,10 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy.signal import firwin
 
-from conftest import make_tone
+from conftest import make_tone, traced_peak
 from enfcapon.bandpass import _BLOCKS_PER_CALL, _block_length, apply_zero_phase, design_bandpass
-from enfcapon.signal_io import SampledSignal
+from enfcapon.signal_io import BLOCK_SAMPLES, SampledSignal
 from oracle import apply_zero_phase_full
 
 
@@ -195,6 +193,50 @@ def test_extending_the_signal_keeps_earlier_outputs_bit_for_bit(rng, taps):
         assert out.tobytes() == full[: k * call].tobytes()
 
 
+@pytest.mark.parametrize("calls", [1, 2.5, 3 + 1 / 7])
+def test_filtering_in_place_gives_the_same_bits(rng, power_filter, calls):
+    # out may be the head of the input: each FFT call reads its run before
+    # it writes, and later calls read only past its writes.  The lengths
+    # end on a call edge, inside a call and inside a block, with zero runs
+    # across the first call edge and at the end.
+    taps = power_filter.size
+    call = _BLOCKS_PER_CALL * _block_step(taps)
+    n_out = int(calls * call)
+    samples = rng.normal(size=n_out + taps - 1)
+    samples[call - taps - 300 : call + taps] = 0.0
+    samples[-2 * taps :] = 0.0
+    signal = SampledSignal(samples.copy(), 441.0, 0.5)
+    copied = apply_zero_phase(power_filter, signal)
+    assert signal.samples.tobytes() == samples.tobytes()
+    in_place = apply_zero_phase(power_filter, signal, out=signal.samples[:n_out])
+    assert np.shares_memory(in_place.samples, signal.samples)
+    assert in_place.samples.tobytes() == copied.samples.tobytes()
+    assert in_place.origin_offset_s == copied.origin_offset_s
+    assert np.all(copied.samples[-taps:] == 0.0)
+
+
+def test_out_must_hold_every_output(power_filter):
+    signal = SampledSignal(np.ones(2000), 441.0)
+    with pytest.raises(ValueError, match="out must hold 1000 samples"):
+        apply_zero_phase(power_filter, signal, out=signal.samples)
+
+
+def test_zero_runs_across_search_blocks_filter_to_exact_zero(rng, power_filter):
+    # Runs of exact zeros are found BLOCK_SAMPLES at a time; runs start
+    # the signal, end it, and cross or touch a search block's edge.
+    taps = power_filter.size
+    samples = rng.normal(size=2 * BLOCK_SAMPLES + 5000)
+    for start, stop in [(0, 2000), (BLOCK_SAMPLES - 1500, BLOCK_SAMPLES + 1500),
+                        (2 * BLOCK_SAMPLES - taps, 2 * BLOCK_SAMPLES),
+                        (2 * BLOCK_SAMPLES + 1, 2 * BLOCK_SAMPLES + 1 + taps),
+                        (samples.size - 1500, samples.size)]:
+        samples[start:stop] = 0.0
+    out = apply_zero_phase(power_filter, SampledSignal(samples, 441.0)).samples
+    # Output t is exactly zero where input samples t .. t + taps - 1 all are.
+    nonzero = np.concatenate(([0], np.cumsum(samples != 0.0)))
+    np.testing.assert_array_equal(out == 0.0, nonzero[taps:] == nonzero[:-taps])
+
+
 @pytest.mark.parametrize("taps", [1001, 4801])
 def test_traced_peak_stays_within_two_signal_copies(rng, taps):
     # The output is one signal copy; the blocks in flight may add at most
@@ -202,10 +244,4 @@ def test_traced_peak_stays_within_two_signal_copies(rng, taps):
     # its blocks at once, would not fit.
     flt = design_bandpass(441.0, 180.0, 0.1, taps)
     signal = SampledSignal(rng.normal(size=1800 * 441), 441.0)
-    tracemalloc.start()
-    try:
-        apply_zero_phase(flt, signal)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * 8 * len(signal)
+    assert traced_peak(lambda: apply_zero_phase(flt, signal))[1] <= 2 * 8 * len(signal)

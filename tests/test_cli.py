@@ -490,9 +490,9 @@ class TestCompareWindows:
                                          monkeypatch):
         filtered, apply_zero_phase = [], pipeline.apply_zero_phase
 
-        def counting(coeffs, signal):
+        def counting(coeffs, signal, **kwargs):
             filtered.append(len(signal))
-            return apply_zero_phase(coeffs, signal)
+            return apply_zero_phase(coeffs, signal, **kwargs)
 
         monkeypatch.setattr(pipeline, "apply_zero_phase", counting)
         wav, ref = fixture_files

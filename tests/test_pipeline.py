@@ -1,16 +1,16 @@
 import os
 import time
-import tracemalloc
 import wave
 
 import numpy as np
 import pytest
 
-from conftest import make_tone, resident_bytes
+from conftest import make_tone, resident_bytes, traced_peak
+from enfcapon.bandpass import _BLOCKS_PER_CALL, _block_length, apply_zero_phase, design_bandpass
 from enfcapon.errors import DegenerateInputError, IncompatibleInputError
 from enfcapon.pipeline import (PipelineConfig, estimate, extract_enf, power_config,
                                prepare, speech_config)
-from enfcapon.signal_io import BLOCK_SAMPLES, SampledSignal, read_wav
+from enfcapon.signal_io import BLOCK_SAMPLES, SampledSignal, decimate, read_wav, write_wav
 from enfcapon.spectral import band_bins
 from enfcapon.synthetic import make_power_fixture
 from enfcapon.track import read_track, write_track
@@ -65,12 +65,7 @@ class TestConfig:
 
     def test_long_frames_checked_without_forming_the_grid(self):
         # The 6,350,400-point grid of one-hour frames is never formed.
-        tracemalloc.start()
-        try:
-            config = power_config(frame_len_s=3600.0, pad_factor=4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        config, peak = traced_peak(lambda: power_config(frame_len_s=3600.0, pad_factor=4))
         assert config.grid_size == 6_350_400
         assert peak <= 100_000
 
@@ -213,14 +208,12 @@ class TestExtract:
     def test_too_short_rejected_before_decimating(self):
         # At 44.1 MHz, decimate would first design a 1,000,001-tap filter.
         signal = SampledSignal(np.zeros(1_000_010), 44.1e6)
-        tracemalloc.start()
-        try:
+
+        def rejected():
             with pytest.raises(DegenerateInputError, match="11 samples at the working rate"):
                 extract_enf(signal, power_config())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1 << 20
+
+        assert traced_peak(rejected)[1] <= 1 << 20
 
     def test_band_too_narrow_for_grid_rejected(self):
         # 0.01 s STFT frames give a 16-point grid with no bin in the band
@@ -252,10 +245,10 @@ class TestExtract:
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc")
     def test_full_rate_recording_never_held_as_float64(self, tmp_path):
         # 60 s of 44.1 kHz stereo: 10.6 MB of codes, 21.2 MB as mono float64.
-        # prepare holds the working-rate signal twice (decimated, then
-        # band-passed), one block of stereo codes and one of float64, plus
-        # 1 MB for the rest; resident memory counts what tracemalloc does
-        # not see, such as a memory map.
+        # prepare holds the working-rate signal once (band-passed in the
+        # array decimation fills), one block of stereo codes and one of
+        # float64, plus 1 MB for the rest; resident memory counts what
+        # tracemalloc does not see, such as a memory map.
         seconds, rate = 60, 44100
         tone = make_tone(180.0, rate, seconds)
         codes = np.round(16000.0 * np.stack((tone, -0.5 * tone), axis=1)).astype("<i2")
@@ -266,20 +259,57 @@ class TestExtract:
             writer.setframerate(rate)
             writer.writeframes(codes.tobytes())
         block = (BLOCK_SAMPLES // 100) * 100
-        bound = 2 * 8 * seconds * 441 + (2 * 2 + 8) * block + (1 << 20)
+        bound = 8 * seconds * 441 + (2 * 2 + 8) * block + (1 << 20)
         assert bound < codes.nbytes
         del tone, codes
-        tracemalloc.start()
-        try:
+
+        def prepared():
             resident = resident_bytes()
             recording = read_wav(path)
             grown = resident_bytes() - resident
-            filtered = prepare(recording, power_config())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return prepare(recording, power_config()), grown
+
+        (filtered, grown), peak = traced_peak(prepared)
         assert len(filtered) == seconds * 441 - 1000
         assert peak + grown <= bound
+
+    @pytest.mark.parametrize("factor", [1, 10])
+    def test_prepare_band_passes_in_place_with_the_same_bits(self, rng, factor):
+        # The working-rate length leaves the last overlap-save call short,
+        # and a zero run longer than the filter crosses the first call edge.
+        config = power_config()
+        taps = config.taps
+        call = _BLOCKS_PER_CALL * (_block_length(taps) - (taps - 1))
+        samples = rng.normal(size=(2 * call + call // 3 + taps - 1) * factor)
+        samples[factor * (call - taps) : factor * (call + 2 * taps)] = 0.0
+        signal = SampledSignal(samples.copy(), 441.0 * factor, 0.25)
+        prepared = prepare(signal, config)
+        coeffs = design_bandpass(441.0, config.center_hz, config.passband_hz, taps)
+        expected = apply_zero_phase(coeffs, decimate(signal, factor))
+        assert prepared.samples.tobytes() == expected.samples.tobytes()
+        assert prepared.origin_offset_s == expected.origin_offset_s
+        assert np.all(expected.samples[call - taps + 5 : call + 5] == 0.0)
+        assert signal.samples.tobytes() == samples.tobytes()
+
+    def test_working_rate_recording_held_once(self, tmp_path):
+        # 20 minutes at 441 Hz, 4.2 MB as float64, with a minute of digital
+        # silence.  extract_enf holds the signal once, band-passed where it
+        # was read, and beside it work arrays of a block or so: while it
+        # reads, one block of codes and one of float64; while it
+        # estimates, one block of windowed frames and the Capon work on
+        # them.  The allowance is those two blocks plus 1 MB; the peak
+        # measured 3.2 MB over the signal, 0.47 MB inside the allowance.
+        # Holding the decimated and the band-passed signal at once, or
+        # windowing a signal's worth of frames, would not fit.
+        rate, seconds = 441, 1200
+        samples = make_tone(180.0, rate, seconds)
+        samples[300 * rate : 360 * rate] = 0.0
+        path = tmp_path / "working_rate.wav"
+        write_wav(SampledSignal(0.5 * samples, float(rate)), path)
+        allowance = (8 + 2) * BLOCK_SAMPLES + (1 << 20)
+        track, peak = traced_peak(lambda: extract_enf(read_wav(path), power_config()))
+        assert len(track) == (seconds * rate - 1000) // rate
+        assert peak <= 8 * samples.size + allowance
 
     def test_timestamps_account_for_filter_delay(self):
         track = extract_enf(tone_signal(180.0), power_config())

@@ -2,7 +2,6 @@ import contextlib
 import os
 import re
 import threading
-import tracemalloc
 import warnings
 import wave
 
@@ -12,7 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import firwin
 
-from conftest import make_tone, resident_bytes
+from conftest import make_tone, resident_bytes, traced_peak
 from enfcapon.errors import (
     DegenerateInputError,
     EnfError,
@@ -177,14 +176,13 @@ class TestReadWav:
         n_frames = 60 * 44100
         path = tmp_path / "pcm.wav"
         write_raw_wav(path, bytes(2 * n_channels * n_frames), n_channels=n_channels)
-        tracemalloc.start()
-        try:
+
+        def opened():
             resident = resident_bytes()
             recording = read_wav(path)
-            grown = resident_bytes() - resident
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return recording, resident_bytes() - resident
+
+        (recording, grown), peak = traced_peak(opened)
         assert len(recording) == n_frames
         assert peak + grown <= 2 * n_channels * BLOCK_SAMPLES
 
@@ -201,15 +199,14 @@ class TestReadWav:
         data[4:8] = (0x7FFFFFF8).to_bytes(4, "little")  # the RIFF chunk's size
         data[40:44] = (0x7FFFFFF0).to_bytes(4, "little")  # the data chunk's size
         path.write_bytes(bytes(data))
-        tracemalloc.start()
-        try:
+
+        def read_tail():
             resident = resident_bytes()
             loaded = read_wav(path)
             tail = loaded.floats(n_frames - 1000)
-            grown = resident_bytes() - resident
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return loaded, tail, resident_bytes() - resident
+
+        (loaded, tail, grown), peak = traced_peak(read_tail)
         assert peak + grown < 1 << 20
         assert len(loaded) == n_frames
         assert tail.tobytes() == (pcm[-1000:] * (1.0 / 32768)).tobytes()
@@ -389,6 +386,37 @@ class TestDecimate:
         assert out.sample_rate_hz == 1000.0
         assert np.array_equal(out.samples, signal.samples)
 
+    def test_factor_one_copies_its_input(self, rng):
+        # prepare band-passes into decimate's result, so that must never be
+        # the caller's array.
+        samples = rng.normal(size=2 * BLOCK_SAMPLES + 3)
+        signal = SampledSignal(samples.copy(), 441.0, 1.5)
+        out = decimate(signal, 1)
+        assert not np.shares_memory(out.samples, signal.samples)
+        assert out.samples.tobytes() == samples.tobytes()
+        assert (out.sample_rate_hz, out.origin_offset_s) == (441.0, 1.5)
+        assert signal.samples.tobytes() == samples.tobytes()
+
+    @needs_proc
+    def test_factor_one_reads_a_recording_a_block_at_a_time(self, tmp_path, rng):
+        # Six blocks and a few frames: the float64 result, one block of
+        # codes and one block of float64 at a time, plus 256 KB for the
+        # rest.  Reading the recording whole would hold all its codes, six
+        # blocks of them, beside the result.
+        n_frames = 6 * BLOCK_SAMPLES + 7
+        path = tmp_path / "pcm.wav"
+        write_random_wav(path, rng, n_frames, 1)
+
+        def decimated():
+            resident = resident_bytes()
+            recording = read_wav(path)
+            grown = resident_bytes() - resident
+            return decimate(recording, 1), grown
+
+        (out, grown), peak = traced_peak(decimated)
+        assert out.samples.tobytes() == wav_floats(path).tobytes()
+        assert peak + grown <= 8 * n_frames + (8 + 2) * BLOCK_SAMPLES + (1 << 18)
+
     def test_output_rate(self):
         signal = SampledSignal(make_tone(60, 44100, 2.0), 44100.0)
         out = decimate(signal, 100)
@@ -448,14 +476,12 @@ class TestDecimate:
     def test_too_short_rejected_before_the_filter_is_designed(self):
         # A header rate of 441 MHz asks for a 10,000,001-tap filter (80 MB).
         signal = SampledSignal(np.zeros(1000), 441e6)
-        tracemalloc.start()
-        try:
+
+        def rejected():
             with pytest.raises(DegenerateInputError, match="10000001-tap"):
                 decimate(signal, 10**6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1 << 20
+
+        assert traced_peak(rejected)[1] <= 1 << 20
 
     @pytest.mark.parametrize("factor", [2, 3, 7, 100])
     @pytest.mark.parametrize("length", [
@@ -496,13 +522,7 @@ class TestDecimate:
         n_out, width = len(signal) // 100, 11
         bound = 8 * n_out + (2 << 20)
         assert bound < 8 * n_out * width
-        tracemalloc.start()
-        try:
-            decimate(signal, 100)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound
+        assert traced_peak(lambda: decimate(signal, 100))[1] <= bound
 
     @needs_proc
     def test_a_recording_holds_one_block_of_float64_at_a_time(self, tmp_path, rng):
@@ -510,20 +530,21 @@ class TestDecimate:
         # go before the next block's is made; two at once would not fit.
         # Beside them the recording holds one block of codes (0.5 MB) and
         # nothing resident that tracemalloc does not see.
+        n_frames = 120 * 44100
         path = tmp_path / "pcm.wav"
-        write_random_wav(path, rng, 120 * 44100, 1)
+        write_random_wav(path, rng, n_frames, 1)
         block = (BLOCK_SAMPLES // 100) * 100
-        tracemalloc.start()
-        try:
+        bound = 8 * (n_frames // 100) + (8 + 2) * block + (1 << 20)
+        assert bound < 8 * (n_frames // 100) + 2 * 8 * block
+
+        def decimated():
             resident = resident_bytes()
             recording = read_wav(path)
             grown = resident_bytes() - resident
-            bound = 8 * (len(recording) // 100) + (8 + 2) * block + (1 << 20)
-            assert bound < 8 * (len(recording) // 100) + 2 * 8 * block
             decimate(recording, 100)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return grown
+
+        grown, peak = traced_peak(decimated)
         assert peak + grown <= bound
 
 
