@@ -10,7 +10,7 @@ it).  The convolution runs by overlap-save in fixed real-FFT blocks.
 
 import numpy as np
 
-from .signal_io import BLOCK_SAMPLES, SampledSignal, design_fir
+from .signal_io import SampledSignal, design_fir
 
 # Approximate transition width of a Hamming-designed FIR, in Hz.
 HAMMING_TRANSITION_FACTOR = 3.3
@@ -35,7 +35,7 @@ def design_bandpass(sample_rate_hz, center_hz, passband_hz, taps):
 
 
 def apply_zero_phase(coeffs, signal, out=None):
-    """Filter with group-delay compensation.
+    """Filter with group-delay compensation, by overlap-save convolution.
 
     Output sample t aligns with input sample t; (C-1)/2 samples are
     trimmed from each end rather than zero-padded, so no edge transient
@@ -44,59 +44,19 @@ def apply_zero_phase(coeffs, signal, out=None):
     samples are written into a new array, or into out if given, which
     must hold len(signal) - C + 1 float64 samples: a separate array, or
     signal.samples[:len(signal) - C + 1] to filter in place.
-    """
-    n_taps = coeffs.size
-    # FFT convolution spreads roundoff (~1e-15) into stretches of digital
-    # silence, which the estimators would read as signal.  An output whose
-    # whole input window lies in a run of zeros is exactly zero.  The runs
-    # are found first, while the samples are still the input.
-    runs = _zero_runs(signal.samples)
-    filtered = _overlap_save(coeffs, signal.samples, out)
-    for start, end in runs[runs[:, 1] - runs[:, 0] >= n_taps]:
-        filtered[start : end - n_taps + 1] = 0.0
-    return SampledSignal(
-        filtered,
-        signal.sample_rate_hz,
-        signal.origin_offset_s + (n_taps - 1) // 2 / signal.sample_rate_hz,
-    )
-
-
-def _zero_runs(samples):
-    """(start, stop) of every run of exact zeros, in order, shape (runs, 2).
-
-    The zeros are marked a block at a time, each block with the sample
-    before it so that a run across a block edge stays whole; a block
-    without a zero is not searched.
-    """
-    edges = [np.flatnonzero(samples[:1] == 0.0)]
-    for start in range(0, samples.size, BLOCK_SAMPLES):
-        lo = max(start - 1, 0)
-        zero = samples[lo : start + BLOCK_SAMPLES] == 0.0
-        if zero.any():
-            edges.append(np.flatnonzero(zero[1:] != zero[:-1]) + (lo + 1))
-    edges.append(np.flatnonzero(samples[-1:] == 0.0) + samples.size)
-    return np.concatenate(edges).reshape(-1, 2)
-
-
-def _block_length(n_taps):
-    return max(_MIN_BLOCK, 1 << (_BLOCK_PER_TAP * n_taps).bit_length())
-
-
-def _overlap_save(coeffs, samples, out=None):
-    """Valid part of the convolution of samples with coeffs, written into
-    out (new if None) and returned.
 
     Block j holds samples[j*step : j*step + block]; its circular
-    convolution with the taps is exact past the first taps - 1 outputs,
-    which give outputs j*step .. (j+1)*step - 1.  Each call views the
+    convolution with the taps is exact past the first C - 1 outputs,
+    which give outputs j*step .. (j+1)*step - 1.  Each FFT call views the
     blocks of one run of samples; only a short last run is zero-padded.
-    out may be the head of samples: output t reads samples t.. only, and
-    a call reads its whole run before it writes outputs below the run's
+    Filtering in place is safe: output t reads samples t.. only, and a
+    call reads its whole run before it writes outputs below the run's
     end, which later calls no longer read.
     """
     n_taps = coeffs.size
     block = _block_length(n_taps)
     step = block - (n_taps - 1)
+    samples = signal.samples
     n_out = samples.size - n_taps + 1
     n_blocks = -(-n_out // step)
     response = np.fft.rfft(coeffs, block)
@@ -107,6 +67,15 @@ def _overlap_save(coeffs, samples, out=None):
     for first in range(0, n_blocks, _BLOCKS_PER_CALL):
         last = min(first + _BLOCKS_PER_CALL, n_blocks)
         run = samples[first * step : last * step + n_taps - 1]
+        # FFT convolution spreads roundoff (~1e-15) into stretches of
+        # digital silence, which the estimators would read as signal, so
+        # an output whose C input samples are all zero is set to zero.
+        # Every output's window lies in its call's run, and any C zeros in
+        # a row include a sample at a multiple of C.
+        silent = None
+        if (run[::n_taps] == 0.0).any():
+            nonzero = np.concatenate(([0], np.cumsum(run != 0.0)))
+            silent = nonzero[n_taps:] == nonzero[:-n_taps]
         short = last * step + n_taps - 1 - samples.size
         if short > 0:
             run = np.concatenate((run, np.zeros(short)))
@@ -118,4 +87,14 @@ def _overlap_save(coeffs, samples, out=None):
                                np.fft.irfft(spectra, block, axis=-1)):
             stop = min(start + step, n_out)
             out[start:stop] = line[n_taps - 1 : n_taps - 1 + stop - start]
-    return out
+        if silent is not None:
+            out[first * step : first * step + silent.size][silent] = 0.0
+    return SampledSignal(
+        out,
+        signal.sample_rate_hz,
+        signal.origin_offset_s + (n_taps - 1) // 2 / signal.sample_rate_hz,
+    )
+
+
+def _block_length(n_taps):
+    return max(_MIN_BLOCK, 1 << (_BLOCK_PER_TAP * n_taps).bit_length())

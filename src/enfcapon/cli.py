@@ -43,6 +43,10 @@ MAX_SYNTH_SECONDS = 86400.0
 
 
 def _sha256(path):
+    """Hex SHA-256 of a regular file, else None: a pipe was read once
+    already, and reading it again would wait for another writer."""
+    if not os.path.isfile(path):
+        return None
     with open(path, "rb") as fh:
         return hashlib.file_digest(fh, "sha256").hexdigest()
 

@@ -22,9 +22,7 @@ PCM16_FULL_SCALE = 32768.0
 # never float64 more than a block at a time, and a block is large enough
 # that BLAS, not the Python loop, sets the pace.  The block fixes the order
 # in which rows add into each output, so it also fixes the outputs' last
-# bits.  The STFT's chirp-z transform takes the same budget per FFT call,
-# pipeline.estimate windows at most this many frame samples at once, and
-# the band-pass marks digital silence this many samples at a time.
+# bits.  pipeline.estimate windows at most this many frame samples at once.
 BLOCK_SAMPLES = 1 << 18
 
 

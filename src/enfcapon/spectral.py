@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from .errors import IncompatibleInputError
-from .signal_io import BLOCK_SAMPLES
 
 
 def band_edges(band, grid_size, sample_rate_hz):
@@ -75,8 +74,9 @@ def stft_band_power(frames, bins, grid_size):
     needs no Q-point FFT and no N x B DFT matrix.  With
     q t = q0 t + (t^2 + b^2 - (b - t)^2) / 2 the band is one circular
     convolution of length L >= N + B - 1; the unit-modulus factor in b
-    drops out of the power.  The FFTs take max(1, BLOCK_SAMPLES // L)
-    frames at a time, so their complex arrays stay a few MB.
+    drops out of the power.  The chirped frames are zero-padded into one
+    (K, L) complex buffer that both FFTs transform in place, so the caller
+    bounds the memory by the rows it passes.
 
     Returns (power, valid); a frame with no energy has no peak.
     """
@@ -87,15 +87,12 @@ def stft_band_power(frames, bins, grid_size):
     k = np.arange(length, dtype=np.int64)
     # Lag b - t runs over -(N-1)..B-1, which mod L do not overlap.
     kernel = np.fft.fft(_chirp(np.where(k < size, k, length - k) ** 2, grid_size).conj())
-    chirp = _chirp(t * t + 2 * first * t, grid_size)
-    power = np.empty((len(frames), size))
-    step = max(1, BLOCK_SAMPLES // length)
-    for start in range(0, len(frames), step):
-        spectrum = np.fft.fft(frames[start : start + step] * chirp, length)
-        spectrum *= kernel
-        spectrum = np.fft.ifft(spectrum, out=spectrum)[:, :size]
-        power[start : start + step] = (spectrum.real ** 2 + spectrum.imag ** 2) / n
-    return power, np.vecdot(frames, frames) > 0.0
+    spectrum = np.zeros((len(frames), length), dtype=np.complex128)
+    np.multiply(frames, _chirp(t * t + 2 * first * t, grid_size), out=spectrum[:, :n])
+    spectrum = np.fft.fft(spectrum, out=spectrum)
+    spectrum *= kernel
+    spectrum = np.fft.ifft(spectrum, out=spectrum)[:, :size]
+    return (spectrum.real ** 2 + spectrum.imag ** 2) / n, np.vecdot(frames, frames) > 0.0
 
 
 def band_peak(power, bins, grid_size, sample_rate_hz):

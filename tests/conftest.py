@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from enfcapon.bandpass import _BLOCKS_PER_CALL, _block_length
+
 
 def random_pd_toeplitz(rng, order, near_singular=False):
     """First column of a random positive-definite symmetric Toeplitz matrix.
@@ -23,6 +25,11 @@ def random_pd_toeplitz(rng, order, near_singular=False):
 def make_tone(freq_hz, sample_rate_hz, duration_s, amplitude=1.0, phase=0.0):
     t = np.arange(int(round(duration_s * sample_rate_hz))) / sample_rate_hz
     return amplitude * np.cos(2.0 * np.pi * freq_hz * t + phase)
+
+
+def overlap_save_call(taps):
+    """Outputs of one overlap-save FFT call of a taps-long band-pass."""
+    return _BLOCKS_PER_CALL * (_block_length(taps) - (taps - 1))
 
 
 def traced_peak(fn):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.signal import firwin
 
-from conftest import make_tone, traced_peak
+from conftest import make_tone, overlap_save_call, traced_peak
 from enfcapon.bandpass import _BLOCKS_PER_CALL, _block_length, apply_zero_phase, design_bandpass
 from enfcapon.signal_io import BLOCK_SAMPLES, SampledSignal
 from oracle import apply_zero_phase_full
@@ -180,7 +180,7 @@ def test_extending_the_signal_keeps_earlier_outputs_bit_for_bit(rng, taps):
     # same transforms as the start of the longer signal.  The longer one
     # ends in a partial call and block, and zero runs cross both cuts.
     flt = design_bandpass(441.0, 180.0, 0.1, taps)
-    call = _BLOCKS_PER_CALL * _block_step(taps)
+    call = overlap_save_call(taps)
     samples = rng.normal(size=2 * call + call // 3 + taps - 1)
     for k in (1, 2):
         samples[k * call - taps - 500 : k * call + taps + 500] = 0.0
@@ -200,7 +200,7 @@ def test_filtering_in_place_gives_the_same_bits(rng, power_filter, calls):
     # end on a call edge, inside a call and inside a block, with zero runs
     # across the first call edge and at the end.
     taps = power_filter.size
-    call = _BLOCKS_PER_CALL * _block_step(taps)
+    call = overlap_save_call(taps)
     n_out = int(calls * call)
     samples = rng.normal(size=n_out + taps - 1)
     samples[call - taps - 300 : call + taps] = 0.0
@@ -221,20 +221,34 @@ def test_out_must_hold_every_output(power_filter):
         apply_zero_phase(power_filter, signal, out=signal.samples)
 
 
-def test_zero_runs_across_search_blocks_filter_to_exact_zero(rng, power_filter):
-    # Runs of exact zeros are found BLOCK_SAMPLES at a time; runs start
-    # the signal, end it, and cross or touch a search block's edge.
+def test_zero_runs_across_overlap_save_calls_filter_to_exact_zero(rng, power_filter):
+    # Each FFT call finds the silent outputs of its own run.  Runs of zeros
+    # start the signal, end it, and cross or touch a call's edge.  Calls 1-6
+    # each hold one run of exactly taps or taps - 1 zeros, at offset 0, 1
+    # or taps - 1 from the call's first sample; a call whose run is checked
+    # for zeros at a stride longer than taps would miss some of them.
     taps = power_filter.size
+    call = overlap_save_call(taps)
     samples = rng.normal(size=2 * BLOCK_SAMPLES + 5000)
-    for start, stop in [(0, 2000), (BLOCK_SAMPLES - 1500, BLOCK_SAMPLES + 1500),
-                        (2 * BLOCK_SAMPLES - taps, 2 * BLOCK_SAMPLES),
-                        (2 * BLOCK_SAMPLES + 1, 2 * BLOCK_SAMPLES + 1 + taps),
-                        (samples.size - 1500, samples.size)]:
+    runs = [(0, 2000), (BLOCK_SAMPLES - 1500, BLOCK_SAMPLES + 1500),
+            (2 * BLOCK_SAMPLES - taps, 2 * BLOCK_SAMPLES),
+            (2 * BLOCK_SAMPLES + 1, 2 * BLOCK_SAMPLES + 1 + taps),
+            (samples.size - 1500, samples.size),
+            # Silent outputs that end on call 7's last output and start on
+            # call 10's first.
+            (8 * call - 2000, 8 * call + taps - 1), (10 * call, 10 * call + 2000)]
+    for k, (length, offset) in enumerate(
+            [(n, r) for n in (taps, taps - 1) for r in (0, 1, taps - 1)], start=1):
+        runs.append((k * call + offset, k * call + offset + length))
+    for start, stop in runs:
         samples[start:stop] = 0.0
     out = apply_zero_phase(power_filter, SampledSignal(samples, 441.0)).samples
     # Output t is exactly zero where input samples t .. t + taps - 1 all are.
     nonzero = np.concatenate(([0], np.cumsum(samples != 0.0)))
-    np.testing.assert_array_equal(out == 0.0, nonzero[taps:] == nonzero[:-taps])
+    silent = nonzero[taps:] == nonzero[:-taps]
+    np.testing.assert_array_equal(out == 0.0, silent)
+    assert silent[10 * call] and not silent[10 * call - 1]
+    assert silent[8 * call - 1] and not silent[8 * call]
 
 
 @pytest.mark.parametrize("taps", [1001, 4801])

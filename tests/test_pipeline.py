@@ -5,8 +5,8 @@ import wave
 import numpy as np
 import pytest
 
-from conftest import make_tone, resident_bytes, traced_peak
-from enfcapon.bandpass import _BLOCKS_PER_CALL, _block_length, apply_zero_phase, design_bandpass
+from conftest import make_tone, overlap_save_call, resident_bytes, traced_peak
+from enfcapon.bandpass import apply_zero_phase, design_bandpass
 from enfcapon.errors import DegenerateInputError, IncompatibleInputError
 from enfcapon.pipeline import (PipelineConfig, estimate, extract_enf, power_config,
                                prepare, speech_config)
@@ -279,7 +279,7 @@ class TestExtract:
         # and a zero run longer than the filter crosses the first call edge.
         config = power_config()
         taps = config.taps
-        call = _BLOCKS_PER_CALL * (_block_length(taps) - (taps - 1))
+        call = overlap_save_call(taps)
         samples = rng.normal(size=(2 * call + call // 3 + taps - 1) * factor)
         samples[factor * (call - taps) : factor * (call + 2 * taps)] = 0.0
         signal = SampledSignal(samples.copy(), 441.0 * factor, 0.25)
