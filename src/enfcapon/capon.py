@@ -1,15 +1,15 @@
 """Fast filter-bank Capon spectral estimation over all frames at once.
 
 Per frame: biased Toeplitz autocovariance of order m+1, Levinson-Durbin
-solve, Gohberg-Semencul generator vectors for the inverse, and diagonal
-sums of the inverse as the coefficients x_i of the trigonometric
+solve, the one Gohberg-Semencul generator the inverse needs, and its
+diagonal sums in one pass as the coefficients x_i of the trigonometric
 polynomial phi_den(omega) = x_0 + 2 sum_i x_i cos(omega i).  The PSD is
 (m+1) over that denominator.  Every stage runs once over the frame axis;
 only the recursions over the order m loop in Python.
 
 The inverted matrix has order M = m + 1 (the filter length, default 11),
 not the frame length, so the displacement machinery is cheap and the
-spectrum evaluation dominates.  capon_band_power evaluates the
+autocovariance dominates.  capon_band_power evaluates the
 denominator only at the in-band bins the peak search reads.
 """
 
@@ -70,35 +70,30 @@ def levinson_solve(rho):
 
 
 def gs_factors(w, alpha):
-    """Gohberg-Semencul generators of each inverse covariance:
-    gamma = (1, w) / sqrt(alpha), delta = (0, reversed w) / sqrt(alpha).
-    alpha must be positive, as every alpha levinson_solve returns is.
+    """Gohberg-Semencul generator gamma = (1, w) / sqrt(alpha) of each
+    inverse covariance; the second, delta = (0, gamma_{M-1}, ..., gamma_1),
+    is gamma reversed (see denom_coeffs).  alpha must be positive, as
+    every alpha levinson_solve returns is.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
+    scale = (1.0 / np.sqrt(np.asarray(alpha, dtype=np.float64)))[..., None]
     w = np.asarray(w, dtype=np.float64)
-    scale = (1.0 / np.sqrt(alpha))[..., None]
-    edge = np.ones(w.shape[:-1] + (1,))
-    gamma = scale * np.concatenate([edge, w], axis=-1)
-    delta = scale * np.concatenate([np.zeros_like(edge), w[..., ::-1]], axis=-1)
-    return gamma, delta
+    return scale * np.concatenate([np.ones(w.shape[:-1] + (1,)), w], axis=-1)
 
 
-def _diagonal_sums(vec):
-    # For K(v)K(v)^T with the lower shift, the sum of the i-th diagonal
-    # reduces to sum_a (M - i - a) v[a] v[a+i].
-    m = vec.shape[-1]
-    sums = [(vec[..., : m - i] * vec[..., i:]) @ np.arange(m - i, 0, -1, dtype=np.float64)
-            for i in range(m)]
-    return np.stack(sums, axis=-1)
+def denom_coeffs(gamma):
+    """Diagonal sums x_i = sum_a (M - i - 2a) gamma_a gamma_{a+i},
+    i = 0..M-1, of each inverse K(gamma)K(gamma)^T - K(delta)K(delta)^T.
 
-
-def denom_coeffs(gamma, delta):
-    """Diagonal sums x_i, i = 0..M-1, of each inverse
-    K(gamma)K(gamma)^T - K(delta)K(delta)^T.  The full sequence is
-    symmetric (x_{-i} = x_i); only the non-negative half is returned.
+    The i-th diagonal of K(v)K(v)^T (lower shift) sums to
+    sum_a (M - i - a) v_a v_{a+i}; with delta_a = gamma_{M-a} (a >= 1) and
+    b = M - i - a, delta's sum is sum_b b gamma_b gamma_{b+i}, so the
+    difference is one sum (Musicus, IEEE Trans. ASSP 33(5), 1985).  The
+    full sequence is symmetric (x_{-i} = x_i); only i >= 0 is returned.
     """
-    sums = _diagonal_sums(np.stack([gamma, delta]))
-    return sums[0] - sums[1]
+    m = gamma.shape[-1]
+    sums = [(gamma[..., : m - i] * gamma[..., i:])
+            @ np.arange(m - i, i - m, -2, dtype=np.float64) for i in range(m)]
+    return np.stack(sums, axis=-1)
 
 
 def capon_band_power(frames, bins, grid_size, order=DEFAULT_ORDER):
@@ -111,7 +106,7 @@ def capon_band_power(frames, bins, grid_size, order=DEFAULT_ORDER):
     rho = estimate_autocovariance(frames, order)
     rho[..., 0] *= 1.0 + DEFAULT_LOADING
     w, alpha, valid = levinson_solve(rho)
-    coeffs = denom_coeffs(*gs_factors(w, alpha))
+    coeffs = denom_coeffs(gs_factors(w, alpha))
     lags = np.arange(order + 1)
     phase = spectral.phase_table(lags, bins, grid_size)
     phi_den = coeffs @ (np.where(lags == 0, 1.0, 2.0)[:, None] * np.cos(phase))

@@ -192,11 +192,17 @@ def sample_covariance(frame, order):
     return lagged @ lagged.T / (n - order)
 
 
-def inverse_from_gs(gamma, delta):
-    """Dense inverse K(gamma)K(gamma)^T - K(delta)K(delta)^T, where K(v)
-    is the lower-triangular Toeplitz matrix with first column v."""
+def gs_delta(gamma):
+    """The second Gohberg-Semencul generator (0, gamma_{M-1}, ..., gamma_1)."""
+    return np.concatenate([np.zeros_like(gamma[..., :1]), gamma[..., :0:-1]], axis=-1)
+
+
+def inverse_from_gs(gamma):
+    """Dense inverse K(gamma)K(gamma)^T - K(delta)K(delta)^T with delta =
+    gs_delta(gamma), where K(v) is the lower-triangular Toeplitz matrix
+    with first column v."""
     kg = toeplitz(gamma, np.zeros(gamma.size))
-    kd = toeplitz(delta, np.zeros(delta.size))
+    kd = toeplitz(gs_delta(gamma), np.zeros(gamma.size))
     return kg @ kg.T - kd @ kd.T
 
 

@@ -87,12 +87,12 @@ def test_criterion_1_gs_correctness(gs_suite):
     omegas = 2.0 * np.pi * np.arange(PSD_GRID) / PSD_GRID
     w, alpha, valid = levinson_solve(np.array(gs_suite))
     assert np.all(valid)
-    gammas, deltas = gs_factors(w, alpha)
-    coeffs = denom_coeffs(gammas, deltas)
-    for col, gamma, delta, half in zip(gs_suite, gammas, deltas, coeffs):
+    gammas = gs_factors(w, alpha)
+    coeffs = denom_coeffs(gammas)
+    for col, gamma, half in zip(gs_suite, gammas, coeffs):
         dense_matrix = toeplitz(col)
 
-        gs_inverse = inverse_from_gs(gamma, delta)
+        gs_inverse = inverse_from_gs(gamma)
         dense_inverse = np.linalg.inv(dense_matrix)
         rel = np.linalg.norm(gs_inverse - dense_inverse) / np.linalg.norm(dense_inverse)
         assert rel < 1e-8
@@ -289,9 +289,9 @@ class TestCriterion9Properties:
         rng = np.random.default_rng(seed)
         col = random_pd_toeplitz(rng, 6)
         w, alpha, _ = levinson_solve(col)
-        gamma, delta = gs_factors(w, alpha)
-        half = denom_coeffs(gamma, delta)
-        dense = inverse_from_gs(gamma, delta)
+        gamma = gs_factors(w, alpha)
+        half = denom_coeffs(gamma)
+        dense = inverse_from_gs(gamma)
         lower = [np.trace(dense, offset=-i) for i in range(6)]
         np.testing.assert_allclose(lower, half, rtol=1e-9, atol=1e-12)
 

@@ -11,13 +11,14 @@ from enfcapon.capon import (
     gs_factors,
     levinson_solve,
 )
-from enfcapon.pipeline import estimate_frames, power_config
+from enfcapon.pipeline import MAX_CAPON_ORDER, estimate_frames, power_config
 from enfcapon.spectral import band_bins
 from enfcapon.windowing import make_window
 from oracle import (
     capon_psd,
     capon_psd_dense,
     denominator_quadratic_form,
+    gs_delta,
     inverse_from_gs,
     loaded_covariance,
     sample_covariance,
@@ -125,35 +126,36 @@ class TestLevinson:
 
 class TestGsFactors:
     def test_identity(self):
-        gamma, delta = gs_factors(np.zeros(10), 1.0)
+        gamma = gs_factors(np.zeros(10), 1.0)
         assert gamma[0] == 1.0
         assert np.all(gamma[1:] == 0.0)
-        assert np.all(delta == 0.0)
+        assert np.all(gs_delta(gamma) == 0.0)
 
     def test_order_two_analytic(self):
         r = 0.4
-        gamma, delta = two_by_two_factors(r)
+        gamma = two_by_two_factors(r)
         scale = 1.0 / np.sqrt(1.0 - r * r)
         np.testing.assert_allclose(gamma, [scale, -r * scale])
-        np.testing.assert_allclose(delta, [0.0, -r * scale])
+        np.testing.assert_allclose(gs_delta(gamma), [0.0, -r * scale])
 
     def test_invariants(self, rng):
         w = rng.normal(size=(4, 10)) * 0.1
         alpha = np.array([0.7, 1.0, 2.5, 0.1])
-        gamma, delta = gs_factors(w, alpha)
+        gamma = gs_factors(w, alpha)
+        delta = gs_delta(gamma)
         np.testing.assert_allclose(gamma[:, 0] * np.sqrt(alpha), 1.0)
+        np.testing.assert_allclose(gamma[:, 1:] * np.sqrt(alpha)[:, None], w)
         assert np.all(delta[:, 0] == 0.0)
         np.testing.assert_allclose(delta[:, 1:] * np.sqrt(alpha)[:, None], w[:, ::-1])
 
 
 class TestInverseFromGs:
     def test_identity_covariance(self):
-        gamma, delta = gs_factors(np.zeros(10), 1.0)
-        np.testing.assert_allclose(inverse_from_gs(gamma, delta), np.eye(11))
+        np.testing.assert_allclose(inverse_from_gs(gs_factors(np.zeros(10), 1.0)), np.eye(11))
 
     def test_order_two_analytic(self):
         r = 0.3
-        inv = inverse_from_gs(*two_by_two_factors(r))
+        inv = inverse_from_gs(two_by_two_factors(r))
         expected = np.array([[1.0, -r], [-r, 1.0]]) / (1.0 - r * r)
         np.testing.assert_allclose(inv, expected)
 
@@ -161,7 +163,7 @@ class TestInverseFromGs:
         for _ in range(50):
             col = random_pd_toeplitz(rng, 11)
             w, alpha, _ = levinson_solve(col)
-            inv = inverse_from_gs(*gs_factors(w, alpha))
+            inv = inverse_from_gs(gs_factors(w, alpha))
             dense = np.linalg.inv(toeplitz(col))
             rel = np.linalg.norm(inv - dense) / np.linalg.norm(dense)
             assert rel < 1e-8
@@ -169,31 +171,33 @@ class TestInverseFromGs:
 
 class TestDenomCoeffs:
     def test_identity_trace(self):
-        coeffs = denom_coeffs(*gs_factors(np.zeros(10), 1.0))
+        coeffs = denom_coeffs(gs_factors(np.zeros(10), 1.0))
         assert coeffs[0] == pytest.approx(11.0)
         assert np.all(coeffs[1:] == 0.0)
 
     def test_order_two_analytic(self):
         r = 0.25
-        coeffs = denom_coeffs(*two_by_two_factors(r))
+        coeffs = denom_coeffs(two_by_two_factors(r))
         np.testing.assert_allclose(coeffs, [2.0 / (1 - r * r), -r / (1 - r * r)])
 
-    def test_matches_dense_diagonal_sums(self, rng):
-        cols = np.array([random_pd_toeplitz(rng, 11) for _ in range(50)])
+    # Orders 1, 2, the default 10 and the largest the config allows.
+    @pytest.mark.parametrize("size", [2, 3, 11, MAX_CAPON_ORDER + 1])
+    def test_matches_dense_diagonal_sums(self, rng, size):
+        cols = np.array([random_pd_toeplitz(rng, size) for _ in range(50)])
         w, alpha, _ = levinson_solve(cols)
-        gamma, delta = gs_factors(w, alpha)
-        coeffs = denom_coeffs(gamma, delta)
-        for row, g, d in zip(coeffs, gamma, delta):
-            dense = inverse_from_gs(g, d)
-            for i in range(11):
+        gamma = gs_factors(w, alpha)
+        for row, g in zip(denom_coeffs(gamma), gamma):
+            dense = inverse_from_gs(g)
+            for i in range(size):
                 assert row[i] == pytest.approx(
                     np.trace(dense, offset=i), rel=1e-10, abs=1e-12
                 )
 
     def test_full_sequence_symmetric(self, pd_cov):
         w, alpha, _ = levinson_solve(pd_cov)
-        half = denom_coeffs(*gs_factors(w, alpha))
-        dense = inverse_from_gs(*gs_factors(w, alpha))
+        gamma = gs_factors(w, alpha)
+        half = denom_coeffs(gamma)
+        dense = inverse_from_gs(gamma)
         for i in range(1, 11):
             assert np.trace(dense, offset=-i) == pytest.approx(half[i], rel=1e-10)
 
@@ -234,7 +238,7 @@ class TestCaponPsd:
         )
         # The Hermitian-FFT reference equals the symmetrically padded IFFT.
         w, alpha, _ = levinson_solve(dense[0])
-        coeffs = denom_coeffs(*gs_factors(w, alpha))
+        coeffs = denom_coeffs(gs_factors(w, alpha))
         padded = np.zeros(grid_size)
         padded[:11] = coeffs
         padded[grid_size - 10 :] = coeffs[:0:-1]
@@ -269,12 +273,13 @@ class TestCaponPsd:
         assert abs(q_max - stft_q) <= 2
 
 
-def test_bench_dense_baseline_matches_fast_path(rng):
+@pytest.mark.parametrize("order", [1, 2, 10, MAX_CAPON_ORDER])
+def test_bench_dense_baseline_matches_fast_path(rng, order):
     frames = rng.normal(size=(50, 441)) * make_window("parzen", 441)
     bins = np.arange(710, 740)
-    fast, valid = capon_band_power(frames, bins, 1764)
+    fast, valid = capon_band_power(frames, bins, 1764, order)
     assert np.all(valid)
-    np.testing.assert_allclose(dense_band_power(frames, bins, 1764), fast, rtol=1e-9)
+    np.testing.assert_allclose(dense_band_power(frames, bins, 1764, order), fast, rtol=1e-9)
 
 
 class TestScaleEquivariance:
