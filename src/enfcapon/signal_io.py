@@ -3,6 +3,12 @@
 WAV input is restricted to PCM 16-bit; anything else is rejected loudly
 rather than silently re-quantized.  read_wav reads only the header, and
 decimation reads a recording's samples one block at a time.
+
+Both signal kinds serve unscaled blocks, a SampledSignal's as views and
+a PcmRecording's codes cast into the caller's float64 buffer, and carry
+the scale that decimation applies once per output.  Scaling by a power
+of two is exact and, far from overflow and underflow, commutes with
+every rounding before it, so no bit moves.
 """
 
 import os
@@ -16,10 +22,10 @@ from .errors import DegenerateInputError, UnsupportedFormatError
 
 PCM16_FULL_SCALE = 32768.0
 
-# Input samples made float64 and multiplied at once (2 MB): decimation
-# views the input as rows of `factor` samples and filters
+# Input samples multiplied at once (2 MB of float64): decimation views the
+# input as rows of `factor` samples and filters
 # max(1, BLOCK_SAMPLES // factor) rows per block, so a PCM recording is
-# never float64 more than a block at a time, and a block is large enough
+# cast into one reused float64 block, and a block is large enough
 # that BLAS, not the Python loop, sets the pace.  The block fixes the order
 # in which rows add into each output, so it also fixes the outputs' last
 # bits.  pipeline.estimate windows at most this many frame samples at once.
@@ -40,6 +46,7 @@ class SampledSignal:
     samples: np.ndarray
     sample_rate_hz: float
     origin_offset_s: float = 0.0
+    scale = 1.0  # unscaled() serves the samples themselves
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -52,8 +59,8 @@ class SampledSignal:
     def __len__(self):
         return self.samples.size
 
-    def floats(self, start=0, stop=None):
-        """Samples start:stop, a view."""
+    def unscaled(self, start, stop, out):
+        """Samples start:stop, a view; out is not used."""
         return self.samples[start:stop]
 
 
@@ -61,15 +68,16 @@ class PcmRecording:
     """A PCM 16-bit WAV recording that holds its open file, not its
     samples, and closes it when dropped.
 
-    floats(start, stop) reads frames start:stop into one reused int16
-    buffer and makes them mono float64: the channel mean, then x 1/32768,
-    so the full negative scale maps to -1.0.  Both steps are exact, so any
-    range gives the same bits as converting the whole recording at once.
-    A pipe (offset None) serves ranges only in order, each from where the
-    last one stopped.
+    unscaled(start, stop, out) reads frames start:stop into one reused
+    int16 buffer and casts their channel mean into out; floats(start,
+    stop) is that x scale, 1/32768, so the full negative scale maps to
+    -1.0.  Only the mean's divide rounds, so any range gives the same bits
+    as converting the whole recording at once.  A pipe (offset None)
+    serves ranges only in order, each from where the last one stopped.
     """
 
     origin_offset_s = 0.0  # a recording starts at its own origin
+    scale = 1.0 / PCM16_FULL_SCALE
 
     def __init__(self, fh, offset, n_frames, n_channels, sample_rate_hz):
         weakref.finalize(self, fh.close)  # first, so a failed check closes fh too
@@ -85,6 +93,14 @@ class PcmRecording:
 
     def floats(self, start=0, stop=None):
         """Mono float64 samples of frames start:stop."""
+        n = len(range(self._n_frames)[start:stop])
+        samples = self.unscaled(start, stop, np.empty(n))
+        samples *= self.scale
+        return samples
+
+    def unscaled(self, start, stop, out):
+        """Mono samples of frames start:stop before x scale, in out[:n]
+        for the n frames read; out must hold them."""
         start, stop, _ = slice(start, stop).indices(self._n_frames)
         if self._offset is not None:
             self._fh.seek(self._offset + 2 * self.n_channels * start)
@@ -101,13 +117,15 @@ class PcmRecording:
             raise UnsupportedFormatError(f"{self._fh.name}: data ends at frame "
                                          f"{start + n_read} of {self._n_frames}")
         self._next = start + n_read
-        if self.n_channels == 1:
-            return codes[:, 0] * (1.0 / PCM16_FULL_SCALE)
-        # Scaling by the power of two 1/32768 is exact, so it may follow
-        # the channel mean in place.
-        samples = codes.mean(axis=1)
-        samples *= 1.0 / PCM16_FULL_SCALE
-        return samples
+        out = out[:n_read]
+        out[:] = codes[:, 0]
+        if self.n_channels > 1:
+            # Sums of int16 are whole numbers in float64, so exact in any
+            # order; the divide rounds as numpy's mean(axis=1) does.
+            for channel in range(1, self.n_channels):
+                out += codes[:, channel]
+            out /= self.n_channels
+        return out
 
 
 def read_wav(path):
@@ -195,18 +213,24 @@ def decimate(signal, factor):
     the kept outputs are computed, by polyphase decomposition (Crochiere &
     Rabiner, Multirate Digital Signal Processing, 1983, ch. 3): one matrix
     product per block of max(1, 2**18 // factor) rows of `factor` samples,
-    so a block is made float64 in at most 2 MB unless one row is longer.
-    A recording's blocks are read from its file here, in increasing
-    order, so a recording of a pipe is decimated once.  At factor 1 the
-    samples are copied a block at a time into a new array, which the
-    caller may overwrite: the result never shares memory with the input.
+    so a recording is cast into one reused 2 MB float64 block unless one
+    row is longer.  A recording's blocks are read from its file here, in
+    increasing order, so a recording of a pipe is decimated once.  The
+    products run on unscaled values and each output is scaled once.  At
+    factor 1 the blocks are cast or copied into a new array and scaled
+    there; the caller may overwrite it, as it never shares the input's
+    memory.
     """
     if not isinstance(factor, (int, np.integer)) or factor <= 0:
         raise ValueError("decimation factor must be a positive integer")
     if factor == 1:
         samples = np.empty(len(signal))
         for start in range(0, samples.size, BLOCK_SAMPLES):
-            samples[start : start + BLOCK_SAMPLES] = signal.floats(start, start + BLOCK_SAMPLES)
+            part = samples[start : start + BLOCK_SAMPLES]
+            # A recording casts into part, and numpy skips assigning an
+            # array to itself; a SampledSignal's view is copied.
+            part[...] = signal.unscaled(start, start + BLOCK_SAMPLES, part)
+            part *= signal.scale
         return SampledSignal(samples, signal.sample_rate_hz, signal.origin_offset_s)
     # Checked before the design, which for a huge factor is itself huge.
     n_taps = _anti_alias_taps(int(factor))
@@ -232,9 +256,10 @@ def _polyphase_filter(taps, signal, factor):
     Viewing the samples as rows of `factor`, row r adds
     phases[i] @ row r to output r + i - width // 2, where
     phases[i, q] = taps[i * factor - q] (zero outside the taps) and
-    width = 11.  The ceil(len / factor) rows go in blocks: signal.floats
-    makes a block's rows float64 (read from file for a PcmRecording),
-    zero-padded if the last row is partial; they go once multiplied.
+    width = 11.  The ceil(len / factor) rows go in blocks of unscaled
+    values (a recording's cast into one reused block, a SampledSignal's a
+    view), zero-padded if the last row is partial; the outputs are
+    multiplied by signal.scale at the end.
     """
     width = (taps.size - 1) // factor + 1
     phases = np.ascontiguousarray(
@@ -245,13 +270,15 @@ def _polyphase_filter(taps, signal, factor):
     # no clipping; the margins are sliced off at the end.
     acc = np.zeros(n_rows + width - 1)
     step = max(1, BLOCK_SAMPLES // factor)
+    block = np.empty(min(step, n_rows) * factor) if isinstance(signal, PcmRecording) else None
     for first in range(0, n_rows, step):
         stop = min(first + step, n_rows)
-        floats = signal.floats(first * factor, stop * factor)
-        if floats.size < (stop - first) * factor:
-            floats = np.concatenate((floats, np.zeros((stop - first) * factor - floats.size)))
-        product = phases @ floats.reshape(-1, factor).T
-        del floats  # so one block's float64 is held at a time
+        rows = signal.unscaled(first * factor, stop * factor, block)
+        if rows.size < (stop - first) * factor:
+            rows = np.concatenate((rows, np.zeros((stop - first) * factor - rows.size)))
+        product = phases @ rows.reshape(-1, factor).T
         for i, line in enumerate(product):
             acc[first + i : stop + i] += line
-    return acc[width // 2 : acc.size - width // 2]
+    outputs = acc[width // 2 : acc.size - width // 2]
+    outputs *= signal.scale
+    return outputs

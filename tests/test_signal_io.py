@@ -274,13 +274,17 @@ class TestPcmRecording:
         assert len(recording) == 2999
         assert recording.floats().tobytes() == wav_floats(path).tobytes()
 
-    @pytest.mark.parametrize("n_channels", [1, 2])
-    def test_partial_last_decimation_row(self, tmp_path, rng, n_channels):
+    @pytest.mark.parametrize("n_channels", [1, 2, 3])
+    @pytest.mark.parametrize("factor", [1, 20, 100])
+    def test_partial_last_decimation_row(self, tmp_path, rng, n_channels, factor):
+        # A recording's unscaled codes, scaled once per output, against the
+        # scaled floats filtered as a SampledSignal.
         path = tmp_path / "pcm.wav"
-        write_random_wav(path, rng, 37 * 100 + 41, n_channels)
-        out = decimate(read_wav(path), 100)
-        expected = decimate(SampledSignal(wav_floats(path), 44100.0), 100)
-        assert len(out) == 38
+        n_frames = 37 * 100 + 41
+        write_random_wav(path, rng, n_frames, n_channels)
+        out = decimate(read_wav(path), factor)
+        expected = decimate(SampledSignal(wav_floats(path), 44100.0), factor)
+        assert len(out) == -(-n_frames // factor)
         assert out.sample_rate_hz == expected.sample_rate_hz
         assert out.samples.tobytes() == expected.samples.tobytes()
 
@@ -399,10 +403,10 @@ class TestDecimate:
 
     @needs_proc
     def test_factor_one_reads_a_recording_a_block_at_a_time(self, tmp_path, rng):
-        # Six blocks and a few frames: the float64 result, one block of
-        # codes and one block of float64 at a time, plus 256 KB for the
-        # rest.  Reading the recording whole would hold all its codes, six
-        # blocks of them, beside the result.
+        # Six blocks and a few frames: the float64 result and one block of
+        # codes, cast straight into the result, plus 256 KB for the rest.
+        # Reading the recording whole would hold all its codes, six blocks
+        # of them, beside the result.
         n_frames = 6 * BLOCK_SAMPLES + 7
         path = tmp_path / "pcm.wav"
         write_random_wav(path, rng, n_frames, 1)
@@ -415,7 +419,7 @@ class TestDecimate:
 
         (out, grown), peak = traced_peak(decimated)
         assert out.samples.tobytes() == wav_floats(path).tobytes()
-        assert peak + grown <= 8 * n_frames + (8 + 2) * BLOCK_SAMPLES + (1 << 18)
+        assert peak + grown <= 8 * n_frames + 2 * BLOCK_SAMPLES + (1 << 18)
 
     def test_output_rate(self):
         signal = SampledSignal(make_tone(60, 44100, 2.0), 44100.0)
@@ -525,14 +529,15 @@ class TestDecimate:
         assert traced_peak(lambda: decimate(signal, 100))[1] <= bound
 
     @needs_proc
-    def test_a_recording_holds_one_block_of_float64_at_a_time(self, tmp_path, rng):
+    @pytest.mark.parametrize("n_channels", [1, 2])
+    def test_a_recording_holds_one_block_of_float64_at_a_time(self, tmp_path, rng, n_channels):
         # Two minutes of 44.1 kHz codes: each block's float64 (2.1 MB) must
         # go before the next block's is made; two at once would not fit.
-        # Beside them the recording holds one block of codes (0.5 MB) and
-        # nothing resident that tracemalloc does not see.
+        # Beside them the recording holds one block of codes (0.5 MB a
+        # channel) and nothing resident that tracemalloc does not see.
         n_frames = 120 * 44100
         path = tmp_path / "pcm.wav"
-        write_random_wav(path, rng, n_frames, 1)
+        write_random_wav(path, rng, n_frames, n_channels)
         block = (BLOCK_SAMPLES // 100) * 100
         bound = 8 * (n_frames // 100) + (8 + 2) * block + (1 << 20)
         assert bound < 8 * (n_frames // 100) + 2 * 8 * block
