@@ -97,8 +97,7 @@ def best_lag(f, g, centered=False):
         raise IncompatibleInputError(f"reference length {g.size} shorter than track length {k}")
     if k < 2:
         raise UndefinedCorrelationError("correlation undefined at every lag")
-    nfft = 1 << (min(max(4 * k, 8192), g.size) - 1).bit_length()
-    o = float(np.median(g[np.isfinite(g)])) if np.isfinite(g).any() else 0.0
+    nfft, o = _fft_length(k, g.size), _shift(g)
     upper, low = np.full(g.size - k + 1, np.nan), -np.inf
     with np.errstate(all="ignore"):
         a = np.where(np.isfinite(f), f - o, 0.0)
@@ -120,6 +119,22 @@ def best_lag(f, g, centered=False):
     return best
 
 
+def _fft_length(k, n):
+    """FFT length for a k-frame query along an n-frame reference; each FFT
+    block bounds nfft - k + 1 lags.  The bounds' arrays grow with the block:
+    16,384 would scan a 1,800-frame query ~15% faster than 8,192, but hold
+    ~2 MB more."""
+    return 1 << (min(max(4 * k, 8192), n) - 1).bit_length()
+
+
+def _shift(g):
+    """The value both series are shifted by: the median of at most 4,096 of
+    the finite reference values.  Any shift gives valid bounds; one near the
+    values only makes them tight, and a sample serves as well as all."""
+    finite = g[np.isfinite(g)]
+    return float(np.median(finite[:: finite.size // 4096 + 1])) if finite.size else 0.0
+
+
 def _about(sxy, sx, sy, n, p, q, exy, ex, ey):
     """Sum of (x - p)(y - q) from the raw sums, and a bound on its error."""
     t = (sxy, -q * sx, -p * sy, n * p * q)
@@ -136,9 +151,12 @@ def _bounds(f, f_side, seg, o, centered, nfft, upper):
     b = np.where(np.isfinite(seg), seg - o, 0.0)
     g_side = np.stack([~np.isnan(seg), b, b * b])
     x, y = [0, 1, 2, 0, 1, 0], [0, 0, 0, 1, 1, 2]  # the series paired in each sum
-    sums = irfft(f_side[0][x] * rfft(g_side, nfft)[y], nfft)[:, : seg.size - f.size + 1]
-    n, sa, saa, sb, sab, sbb = np.rint(sums[0]), *sums[1:]
     _, ea, eaa, eb, eab, ebb = f_side[1][x] * np.abs(g_side).sum(1)[y]
+    sums = rfft(g_side, nfft)[y]
+    del b, g_side  # the bounds below hold a dozen block-long arrays
+    sums *= f_side[0][x]
+    sums = irfft(sums, nfft)[:, : seg.size - f.size + 1]
+    n, sa, saa, sb, sab, sbb = np.rint(sums[0], out=sums[0]), *sums[1:]
     p, q = (sa / n, sb / n) if centered else (-o, -o)
     ff, eff = _about(saa, sa, sa, n, p, p, eaa, ea, ea)
     gg, egg = _about(sbb, sb, sb, n, q, q, ebb, eb, eb)

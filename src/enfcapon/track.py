@@ -2,9 +2,11 @@
 
 CSV schema: header ``frame_index,time_s,freq_hz``, one row per frame,
 UTF-8, LF line endings.  Invalid (missing) estimates are stored as NaN
-and serialized as ``nan``.
+and serialized as ``nan``.  A track file is read once into one byte
+buffer, which both parsers decode as text-mode ``open`` would.
 """
 
+import codecs
 import io
 import math
 import warnings
@@ -22,7 +24,8 @@ CADENCE_TOL_S = 1e-9
 _CSV_ROW = np.dtype([("i", "<i8"), ("t", "<f8"), ("f", "<f8")])
 # ASCII characters np.loadtxt keeps inside a row or strips around a cell,
 # where str.splitlines breaks the line or int()/float() reject the cell.
-_CSV_FAST_PATH_EXCLUDED = "\x0b\x0c\x1c\x1d\x1e\x1f"
+_CSV_FAST_PATH_EXCLUDED = b"\x0b\x0c\x1c\x1d\x1e\x1f"
+_CSV_HEADER_LINES = tuple(CSV_HEADER.encode() + end for end in (b"\n", b"\r\n"))
 
 
 @dataclass(frozen=True)
@@ -77,47 +80,57 @@ def write_track(track, path):
 def read_track(path):
     """Load a CSV track written by write_track.
 
-    Every TrackFormatError message starts with the path.
+    The file is read once, so a named pipe works too.  Every
+    TrackFormatError message starts with the path.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise TrackFormatError(f"{path}: not UTF-8 text: {exc}") from exc
-    try:
-        return _parse_csv(text)
+        return _parse_csv(data)
     except TrackFormatError as exc:
         exc.args = (f"{path}: {exc}",)  # exc.line stays
         raise
 
 
-def _parse_csv(text):
-    """Parse a CSV track in one np.loadtxt pass.  The line parser runs
-    wherever that pass raises or could read the text differently, so it
-    alone words every error."""
-    first, _, body = text.partition("\n")
+def _text(data):
+    """The bytes as text-mode ``open`` reads them: UTF-8, one leading BOM
+    dropped, and newlines translated.  BytesIO shares the bytes."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
+
+
+def _parse_csv(data):
+    """Parse the bytes of a CSV track in one np.loadtxt pass.  The line
+    parser runs wherever that pass raises or could read the text
+    differently, so it alone words every error."""
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     # np.loadtxt reads ASCII free of the excluded characters as int()/float()
-    # do, or raises.  A first line that str.splitlines breaks in two would
-    # shift the line numbers.
-    if (len(first.splitlines()) == 1 and first.strip() == CSV_HEADER and body.isascii()
-            and not any(c in body for c in _CSV_FAST_PATH_EXCLUDED)):
+    # do, or raises.  The header line is matched byte for byte, so the
+    # line numbers cannot shift.
+    if (data.startswith(_CSV_HEADER_LINES, start)
+            and np.frombuffer(data, np.uint8, offset=start).max() < 0x80
+            and not any(c in data for c in _CSV_FAST_PATH_EXCLUDED)):
         try:
-            with warnings.catch_warnings():
+            with warnings.catch_warnings(), _text(data) as text:
                 # "input contained no data" and, in older numpy, integers
                 # parsed via float only warn.
                 warnings.simplefilter("error")
-                rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
-                                  dtype=_CSV_ROW, ndmin=1)
+                text.readline()
+                rows = np.loadtxt(text, delimiter=",", comments=None, dtype=_CSV_ROW,
+                                  ndmin=1)
         except (ValueError, OverflowError, Warning):
             pass
         else:
             if not np.isinf(rows["f"]).any():
                 return _track(rows["i"], rows["t"], rows["f"])
-    return _parse_csv_lines(text)
+    return _parse_csv_lines(data)
 
 
-def _parse_csv_lines(text):
-    lines = text.splitlines()
+def _parse_csv_lines(data):
+    try:
+        with _text(data) as text:
+            lines = text.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise TrackFormatError(f"not UTF-8 text: {exc}") from exc
     if not lines or lines[0].strip() != CSV_HEADER:
         raise TrackFormatError(f"expected header {CSV_HEADER!r}", line=1)
     idx, times, freqs = [], [], []

@@ -1,4 +1,6 @@
+import contextlib
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -47,6 +49,30 @@ def resident_bytes():
     buffers that tracemalloc does not see (Linux /proc only)."""
     with open("/proc/self/statm") as fh:
         return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+needs_pipes = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+
+
+@contextlib.contextmanager
+def fed_pipe(path, data, piece=None):
+    """A named pipe at path that a thread writes data into, in pieces of
+    `piece` bytes if given, and that is joined on leaving."""
+    os.mkfifo(path)
+    piece = piece or len(data)
+
+    def write_in_pieces():
+        with open(path, "wb", buffering=0) as fh:
+            for start in range(0, len(data), piece):
+                fh.write(data[start:start + piece])
+
+    writer = threading.Thread(target=write_in_pieces, daemon=True)
+    writer.start()
+    try:
+        yield path
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
 
 
 # Track files that fail before any row is parsed, with the message each

@@ -17,7 +17,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import UNDECODABLE_TRACKS, make_tone
+from conftest import UNDECODABLE_TRACKS, fed_pipe, make_tone, needs_pipes
 from enfcapon import cli, pipeline
 from enfcapon.cli import main
 from enfcapon.matching import best_lag
@@ -862,6 +862,33 @@ def test_extract_from_a_named_pipe(runner, tmp_path):
     assert manifest["inputs"] == [{"path": str(pipe), "sha256": None}]
     manifest = json.loads((tmp_path / "file.csv.manifest.json").read_text())
     assert manifest["inputs"][0]["sha256"] == hashlib.sha256(data).hexdigest()
+
+
+@needs_pipes
+def test_tracks_from_named_pipes(runner, tmp_path):
+    # A track file is read once, so a pipe written once reads as the file.
+    rng = np.random.default_rng(5)
+    freqs = 60.0 + np.cumsum(rng.normal(0.0, 1e-3, 3000))
+    freqs[rng.random(3000) < 0.05] = np.nan
+    reference = EnfTrack(np.arange(3000), np.arange(3000.0), freqs)
+    query = EnfTrack(np.arange(300), np.arange(300.0), freqs[1234:1534] + 1e-4)
+    reference_csv, query_csv = tmp_path / "reference.csv", tmp_path / "query.csv"
+    write_track(reference, reference_csv)
+    write_track(query, query_csv)
+    with fed_pipe(tmp_path / "reference.pipe", reference_csv.read_bytes()) as pipe:
+        piped = read_track(pipe)
+    loaded = read_track(reference_csv)
+    for name in ("frame_index", "time_s", "freq_hz"):
+        assert getattr(piped, name).tobytes() == getattr(loaded, name).tobytes()
+
+    expected = runner.invoke(main, ["match", str(query_csv), str(reference_csv)])
+    assert expected.exit_code == 0, expected.output
+    assert json.loads(expected.output)["lag"] == 1235
+    with (fed_pipe(tmp_path / "query.fifo", query_csv.read_bytes()) as query_pipe,
+          fed_pipe(tmp_path / "reference.fifo", reference_csv.read_bytes()) as reference_pipe):
+        result = runner.invoke(main, ["match", str(query_pipe), str(reference_pipe)])
+    assert result.exit_code == 0, result.output
+    assert result.output == expected.output
 
 
 class TestBench:

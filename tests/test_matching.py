@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from enfcapon.errors import IncompatibleInputError, UndefinedCorrelationError
-from enfcapon.matching import best_lag, correlation, fisher_test
+from enfcapon.matching import _fft_length, best_lag, correlation, fisher_test
 from oracle import best_lag_scan
 
 
@@ -180,15 +180,20 @@ class TestBestLag:
             assert_same_match(f, g, centered)
 
     def test_copy_planted_next_to_block_edges(self):
-        # For a 40-frame query the lags go through the FFT in blocks of
-        # 8,153; a copy planted at each lag around two block edges is found.
+        # The lags go through the FFT in blocks of nfft - k + 1; a copy
+        # planted at each lag around the first two block edges is found,
+        # for a short query and for a 30-minute one at 1 s frames.
         rng = np.random.default_rng(4)
-        f = 60.0 + 1e-3 * rng.normal(size=40)
-        for lag in [*range(8149, 8157), *range(16302, 16310)]:
-            g = 60.0 + 1e-3 * rng.normal(size=20000)
-            g[lag : lag + 40] = f
-            for centered in (False, True):
-                assert best_lag(f, g, centered).best_lag == lag
+        for k in (40, 1800):
+            f = 60.0 + 1e-3 * rng.normal(size=k)
+            step = _fft_length(k, 2**20) - k + 1
+            n = 2 * step + k + 1000
+            assert _fft_length(k, n) - k + 1 == step
+            for lag in [*range(step - 4, step + 4), *range(2 * step - 4, 2 * step + 4)]:
+                g = 60.0 + 1e-3 * rng.normal(size=n)
+                g[lag : lag + k] = f
+                for centered in (False, True):
+                    assert best_lag(f, g, centered).best_lag == lag
 
     def test_ties_nans_and_infinities_across_blocks_match_scan(self):
         rng = np.random.default_rng(3)
@@ -201,6 +206,22 @@ class TestBestLag:
         for centered in (False, True):
             assert_same_match(f, g, centered)
             assert_same_match(f + 1e-9 * rng.normal(size=f.size), g, centered)
+
+    def test_shift_from_a_sample_of_the_reference_matches_scan(self):
+        # The shift is the median of every (n // 4096 + 1)-th finite reference
+        # value.  Outliers near 1e150 on most of those positions make it
+        # 1e150, while the full median stays near 60 Hz: the bounds then rule
+        # out few lags, and the scan's result must still come out.
+        rng = np.random.default_rng(9)
+        n = 8200
+        g = 60.0 + 1e-3 * np.cumsum(rng.normal(size=n))
+        stride = n // 4096 + 1
+        g[: 1400 * stride : stride] = 1e150 * (1.0 + rng.random(1400))
+        assert np.median(g[::stride]) > 1e150 and np.median(g) < 61.0
+        f = g[6000:6040] + 1e-4 * rng.normal(size=40)
+        for centered in (False, True):
+            assert best_lag(f, g, centered).best_lag == 6000
+            assert_same_match(f, g, centered)
 
     def test_day_long_reference_matches_scan(self):
         # A 30-minute query in a 24-hour reference at 1 s frames.

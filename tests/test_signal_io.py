@@ -1,7 +1,5 @@
-import contextlib
 import os
 import re
-import threading
 import warnings
 import wave
 
@@ -11,7 +9,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import firwin
 
-from conftest import make_tone, resident_bytes, traced_peak
+from conftest import fed_pipe, make_tone, needs_pipes, resident_bytes, traced_peak
 from enfcapon.errors import (
     DegenerateInputError,
     EnfError,
@@ -37,29 +35,7 @@ def write_raw_wav(path, pcm, n_channels=1, sampwidth=2, rate=44100):
         writer.writeframes(pcm)
 
 
-needs_pipes = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
-
-
-@contextlib.contextmanager
-def fed_pipe(path, data, piece=None):
-    """A named pipe at path that a thread writes data into, in pieces of
-    `piece` bytes if given, and that is joined on leaving."""
-    os.mkfifo(path)
-    piece = piece or len(data)
-
-    def write_in_pieces():
-        with open(path, "wb", buffering=0) as fh:
-            for start in range(0, len(data), piece):
-                fh.write(data[start:start + piece])
-
-    writer = threading.Thread(target=write_in_pieces, daemon=True)
-    writer.start()
-    try:
-        yield path
-    finally:
-        writer.join(timeout=60)
-    assert not writer.is_alive()
 
 
 def open_fds(path):

@@ -1,3 +1,4 @@
+import codecs
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import UNDECODABLE_TRACKS
+from conftest import UNDECODABLE_TRACKS, traced_peak
 from enfcapon import track as track_module
 from enfcapon.errors import TrackFormatError
 from enfcapon.track import CSV_HEADER, EnfTrack, read_track, write_track
@@ -192,12 +193,16 @@ PROBE_TOKENS = [
 HEADERS = [CSV_HEADER, f" {CSV_HEADER}\t", f"{CSV_HEADER}\r", f"\x0c{CSV_HEADER}",
            f"{CSV_HEADER}\x1c", f"\r{CSV_HEADER}", "frame_index,time_s"]
 LINE_ENDS = ["\n", "\r\n", "\n\n", "\n \n", "\r", "\x0c", "\x85"]
+# Byte runs no UTF-8 decoder accepts: a stray continuation byte, a lead byte
+# cut short, an overlong encoding, a surrogate and bytes UTF-8 never uses.
+INVALID_UTF8 = [b"\x80", b"\xc3", b"\xe2\x82", b"\xc0\x80", b"\xed\xa0\x80", b"\xff", b"\xfe"]
 
 
 @st.composite
 def csv_texts(draw):
-    """Rows as write_track formats them, some cells and line ends swapped
-    for or spliced with probe tokens."""
+    """The bytes of rows as write_track formats them, some cells and line
+    ends swapped for or spliced with probe tokens, maybe after a UTF-8 BOM
+    and with invalid UTF-8 bytes spliced in."""
     n = draw(st.integers(0, 5))
     start = draw(st.sampled_from([0, -3, 2**63 - 6]))
     floats = st.floats(allow_nan=True, allow_infinity=True)
@@ -216,7 +221,13 @@ def csv_texts(draw):
     ends = [draw(st.sampled_from(LINE_ENDS)) if draw(st.integers(0, 3)) == 0 else "\n"
             for _ in rows]
     text = draw(st.sampled_from(HEADERS)) + "\n"
-    return text + "".join(",".join(row) + end for row, end in zip(rows, ends))
+    data = (text + "".join(",".join(row) + end for row, end in zip(rows, ends))).encode()
+    if draw(st.booleans()):
+        data = codecs.BOM_UTF8 + data
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(INVALID_UTF8)) + data[at:]
+    return data
 
 
 def _outcome(parse, source):
@@ -231,13 +242,20 @@ def _outcome(parse, source):
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(text=csv_texts())
-def test_csv_fast_path_agrees_with_line_parser(tmp_path, text):
+@given(data=csv_texts())
+def test_csv_fast_path_agrees_with_line_parser(tmp_path, data):
     oracle = track_module._parse_csv_lines
-    assert _outcome(track_module._parse_csv, text) == _outcome(oracle, text)
+    assert _outcome(track_module._parse_csv, data) == _outcome(oracle, data)
     path = tmp_path / "t.csv"
-    path.write_bytes(text.encode("utf-8"))
-    expected = _outcome(oracle, path.read_text(encoding="utf-8"))
+    path.write_bytes(data)
+    # Text-mode open decodes the file (BOM dropped, newlines translated);
+    # the line parser then reads that text's bytes.
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        expected = (f"not UTF-8 text: {exc}", None)
+    else:
+        expected = _outcome(oracle, text.encode())
     if len(expected) == 2:  # read_track names the file before the message
         expected = (f"{path}: {expected[0]}", expected[1])
     assert _outcome(read_track, path) == expected
@@ -254,19 +272,25 @@ def test_each_probe_token_parses_as_the_line_parser_does():
                     spliced = [row[:c] + [cell] + row[c + 1:] if k == r else row
                                for k, row in enumerate(rows)]
                     texts.append("\n".join([CSV_HEADER, *map(",".join, spliced)]) + "\n")
-        for text in texts:
-            assert _outcome(track_module._parse_csv, text) == _outcome(oracle, text), text
+        for data in map(str.encode, texts):
+            assert _outcome(track_module._parse_csv, data) == _outcome(oracle, data), data
 
 
-def test_day_long_csv_track_takes_the_fast_path(tmp_path, monkeypatch):
+def write_day_track(path):
+    """A 24-hour track at 1 s frames, with a NaN every 997 frames."""
     n = 86_400
     freqs = 60.0 + 0.01 * np.sin(np.arange(n) / 500.0)
     freqs[::997] = np.nan
     track = EnfTrack(np.arange(n), np.arange(n) * 1.0, freqs)
-    path = tmp_path / "day.csv"
     write_track(track, path)
+    return track
 
-    def refuse(text):
+
+def test_day_long_csv_track_takes_the_fast_path(tmp_path, monkeypatch):
+    path = tmp_path / "day.csv"
+    track = write_day_track(path)
+
+    def refuse(data):
         raise AssertionError("line parser ran")
 
     monkeypatch.setattr(track_module, "_parse_csv_lines", refuse)
@@ -275,3 +299,17 @@ def test_day_long_csv_track_takes_the_fast_path(tmp_path, monkeypatch):
     assert np.array_equal(loaded.time_s, track.time_s)
     assert np.array_equal(loaded.freq_hz, track.freq_hz, equal_nan=True)
     assert loaded.shift_s == 1.0
+
+
+def test_day_long_csv_track_reads_within_a_few_file_sizes(tmp_path):
+    # The file's bytes, the parsed rows and the track's columns trace about
+    # 2.8 times the file's size (2.76 MB here).  A reader that decodes the
+    # file into a str and copies its body into a StringIO (4 bytes a
+    # character) traces about 6.9 times.  The bound sits 25% above the one
+    # and at half the other.
+    path = tmp_path / "day.csv"
+    write_day_track(path)
+    read_track(path)
+    loaded, peak = traced_peak(lambda: read_track(path))
+    assert len(loaded) == 86_400
+    assert peak <= 3.5 * path.stat().st_size
