@@ -45,28 +45,26 @@ def apply_zero_phase(coeffs, signal, out=None):
     must hold len(signal) - C + 1 float64 samples: a separate array, or
     signal.samples[:len(signal) - C + 1] to filter in place.
 
-    Block j holds samples[j*step : j*step + block]; its circular
-    convolution with the taps is exact past the first C - 1 outputs,
-    which give outputs j*step .. (j+1)*step - 1.  Each FFT call views the
-    blocks of one run of samples; only a short last run is zero-padded.
-    Filtering in place is safe: output t reads samples t.. only, and a
-    call reads its whole run before it writes outputs below the run's
-    end, which later calls no longer read.
+    Each FFT call writes the next call = _BLOCKS_PER_CALL * step outputs
+    from a run of call + C - 1 samples, seen as blocks step apart whose
+    circular convolutions are exact past their first C - 1 outputs; a short
+    last run is zero-padded to a whole call.  Filtering in place is safe:
+    output t reads samples t.. only, and a call reads its whole run before
+    it writes outputs below the run's end, which later calls no longer read.
     """
     n_taps = coeffs.size
     block = _block_length(n_taps)
     step = block - (n_taps - 1)
+    call = _BLOCKS_PER_CALL * step
     samples = signal.samples
     n_out = samples.size - n_taps + 1
-    n_blocks = -(-n_out // step)
     response = np.fft.rfft(coeffs, block)
     if out is None:
         out = np.empty(n_out)
     elif out.shape != (n_out,):
         raise ValueError(f"out must hold {n_out} samples, not {out.shape}")
-    for first in range(0, n_blocks, _BLOCKS_PER_CALL):
-        last = min(first + _BLOCKS_PER_CALL, n_blocks)
-        run = samples[first * step : last * step + n_taps - 1]
+    for first in range(0, n_out, call):
+        run = samples[first : first + call + n_taps - 1]
         # FFT convolution spreads roundoff (~1e-15) into stretches of
         # digital silence, which the estimators would read as signal, so
         # an output whose C input samples are all zero is set to zero.
@@ -76,19 +74,16 @@ def apply_zero_phase(coeffs, signal, out=None):
         if (run[::n_taps] == 0.0).any():
             nonzero = np.concatenate(([0], np.cumsum(run != 0.0)))
             silent = nonzero[n_taps:] == nonzero[:-n_taps]
-        short = last * step + n_taps - 1 - samples.size
-        if short > 0:
-            run = np.concatenate((run, np.zeros(short)))
+        if run.size < call + n_taps - 1:
+            run = np.concatenate((run, np.zeros(call + n_taps - 1 - run.size)))
         blocks = np.lib.stride_tricks.sliding_window_view(run, block)[::step]
         spectra = np.fft.rfft(blocks, axis=-1)
         spectra *= response
-        # Only the last block's outputs may run past n_out.
-        for start, line in zip(range(first * step, n_out, step),
-                               np.fft.irfft(spectra, block, axis=-1)):
-            stop = min(start + step, n_out)
-            out[start:stop] = line[n_taps - 1 : n_taps - 1 + stop - start]
+        part = out[first : first + call]
+        lines = np.fft.irfft(spectra, block, axis=-1)[:, n_taps - 1 :]
+        part[:] = lines.reshape(-1)[: part.size]
         if silent is not None:
-            out[first * step : first * step + silent.size][silent] = 0.0
+            part[silent] = 0.0
     return SampledSignal(
         out,
         signal.sample_rate_hz,

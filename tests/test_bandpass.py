@@ -3,6 +3,7 @@ import pytest
 from scipy.signal import firwin
 
 from conftest import make_tone, overlap_save_call, traced_peak
+from enfcapon import bandpass
 from enfcapon.bandpass import _BLOCKS_PER_CALL, _block_length, apply_zero_phase, design_bandpass
 from enfcapon.signal_io import BLOCK_SAMPLES, SampledSignal
 from oracle import apply_zero_phase_full
@@ -132,13 +133,18 @@ def _block_step(taps):
 
 def _layout_lengths(taps):
     """Signal lengths at the edges of the overlap-save layout: one output
-    more than the taps need, a signal one short of a block, and output
-    counts at, and one either side of, one and five block steps."""
+    more than the taps need, a signal one short of a block, output counts
+    at, and one either side of, one and five block steps, and output
+    counts that leave 1 to _BLOCKS_PER_CALL real blocks in a padded last
+    call."""
     step = _block_step(taps)
+    call = overlap_save_call(taps)
     lengths = {taps + 1, _block_length(taps) - 1}
     for k in (1, 5):
         for delta in (-1, 0, 1):
             lengths.add(k * step + delta + taps - 1)
+    for r in (1, step - 1, step, step + 1, call - 1):
+        lengths.add(call + r + taps - 1)
     return sorted(lengths)
 
 
@@ -193,15 +199,20 @@ def test_extending_the_signal_keeps_earlier_outputs_bit_for_bit(rng, taps):
         assert out.tobytes() == full[: k * call].tobytes()
 
 
-@pytest.mark.parametrize("calls", [1, 2.5, 3 + 1 / 7])
-def test_filtering_in_place_gives_the_same_bits(rng, power_filter, calls):
+_IN_PLACE_LENGTHS = [(1, 0), (2.5, 0), (3 + 1 / 7, 0), (2, 1), (3, -1)]
+
+
+@pytest.mark.parametrize("calls, extra", _IN_PLACE_LENGTHS,
+                         ids=[f"{c}{e:+}" if e else str(c) for c, e in _IN_PLACE_LENGTHS])
+def test_filtering_in_place_gives_the_same_bits(rng, power_filter, calls, extra):
     # out may be the head of the input: each FFT call reads its run before
     # it writes, and later calls read only past its writes.  The lengths
-    # end on a call edge, inside a call and inside a block, with zero runs
-    # across the first call edge and at the end.
+    # end on a call edge, inside a call and inside a block, and leave 1 or
+    # call - 1 outputs in a padded last call, with zero runs across the
+    # first call edge and at the end.
     taps = power_filter.size
     call = overlap_save_call(taps)
-    n_out = int(calls * call)
+    n_out = int(calls * call) + extra
     samples = rng.normal(size=n_out + taps - 1)
     samples[call - taps - 300 : call + taps] = 0.0
     samples[-2 * taps :] = 0.0
@@ -249,6 +260,25 @@ def test_zero_runs_across_overlap_save_calls_filter_to_exact_zero(rng, power_fil
     np.testing.assert_array_equal(out == 0.0, silent)
     assert silent[10 * call] and not silent[10 * call - 1]
     assert silent[8 * call - 1] and not silent[8 * call]
+
+
+@pytest.mark.parametrize("taps", [3, 1001, 4801])
+def test_blocks_per_call_never_move_a_bit(rng, monkeypatch, taps):
+    # Every block's transform is the same whether or not it shares an FFT
+    # call, so the padded last call and any retuning of _BLOCKS_PER_CALL
+    # leave the output as it is.  Zero runs cross call edges for every
+    # batching tried, and the signal ends inside a call.
+    flt = (design_bandpass(441.0, 110.0, 100.0, 3) if taps == 3
+           else design_bandpass(441.0, 180.0, 0.1, taps))
+    step = _block_step(taps)
+    samples = rng.normal(size=17 * step + step // 3 + taps - 1)
+    for k in (1, 2, 3, 8, 12):
+        samples[k * step - taps - 50 : k * step + taps + 50] = 0.0
+    signal = SampledSignal(samples, 441.0)
+    expected = apply_zero_phase(flt, signal).samples.tobytes()
+    for blocks_per_call in (1, 2, 3, 8):
+        monkeypatch.setattr(bandpass, "_BLOCKS_PER_CALL", blocks_per_call)
+        assert apply_zero_phase(flt, signal).samples.tobytes() == expected
 
 
 @pytest.mark.parametrize("taps", [1001, 4801])
