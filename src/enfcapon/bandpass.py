@@ -47,8 +47,9 @@ def apply_zero_phase(coeffs, signal, out=None):
 
     Each FFT call writes the next call = _BLOCKS_PER_CALL * step outputs
     from a run of call + C - 1 samples, seen as blocks step apart whose
-    circular convolutions are exact past their first C - 1 outputs; a short
-    last run is zero-padded to a whole call.  Filtering in place is safe:
+    circular convolutions are exact past their first C - 1 outputs; the
+    last call transforms only the blocks it writes, its run zero-padded to
+    their end.  Filtering in place is safe:
     output t reads samples t.. only, and a call reads its whole run before
     it writes outputs below the run's end, which later calls no longer read.
     """
@@ -74,14 +75,18 @@ def apply_zero_phase(coeffs, signal, out=None):
         if (run[::n_taps] == 0.0).any():
             nonzero = np.concatenate(([0], np.cumsum(run != 0.0)))
             silent = nonzero[n_taps:] == nonzero[:-n_taps]
-        if run.size < call + n_taps - 1:
-            run = np.concatenate((run, np.zeros(call + n_taps - 1 - run.size)))
+        part = out[first : first + call]
+        rows = -(-part.size // step)  # the blocks holding part
+        if run.size < rows * step + n_taps - 1:
+            run = np.concatenate((run, np.zeros(rows * step + n_taps - 1 - run.size)))
         blocks = np.lib.stride_tricks.sliding_window_view(run, block)[::step]
         spectra = np.fft.rfft(blocks, axis=-1)
         spectra *= response
-        part = out[first : first + call]
         lines = np.fft.irfft(spectra, block, axis=-1)[:, n_taps - 1 :]
-        part[:] = lines.reshape(-1)[: part.size]
+        if part.size == rows * step:  # a 1-D view reshapes without a copy
+            part.reshape(rows, step)[:] = lines
+        else:
+            part[:] = lines.reshape(-1)[: part.size]
         if silent is not None:
             part[silent] = 0.0
     return SampledSignal(

@@ -11,6 +11,9 @@ at every bin as batched matrix products.
 
 The STFT rows time stft_band_power alone, taking Parzen-windowed noise
 frames to |DFT|^2 / N at the default power config's in-band bins.
+
+The lag scan row times best_lag in each mode on `enf match`'s usual
+scale: a 30-minute query at 1 s frames along a 24-hour reference.
 """
 
 import contextlib
@@ -22,6 +25,7 @@ from functools import partial
 import numpy as np
 
 from . import capon, spectral
+from .matching import best_lag
 from .pipeline import power_config
 from .windowing import make_window
 
@@ -32,6 +36,9 @@ BENCH_FRAMES = 1797
 # The window study's frame lengths, each timed on a batch of STFT_FRAMES frames.
 STFT_FRAME_SECONDS = (1.0, 5.0, 10.0, 20.0)
 STFT_FRAMES = 60
+
+# The lag scan row's query and reference lengths, in frames.
+LAG_SCAN_FRAMES = (1800, 86400)
 
 # The BLAS and OpenMP thread settings the dense baseline's median depends on.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -76,7 +83,8 @@ def run_bench(trials=100, seed=0):
     """Time of capon_band_power vs dense_band_power at the default order,
     on one seeded batch of white-noise frames under the default window at
     the bins and on the grid the default power config searches; under
-    "stft_band", of stft_band_power at each of STFT_FRAME_SECONDS.  Each
+    "stft_band", of stft_band_power at each of STFT_FRAME_SECONDS; under
+    "lag_scan", of best_lag in each mode on LAG_SCAN_FRAMES.  Each
     time is reported as its minimum, quartiles and median over the
     trials; "host" records what else the times depend on."""
     config = power_config()
@@ -101,6 +109,7 @@ def run_bench(trials=100, seed=0):
         **spread,
         "speedup": spread["dense_median_s"] / spread["fast_median_s"],
         "stft_band": [_bench_stft_band(trials, rng, seconds) for seconds in STFT_FRAME_SECONDS],
+        "lag_scan": _bench_lag_scan(trials, rng),
         "host": host(),
     }
 
@@ -116,4 +125,22 @@ def _bench_stft_band(trials, rng, frame_len_s):
         "grid_size": grid_size,
         "bins": int(bins.size),
         **_spread_s(partial(spectral.stft_band_power, frames, bins, grid_size), trials),
+    }
+
+
+def _bench_lag_scan(trials, rng):
+    """A random-walk ENF reference with six NaN gaps, and a query cut from
+    it with 1 mHz noise and 1% of its frames missing."""
+    k, n = LAG_SCAN_FRAMES
+    g = 60.0 + np.cumsum(rng.normal(0.0, 0.002, n))
+    for start in rng.integers(0, n - 400, size=6):
+        g[start : start + rng.integers(50, 400)] = np.nan
+    lag = int(rng.integers(0, n - k + 1))
+    f = g[lag : lag + k] + rng.normal(0.0, 1e-3, k)
+    f[rng.choice(k, size=k // 100, replace=False)] = np.nan
+    return {
+        "query_frames": k,
+        "reference_frames": n,
+        **_spread_s(partial(best_lag, f, g, False), trials, "uncentered_"),
+        **_spread_s(partial(best_lag, f, g, True), trials, "centered_"),
     }

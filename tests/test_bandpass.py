@@ -289,3 +289,18 @@ def test_traced_peak_stays_within_two_signal_copies(rng, taps):
     flt = design_bandpass(441.0, 180.0, 0.1, taps)
     signal = SampledSignal(rng.normal(size=1800 * 441), 441.0)
     assert traced_peak(lambda: apply_zero_phase(flt, signal))[1] <= 2 * 8 * len(signal)
+
+
+@pytest.mark.parametrize("taps", [1001, 4801])
+def test_filtering_in_place_holds_one_call_in_flight(rng, taps):
+    # In place, the transient is the FFT call in flight: its blocks, their
+    # spectra and their inverse transforms, written straight into the
+    # output, within four times the call's block bytes (1.05 and 4.19 MB).
+    # Padding the last run to a whole call and copying each call's outputs
+    # on the way traced 1.10 and 4.35 MB; without them, 0.98 and 3.41 MB.
+    flt = design_bandpass(441.0, 180.0, 0.1, taps)
+    samples = rng.normal(size=1800 * 441)
+    signal = SampledSignal(samples, 441.0)
+    out = samples[: samples.size - taps + 1]
+    budget = 4 * _BLOCKS_PER_CALL * _block_length(taps) * 8
+    assert traced_peak(lambda: apply_zero_phase(flt, signal, out=out))[1] <= budget

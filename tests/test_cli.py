@@ -905,7 +905,10 @@ class TestBench:
                 for row in stft] == [(1.0, 60, 441, 25), (5.0, 60, 2205, 121),
                                      (10.0, 60, 4410, 239), (20.0, 60, 8820, 475)]
         assert all(row["median_s"] > 0 for row in stft)
-        for row, prefix in [(report, "fast_"), (report, "dense_"), *((r, "") for r in stft)]:
+        scan = report["lag_scan"]
+        assert (scan["query_frames"], scan["reference_frames"]) == (1800, 86400)
+        for row, prefix in [(report, "fast_"), (report, "dense_"), *((r, "") for r in stft),
+                            (scan, "uncentered_"), (scan, "centered_")]:
             spread = [row[f"{prefix}{name}_s"] for name in ("min", "q1", "median", "q3")]
             assert 0 < spread[0] <= spread[1] <= spread[2] <= spread[3]
         assert "decimate" not in report

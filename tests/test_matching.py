@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from conftest import traced_peak
+from enfcapon import matching
 from enfcapon.errors import IncompatibleInputError, UndefinedCorrelationError
 from enfcapon.matching import _fft_length, best_lag, correlation, fisher_test
 from oracle import best_lag_scan
@@ -68,6 +71,20 @@ def match_inputs(draw):
     else:
         f = draw_values(draw, rng, kind, k)
     return spoil(draw, rng, f), spoil(draw, rng, g)
+
+
+@pytest.fixture(scope="module")
+def day_long():
+    """A 30-minute query at 1 s frames, cut at lag 51,234 from a 24-hour
+    random-walk reference with six NaN gaps: (query, reference, lag)."""
+    rng = np.random.default_rng(86400)
+    g = 60.0 + np.cumsum(rng.normal(0.0, 0.002, 86400))
+    for start in rng.integers(0, 86000, size=6):
+        g[start : start + rng.integers(50, 400)] = np.nan
+    lag = 51234
+    f = g[lag : lag + 1800] + rng.normal(0.0, 1e-3, 1800)
+    f[rng.choice(1800, size=18, replace=False)] = np.nan
+    return f, g, lag
 
 
 class TestCorrelation:
@@ -223,19 +240,87 @@ class TestBestLag:
             assert best_lag(f, g, centered).best_lag == 6000
             assert_same_match(f, g, centered)
 
-    def test_day_long_reference_matches_scan(self):
-        # A 30-minute query in a 24-hour reference at 1 s frames.
-        rng = np.random.default_rng(86400)
-        g = 60.0 + np.cumsum(rng.normal(0.0, 0.002, 86400))
-        for start in rng.integers(0, 86000, size=6):
-            g[start : start + rng.integers(50, 400)] = np.nan
-        lag = 51234
-        f = g[lag : lag + 1800] + rng.normal(0.0, 1e-3, 1800)
-        f[rng.choice(1800, size=18, replace=False)] = np.nan
+    def test_day_long_reference_matches_scan(self, day_long):
+        f, g, lag = day_long
         for centered in (False, True):
             result = best_lag(f, g, centered)
             assert result.best_lag == lag
             assert repr(result) == repr(best_lag_scan(f, g, centered))
+
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_day_long_scan_rescores_few_lags(self, day_long, monkeypatch, centered):
+        # The bounds are tight enough that only the winner is scored
+        # directly; a loose block bound would score many of the 84,601 lags
+        # and still give the scan's result, only slowly.
+        f, g, lag = day_long
+        scored = []
+
+        def counted(*args, **kwargs):
+            scored.append(args)
+            return correlation(*args, **kwargs)
+
+        monkeypatch.setattr(matching, "correlation", counted)
+        assert best_lag(f, g, centered).best_lag == lag
+        assert 1 <= len(scored) <= 2
+
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_day_long_scan_stays_within_two_megabytes(self, day_long, centered):
+        # One FFT block's sums and bounds, the query's spectra and the lags
+        # kept for scoring: 1.84 MB in 16,384-point blocks.  The scan that
+        # kept one bound per lag in 8,192-point blocks traced 2.08 MB
+        # (uncentered) and 2.18 MB (centered).
+        f, g, _ = day_long
+        best_lag(f, g, centered)  # numpy's first-call allocations
+        assert traced_peak(lambda: best_lag(f, g, centered))[1] <= 2_000_000
+
+    def test_irregular_lags_in_one_block_match_scan(self, monkeypatch):
+        # The first FFT block holds a near-constant stretch, values near
+        # 1e-150, a NaN run longer than the query, both infinities and a
+        # planted copy, among values spread around zero; its other lags
+        # share one bound, and these get per-lag bounds.  Values near 1e150
+        # make the second block's error bounds too large to share.  Every
+        # lag's correlation lies within its bounds, and both modes give
+        # the scan's result.
+        rng = np.random.default_rng(34)
+        k = 40
+        step = _fft_length(k, 2**20) - k + 1
+        g = rng.normal(size=step + 4000)
+        g[2000:2600] = 0.5 + 1e-13 * rng.normal(size=600)
+        g[4000:4100] = 1e-150 * (1.0 + rng.random(100))
+        g[6000:6100] = np.nan
+        g[8000], g[9000] = np.inf, -np.inf
+        g[step + 2000 : step + 2005] = 1e150
+        f = g[12000 : 12000 + k] + 1e-4 * rng.normal(size=k)
+        bounds, per_lag = [], []
+
+        def spy_bounds(*args):
+            per_lag.append(0)
+            bounds.append(block_bounds(*args))
+            return bounds[-1]
+
+        def spy_sure(sums, *args):
+            per_lag[-1] += sums.shape[1]
+            return lag_bounds(sums, *args)
+
+        block_bounds, lag_bounds = matching._bounds, matching._sure
+        monkeypatch.setattr(matching, "_bounds", spy_bounds)
+        monkeypatch.setattr(matching, "_sure", spy_sure)
+        for centered in (False, True):
+            assert_same_match(f, g, centered)
+            bounds.clear()
+            per_lag.clear()
+            # Centered, two pairs at the NaN run's end correlate exactly.
+            assert best_lag(f, g, centered).best_lag == (6062 if centered else 12000)
+            assert [upper.size for upper, _ in bounds] == [step, g.size - k + 1 - step]
+            assert 0 < per_lag[0] < step and per_lag[1] == g.size - k + 1 - step
+            upper = np.concatenate([upper for upper, _ in bounds])
+            scores = np.full(upper.size, -np.inf)  # -inf where undefined
+            for lag in range(upper.size):
+                with contextlib.suppress(UndefinedCorrelationError):
+                    scores[lag] = correlation(f, g[lag : lag + k], centered)
+            defined = np.isfinite(scores)
+            assert np.all(scores[defined] <= upper[defined])
+            assert bounds[0][1] <= scores[:step].max() and bounds[1][1] <= scores[step:].max()
 
     def test_gap_handling(self, rng):
         f = rng.normal(size=30) + 60.0
