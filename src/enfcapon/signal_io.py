@@ -2,7 +2,7 @@
 
 WAV input is restricted to PCM 16-bit; anything else is rejected loudly
 rather than silently re-quantized.  read_wav reads only the header, and
-decimation reads a recording's samples one block at a time.
+decimation reads a recording's samples half a block at a time.
 
 Both signal kinds serve unscaled blocks, a SampledSignal's as views and
 a PcmRecording's codes cast into the caller's float64 buffer, and carry
@@ -22,13 +22,13 @@ from .errors import DegenerateInputError, UnsupportedFormatError
 
 PCM16_FULL_SCALE = 32768.0
 
-# Input samples multiplied at once (2 MB of float64): decimation views the
-# input as rows of `factor` samples and filters
-# max(1, BLOCK_SAMPLES // factor) rows per block, so a PCM recording is
-# cast into one reused float64 block, and a block is large enough
-# that BLAS, not the Python loop, sets the pace.  The block fixes the order
-# in which rows add into each output, so it also fixes the outputs' last
-# bits.  pipeline.estimate windows at most this many frame samples at once.
+# Input samples per decimation block: decimation views the input as rows of
+# `factor` samples and adds max(1, BLOCK_SAMPLES // factor) rows' products
+# into the outputs per block, which fixes the order in which rows add into
+# each output, so also the outputs' last bits.  A block is multiplied in two
+# halves, so a PCM recording is cast into one reused 1 MB float64 part that
+# stays in a core's L2 cache while BLAS reads it.  pipeline.estimate
+# windows at most this many frame samples at once.
 BLOCK_SAMPLES = 1 << 18
 
 
@@ -211,10 +211,10 @@ def decimate(signal, factor):
     SampledSignal.  The low-pass group delay is compensated so the output
     is time-aligned with the input; origin_offset_s is unchanged.  Only
     the kept outputs are computed, by polyphase decomposition (Crochiere &
-    Rabiner, Multirate Digital Signal Processing, 1983, ch. 3): one matrix
-    product per block of max(1, 2**18 // factor) rows of `factor` samples,
-    so a recording is cast into one reused 2 MB float64 block unless one
-    row is longer.  A recording's blocks are read from its file here, in
+    Rabiner, Multirate Digital Signal Processing, 1983, ch. 3), in blocks of
+    max(1, 2**18 // factor) rows of `factor` samples, each multiplied in
+    two halves, so a recording is cast into one reused 1 MB float64 part
+    unless one row is longer.  A recording is read from its file here, in
     increasing order, so a recording of a pipe is decimated once.  The
     products run on unscaled values and each output is scaled once.  At
     factor 1 the blocks are cast or copied into a new array and scaled
@@ -249,35 +249,50 @@ def decimate(signal, factor):
 
 def _polyphase_filter(taps, signal, factor):
     """Every factor-th output of the delay-compensated convolution of the
-    signal's samples with the taps, as one matrix product per block of rows.
+    signal's samples with the taps, by matrix products over blocks of rows.
 
     With 10 * factor + 1 taps, the delay 5 * factor is a whole number of
     output samples, and output j is sum_k taps[k] x[(j + 5) * factor - k].
     Viewing the samples as rows of `factor`, row r adds
     phases[i] @ row r to output r + i - width // 2, where
     phases[i, q] = taps[i * factor - q] (zero outside the taps) and
-    width = 11.  The ceil(len / factor) rows go in blocks of unscaled
-    values (a recording's cast into one reused block, a SampledSignal's a
-    view), zero-padded if the last row is partial; the outputs are
+    width = 11; phase 0 is [taps[0], 0, ..., 0], so its line is taps[0]
+    times each row's first sample.  The ceil(len / factor) rows go in
+    blocks of max(1, BLOCK_SAMPLES // factor), each in two parts, read (a
+    recording's cast into one reused part, a SampledSignal's a view) and
+    multiplied while in cache into the columns of one product whose 11
+    lines add into the outputs once per block, as one product per block
+    would.  The signal's last part is zero-padded to its rows in a whole
+    block, as narrower products take other OpenBLAS kernels with other
+    bits.  The products run on unscaled values, and the outputs are
     multiplied by signal.scale at the end.
     """
     width = (taps.size - 1) // factor + 1
     phases = np.ascontiguousarray(
-        np.concatenate((np.zeros(factor - 1), taps)).reshape(width, factor)[:, ::-1]
+        np.concatenate((np.zeros(factor - 1), taps)).reshape(width, factor)[1:, ::-1]
     )
     n_rows = -(-len(signal) // factor)
     # Output j accumulates at j + width // 2, so rows near either end need
     # no clipping; the margins are sliced off at the end.
     acc = np.zeros(n_rows + width - 1)
     step = max(1, BLOCK_SAMPLES // factor)
-    block = np.empty(min(step, n_rows) * factor) if isinstance(signal, PcmRecording) else None
+    half = -(-step // 2)
+    product = np.empty((width, step))
+    part = np.empty(half * factor)
     for first in range(0, n_rows, step):
         stop = min(first + step, n_rows)
-        rows = signal.unscaled(first * factor, stop * factor, block)
-        if rows.size < (stop - first) * factor:
-            rows = np.concatenate((rows, np.zeros((stop - first) * factor - rows.size)))
-        product = phases @ rows.reshape(-1, factor).T
-        for i, line in enumerate(product):
+        for start in range(first, stop, half):
+            end = min(start + half, first + step)  # the part as in a whole block
+            rows = signal.unscaled(start * factor, min(end, stop) * factor, part)
+            if rows.size < (end - start) * factor:
+                part[rows.size : (end - start) * factor] = 0.0
+                part[: rows.size] = rows  # numpy skips a recording's own part
+                rows = part[: (end - start) * factor]
+            rows = rows.reshape(end - start, factor)
+            columns = product[:, start - first : end - first]
+            np.multiply(rows[:, 0], taps[0], out=columns[0])
+            np.matmul(phases, rows.T, out=columns[1:])
+        for i, line in enumerate(product[:, : stop - first]):
             acc[first + i : stop + i] += line
     outputs = acc[width // 2 : acc.size - width // 2]
     outputs *= signal.scale

@@ -11,10 +11,11 @@ its quadratic form at every bin (capon_psd_dense).  The dense helpers
 form the Toeplitz machinery with explicit matrices.  The package reads
 a WAV's data chunk one block at a time into a reused int16 buffer and
 makes float64 samples of each block; wav_floats here reads and converts
-the whole data chunk at once.  It decimates by one matrix product per
-block of polyphase rows and band-passes by overlap-save in fixed
-real-FFT blocks; the full-rate helpers here convolve the whole signal
-with one FFT and keep the outputs they need.  The package matches a
+the whole data chunk at once.  It decimates by matrix products over half
+blocks of polyphase rows, which decimate_whole_blocks here takes as one
+product per block, and band-passes by overlap-save in fixed real-FFT
+blocks; the full-rate helpers here convolve the whole signal with one
+FFT and keep the outputs they need.  The package matches a
 track by FFT sums that nominate candidate lags; the scan here scores
 every lag through `correlation`.
 """
@@ -30,7 +31,7 @@ from enfcapon.bandpass import design_bandpass
 from enfcapon.errors import IncompatibleInputError, UndefinedCorrelationError
 from enfcapon.matching import MatchResult, correlation
 from enfcapon.pipeline import VALID_ENVELOPE_HZ, _decimation_factor
-from enfcapon.signal_io import SampledSignal, anti_alias_filter
+from enfcapon.signal_io import BLOCK_SAMPLES, SampledSignal, anti_alias_filter
 from enfcapon.windowing import make_window
 
 
@@ -58,6 +59,29 @@ def decimate_full_rate(signal, factor):
     filtered = fftconvolve(signal.samples, taps, mode="same")
     return SampledSignal(filtered[::factor], signal.sample_rate_hz / factor,
                          signal.origin_offset_s)
+
+
+def decimate_whole_blocks(signal, factor):
+    """decimate() at factor > 1 with one matrix product of all 11 phases
+    per block of max(1, 2**18 // factor) rows, then the 11 line adds: the
+    layout whose order of additions, and so whose bits, decimate keeps.
+    signal is read whole: a SampledSignal or a seekable PcmRecording."""
+    taps = anti_alias_filter(factor, signal.sample_rate_hz)
+    width = (taps.size - 1) // factor + 1
+    phases = np.ascontiguousarray(
+        np.concatenate((np.zeros(factor - 1), taps)).reshape(width, factor)[:, ::-1])
+    n_rows = -(-len(signal) // factor)
+    samples = np.zeros(n_rows * factor)
+    samples[: len(signal)] = signal.unscaled(0, len(signal), samples)
+    acc = np.zeros(n_rows + width - 1)
+    step = max(1, BLOCK_SAMPLES // factor)
+    for first in range(0, n_rows, step):
+        stop = min(first + step, n_rows)
+        product = phases @ samples[first * factor : stop * factor].reshape(-1, factor).T
+        for i, line in enumerate(product):
+            acc[first + i : stop + i] += line
+    outputs = acc[width // 2 : acc.size - width // 2] * signal.scale
+    return SampledSignal(outputs, signal.sample_rate_hz / factor, signal.origin_offset_s)
 
 
 def apply_zero_phase_full(coeffs, signal):

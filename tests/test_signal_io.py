@@ -24,7 +24,7 @@ from enfcapon.signal_io import (
     read_wav,
     write_wav,
 )
-from oracle import decimate_full_rate, wav_floats
+from oracle import decimate_full_rate, decimate_whole_blocks, wav_floats
 
 
 def write_raw_wav(path, pcm, n_channels=1, sampwidth=2, rate=44100):
@@ -288,6 +288,33 @@ class TestPcmRecording:
         assert out.samples.tobytes() == decimate(
             SampledSignal(expected, 44100.0), factor).samples.tobytes()
 
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    @pytest.mark.parametrize("n_channels", [1, 2, 3])
+    @pytest.mark.parametrize("factor", [2, 20, 100])
+    @pytest.mark.parametrize("last_block", ["one_part", "past_one_part"])
+    def test_parts_keep_the_bits_of_whole_block_products(self, tmp_path, rng, source,
+                                                         n_channels, factor, last_block):
+        # Each block of rows is multiplied in two parts, yet every output
+        # keeps the bits of one product per block: the same rows add into
+        # it in the same order.  The last block holds at least one part,
+        # so the parent layout took no narrow product either, and the last
+        # row is partial.
+        step = BLOCK_SAMPLES // factor
+        last_rows = -(-step // 2) + (3 if last_block == "past_one_part" else 0)
+        n_frames = (step + last_rows) * factor - factor // 2
+        path = tmp_path / "pcm.wav"
+        write_random_wav(path, rng, n_frames, n_channels)
+        expected = decimate_whole_blocks(read_wav(path), factor)
+        if source == "pipe":
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("needs named pipes")
+            with fed_pipe(tmp_path / "pipe.wav", path.read_bytes()) as pipe:
+                out = decimate(read_wav(pipe), factor)
+        else:
+            out = decimate(read_wav(path), factor)
+        assert len(out) == -(-n_frames // factor)
+        assert out.samples.tobytes() == expected.samples.tobytes()
+
     def test_file_truncated_after_read_wav(self, tmp_path, rng):
         path = tmp_path / "pcm.wav"
         write_random_wav(path, rng, 3000, 2)
@@ -481,19 +508,25 @@ class TestDecimate:
         assert (out.sample_rate_hz, out.origin_offset_s) == (441.0, 2.5)
         assert np.max(np.abs(out.samples - expected.samples)) <= 1e-12
 
-    @pytest.mark.parametrize("factor", [20, 100, 109])
+    @pytest.mark.parametrize("factor", [2, 7, 20, 100, 109, 400])
     def test_extending_the_signal_keeps_earlier_outputs_bit_for_bit(self, rng, factor):
-        # Blocks of rows are laid out from the first sample at a size fixed
-        # by the factor alone, so outputs that read only the first two
-        # blocks' rows (all but the last width // 2 = 5 of a two-block
-        # prefix) take the same products and sums in a longer signal,
-        # here one ending in a partial block and a partial row.
+        # Blocks of rows, and the two parts each is multiplied in, are laid
+        # out from the first sample at sizes fixed by the factor alone, the
+        # signal's last part zero-padded to its rows in a whole block.  So
+        # a prefix of whole rows whose last block is narrow, down to one
+        # row, gives every output but the last width // 2 = 5, which read
+        # rows past its end, the bits that a longer signal (ending in a
+        # partial block and a partial row) gives them.
         step = max(1, BLOCK_SAMPLES // factor)
+        half = -(-step // 2)
         samples = rng.normal(size=(3 * step + 3) * factor + factor // 2 + 1)
-        prefix = decimate(SampledSignal(samples[: 2 * step * factor], 441.0 * factor), factor)
         full = decimate(SampledSignal(samples, 441.0 * factor), factor)
-        n = 2 * step - 5
-        assert prefix.samples[:n].tobytes() == full.samples[:n].tobytes()
+        for last_rows in [*range(1, 65), half, half + 3, step]:
+            n_rows = step + last_rows
+            prefix = decimate(SampledSignal(samples[: n_rows * factor], 441.0 * factor), factor)
+            n = len(prefix) - 5
+            assert n == n_rows - 5
+            assert prefix.samples[:n].tobytes() == full.samples[:n].tobytes(), last_rows
 
     def test_transient_stays_below_a_whole_signal_product(self, rng):
         # Two minutes at 44.1 kHz: the (n_out, 11) product of every row at
@@ -507,16 +540,18 @@ class TestDecimate:
     @needs_proc
     @pytest.mark.parametrize("n_channels", [1, 2])
     def test_a_recording_holds_one_block_of_float64_at_a_time(self, tmp_path, rng, n_channels):
-        # Two minutes of 44.1 kHz codes: each block's float64 (2.1 MB) must
-        # go before the next block's is made; two at once would not fit.
-        # Beside them the recording holds one block of codes (0.5 MB a
-        # channel) and nothing resident that tracemalloc does not see.
+        # Two minutes of 44.1 kHz codes, multiplied half a block at a time:
+        # beside the outputs the recording holds one part's float64
+        # (1.05 MB) and codes (0.26 MB a channel), the block's (11, rows)
+        # product and nothing resident that tracemalloc does not see.
+        # A whole block's float64 would not fit.
         n_frames = 120 * 44100
         path = tmp_path / "pcm.wav"
         write_random_wav(path, rng, n_frames, n_channels)
-        block = (BLOCK_SAMPLES // 100) * 100
-        bound = 8 * (n_frames // 100) + (8 + 2) * block + (1 << 20)
-        assert bound < 8 * (n_frames // 100) + 2 * 8 * block
+        step = BLOCK_SAMPLES // 100
+        part = -(-step // 2) * 100
+        bound = 8 * (n_frames // 100) + (8 + 2 * n_channels) * part + 8 * 11 * step + (1 << 18)
+        assert bound < 8 * (n_frames // 100) + 8 * 2 * part
 
         def decimated():
             resident = resident_bytes()
