@@ -1,9 +1,8 @@
 """Track-to-reference matching by maximum-correlation lag search.
 
-The default correlation is the uncentered cosine similarity; ENF values
-sit around the nominal frequency with milli-hertz variation, so centered
-(Pearson) correlation differs materially and must be requested
-explicitly.
+The default correlation is the uncentered cosine similarity; centered
+(Pearson) correlation, which differs materially for ENF values near the
+nominal frequency, must be requested explicitly.
 
 FFT sums over every lag's valid pairs (Lewis, "Fast Normalized
 Cross-Correlation", 1995) nominate lags; `correlation` scores, in lag
@@ -13,6 +12,7 @@ Lags are 0-based internally; reports use 1-based indexing.
 """
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -147,15 +147,9 @@ def _bounds(k, f_side, seg, o, centered, nfft):
     """Upper bounds on `correlation` at the lags of a k-frame query in seg
     (inf if unsure, NaN below two pairs), and the best lower bound.  n and
     s* are each lag's valid-pair count and sums of a = f - o, a^2,
-    b = seg - o, ab and b^2, within e* (after Higham 2002, section 24.1).
-
-    Regular lags share one bound E: those with two pairs or more, no
-    infinity, raw sums of squares below 1e250, and ff and gg over _FAR
-    times the bounds on their errors, so that a few near-degenerate lags
-    do not loosen E for the whole block.  `_sure`'s err is monotone in its
-    inputs, so E, err at their extremes over the regular lags (the most
-    pairs, the largest |a|, |b|, |p|, |q| and |c|, the smallest ff and gg),
-    holds at each of them.  `_sure` bounds the other lags one by one.
+    b = seg - o, ab and b^2, within e*.  `err` grows with n, |c|, 1 / ff
+    and 1 / gg, so E, err at their extremes over the regular lags, holds at
+    each of them; the other lags get err at their own n, ff, gg and |c|.
     """
     b = np.where(np.isfinite(seg), seg - o, 0.0)
     amax, bmax = f_side[2], max(b.max(), -b.min())
@@ -168,32 +162,36 @@ def _bounds(k, f_side, seg, o, centered, nfft):
             spectrum = rfft(b * b if j == 2 else b if j == 1 else ~np.isnan(seg), nfft)
         row[:] = irfft(f_side[0][i] * spectrum, nfft)[: row.size]
     del b, spectrum
-    n, sa, saa, sb, sab, sbb = np.rint(sums[0], out=sums[0]), *sums[1:]
+    n = np.rint(sums[0], out=sums[0])
     clean = np.full(n.size, f_side[3])  # no infinity at the lag
     if np.isinf(seg).any():
         infs = np.concatenate([[0], np.cumsum(np.isinf(seg))])
         clean &= infs[k:] == infs[:-k]
-    # Sums about p = sa / n and q = sb / n, or about -o, with the same
-    # error bound as `_about`'s, at lags of 2 to K pairs with |p| <= p_max.
     K, _, ea, eaa, eb, eab, ebb = f_side[1][0], *e
     two = n >= 2
+    p_max = q_max = abs(o)  # |p| and |q| at most
+    mf = mg = 0.0  # |p + o| and |q + o| at most: raw sums of squares <= ff + n mf^2
     if centered:
-        p = sa / n
-        ff, fg, p_max = saa - p * sa, sab - p * sb, _abs_max(p, two)
-        del p
-        q = sb / n
-        gg, q_max = sbb - q * sb, _abs_max(q, two)
-        del q
-        mf, mg = p_max + abs(o), q_max + abs(o)  # bounds on the means of f and seg
-    else:
-        p_max = q_max = abs(o)
-        mf = mg = 0.0
-        no2 = n * (o * o)
-        ff, gg, fg = saa + 2 * o * sa + no2, sbb + 2 * o * sb + no2, sab + o * (sa + sb) + no2
-        del no2
-    eff = _about_bound(K, amax, amax, p_max, p_max, eaa, ea, ea)
-    egg = _about_bound(K, bmax, bmax, q_max, q_max, ebb, eb, eb)
-    efg = _about_bound(K, amax, bmax, p_max, q_max, eab, ea, eb)
+        p_max, q_max = _abs_max(sums[1] / n, two), _abs_max(sums[3] / n, two)
+        mf, mg = p_max + abs(o), q_max + abs(o)
+    ff, gg, fg = _centred(sums, o, centered)
+
+    def errors(n):
+        """Bounds on the errors of ff, gg and fg at lags of 2 to n pairs."""
+        return (_about_bound(n, amax, amax, p_max, p_max, eaa, ea, ea),
+                _about_bound(n, bmax, bmax, q_max, q_max, ebb, eb, eb),
+                _about_bound(n, amax, bmax, p_max, q_max, eab, ea, eb))
+
+    def err(n, ff, gg, c):
+        """A bound on |correlation - fg / sqrt(ff gg)|, its rounding included
+        (after Higham 2002, section 24.1), at lags of 2 to n pairs, ff and gg
+        at least and |fg| / sqrt(ff gg) at most those given."""
+        eff, egg, efg = errors(n)
+        return 2 * (efg / (np.sqrt(ff) * np.sqrt(gg)) + c * (eff / ff + egg / gg) / 2
+                    + (n + 4) * _U * (3 + 2 * (np.sqrt(1 + n * mf * mf / ff)
+                                               + np.sqrt(1 + n * mg * mg / gg))))
+
+    eff, egg, _ = errors(K)  # regular lags: ff and gg far above their errors
     regular = two & clean & (ff > _FAR * eff + 1e-250) & (gg > _FAR * egg + 1e-250)
     ffmin, ggmin = ff.min(where=regular, initial=np.inf), gg.min(where=regular, initial=np.inf)
     c = np.sqrt(ff, out=ff)
@@ -201,20 +199,36 @@ def _bounds(k, f_side, seg, o, centered, nfft):
     c = np.divide(fg, c, out=c)
     del gg, fg
     cmax, cmin = c.max(where=regular, initial=-np.inf), c.min(where=regular, initial=np.inf)
-    err = 2 * (efg / (np.sqrt(ffmin) * np.sqrt(ggmin))
-               + max(cmax, -cmin) * (eff / ffmin + egg / ggmin) / 2
-               + (K + 4) * _U * (3 + 2 * (np.sqrt(1 + K * mf * mf / ffmin)
-                                          + np.sqrt(1 + K * mg * mg / ggmin))))
-    upper, low = np.add(c, err, out=c), cmax - err
-    if not (err < 1 and K * (max(amax, bmax) + abs(o)) ** 2 < 1e250):
+    E = err(K, ffmin, ggmin, max(cmax, -cmin))
+    upper, low = np.add(c, E, out=c), cmax - E
+    if not (E < 1 and K * (max(amax, bmax) + abs(o)) ** 2 < 1e250):
         regular[:], low = False, -np.inf
     rest = np.flatnonzero(~regular)
     if rest.size:
-        c, err, sure = _sure(sums[:, rest], e, o, centered)
-        sure &= clean[rest]
-        upper[rest] = np.where(sums[0, rest] >= 2, np.where(sure, c + err, np.inf), np.nan)
-        low = max(low, np.where(sure, c - err, -np.inf).max())
+        n = sums[0, rest]
+        ff, gg, fg = _centred(sums[:, rest], o, centered)
+        c = fg / (np.sqrt(ff) * np.sqrt(gg))  # ff * gg may underflow
+        eff, egg, _ = errors(n)
+        e = err(n, ff, gg, abs(c))
+        sure = (clean[rest] & two[rest] & (e < 1)
+                & (np.minimum(ff - 4 * eff, gg - 4 * egg) > 1e-250)
+                & (np.maximum(ff + n * mf * mf, gg + n * mg * mg) < 1e250))  # raw sums of squares
+        upper[rest] = np.where(two[rest], np.where(sure, c + e, np.inf), np.nan)
+        low = max(low, np.where(sure, c - e, -np.inf).max())
     return upper, low
+
+
+def _centred(sums, o, centered):
+    """ff, gg and fg: the sums of a^2, b^2 and ab about p = sa / n and
+    q = sb / n, or about -o uncentered."""
+    n, sa, saa, sb, sab, sbb = sums
+    if centered:
+        p = sa / n
+        ff, fg = saa - p * sa, sab - p * sb
+        q = np.divide(sb, n, out=p)  # in p's place: one array fewer at a time
+        return ff, sbb - q * sb, fg
+    no2 = n * (o * o)
+    return saa + 2 * o * sa + no2, sbb + 2 * o * sb + no2, sab + o * (sa + sb) + no2
 
 
 def _abs_max(x, where):
@@ -222,38 +236,13 @@ def _abs_max(x, where):
     return max(x.max(where=where, initial=0.0), -x.min(where=where, initial=0.0))
 
 
-def _about(sxy, sx, sy, n, p, q, exy, ex, ey):
-    """Sum of (x - p)(y - q) from the raw sums, and a bound on its error."""
-    t = (sxy, -q * sx, -p * sy, n * p * q)
-    return sum(t), exy + abs(q) * ex + abs(p) * ey + ex * ey / n + 4 * _U * sum(map(abs, t))
-
-
 def _about_bound(k, mx, my, p, q, exy, ex, ey):
-    """A bound on `_about`'s error bound at every lag of 2 to k pairs with
-    |x| <= mx, |y| <= my, |p| <= p and |q| <= q."""
+    """A bound on the error of the sum of (x - p')(y - q') that `_centred`
+    forms, at every lag of 2 to k pairs with |x| <= mx, |y| <= my,
+    |p'| <= p and |q'| <= q."""
     sx, sy = k * mx + ex, k * my + ey  # |sx| and |sy| at most
     return (exy + q * ex + p * ey + ex * ey / 2
             + 4 * _U * (k * mx * my + exy + q * sx + p * sy + k * p * q))
-
-
-def _sure(sums, e, o, centered):
-    """c, err and sure at each lag of sums (n and s*, within e*): sure lags
-    free of infinities have a defined `correlation` within err of c; err
-    adds its own rounding."""
-    n, sa, saa, sb, sab, sbb = sums
-    _, ea, eaa, eb, eab, ebb = e
-    p, q = (sa / n, sb / n) if centered else (-o, -o)
-    ff, eff = _about(saa, sa, sa, n, p, p, eaa, ea, ea)
-    gg, egg = _about(sbb, sb, sb, n, q, q, ebb, eb, eb)
-    fg, efg = _about(sab, sa, sb, n, p, q, eab, ea, eb)
-    f2, g2 = ff + n * (p + o) ** 2, gg + n * (q + o) ** 2  # raw sums of squares
-    den = np.sqrt(ff) * np.sqrt(gg)  # ff * gg may underflow
-    c = fg / den
-    err = 2 * (efg / den + abs(c) * (eff / ff + egg / gg) / 2
-               + (n + 4) * _U * (3 + 2 * (np.sqrt(f2 / ff) + np.sqrt(g2 / gg))))
-    sure = ((n >= 2) & (err < 1) & (np.minimum(ff - 4 * eff, gg - 4 * egg) > 1e-250)
-            & (np.maximum(f2, g2) < 1e250))
-    return c, err, sure
 
 
 def fisher_test(c1, c2, n, alpha=0.05):
@@ -267,6 +256,8 @@ def fisher_test(c1, c2, n, alpha=0.05):
     """
     if not (abs(c1) < 1.0 and abs(c2) < 1.0):
         raise IncompatibleInputError("correlations must lie strictly inside (-1, 1)")
+    if not isinstance(n, numbers.Integral):
+        raise IncompatibleInputError("n must be an integer number of observations")
     if not 3 < n <= sys.float_info.max:  # beyond it, sqrt(n - 3) overflows
         raise IncompatibleInputError(f"need 3 < n <= {sys.float_info.max:g} observations")
     if not 0.0 < alpha < 1.0:

@@ -52,11 +52,14 @@ def wav_floats(path):
 
 def decimate_full_rate(signal, factor):
     """decimate(): anti-alias filter at the full rate, then keep every
-    factor-th output of the delay-compensated convolution."""
+    factor-th output of the delay-compensated convolution, exactly zero
+    where the whole input window is zero."""
     if factor == 1:
         return signal
     taps = anti_alias_filter(factor, signal.sample_rate_hz)
     filtered = fftconvolve(signal.samples, taps, mode="same")
+    nonzero_count = fftconvolve(signal.samples != 0.0, np.ones(taps.size), mode="same")
+    filtered[nonzero_count < 0.5] = 0.0
     return SampledSignal(filtered[::factor], signal.sample_rate_hz / factor,
                          signal.origin_offset_s)
 

@@ -181,6 +181,33 @@ def test_overlapping_layouts_match_per_frame_oracle(five_minute_fixture, frame_l
     assert float(np.nanmax(np.abs(batched - oracle))) <= 1e-9
 
 
+# Worst |df| over 60 seeds (0-59) of 30 s fixtures at 1 s frames: 1.8e-10,
+# 4.1e-10 and 1.06e-9 Hz; each bound is ~2.8x that.
+@pytest.mark.parametrize("order, bound_hz", [(16, 5e-10), (32, 1.2e-9), (64, 3e-9)])
+def test_high_capon_orders_match_per_frame_oracle(order, bound_hz):
+    signal = make_power_fixture(FIXTURE_SEED, duration_s=30.0).signal
+    config = power_config(capon_order=order)
+    batched = extract_enf(signal, config).freq_hz
+    oracle = per_frame_track(signal, config)
+    np.testing.assert_array_equal(np.isnan(batched), np.isnan(oracle))
+    assert float(np.nanmax(np.abs(batched - oracle))) <= bound_hz
+
+
+@pytest.mark.parametrize("factor", [2, 3, 10])
+def test_full_rate_zero_run_matches_per_frame_oracle(factor):
+    # Digital silence in a recording above the working rate: decimation
+    # keeps it exactly zero, so the frames inside it are NaN in both chains.
+    rate = 441.0 * factor
+    samples = make_power_fixture(FIXTURE_SEED, duration_s=40.0, sample_rate_hz=rate).signal.samples
+    samples[round(15 * rate) : round(30 * rate)] = 0.0
+    signal = SampledSignal(samples, rate)
+    for estimator in ("capon", "stft"):
+        config = power_config(estimator=estimator)
+        batched = extract_enf(signal, config).freq_hz
+        np.testing.assert_array_equal(np.isnan(batched), np.isnan(per_frame_track(signal, config)))
+        assert 0 < np.isnan(batched).sum() < batched.size
+
+
 @pytest.mark.parametrize("estimator, pad_factor", [("capon", 4), ("stft", 4), ("stft", 64)])
 def test_long_overlapping_frames_stay_within_a_few_signal_copies(five_minute_fixture,
                                                                  estimator, pad_factor):

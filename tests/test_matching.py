@@ -73,6 +73,26 @@ def match_inputs(draw):
     return spoil(draw, rng, f), spoil(draw, rng, g)
 
 
+def spy_on_tiers(monkeypatch):
+    """Lists that fill, one entry per FFT block, with `_bounds`'s result and
+    the number of lags given per-lag bounds."""
+    bounds, per_lag = [], []
+    block_bounds, centred = matching._bounds, matching._centred
+
+    def spy_bounds(*args):
+        per_lag.append(None)
+        bounds.append(block_bounds(*args))
+        return bounds[-1]
+
+    def spy_centred(sums, *args):  # a block's first call takes every lag
+        per_lag[-1] = 0 if per_lag[-1] is None else per_lag[-1] + sums.shape[1]
+        return centred(sums, *args)
+
+    monkeypatch.setattr(matching, "_bounds", spy_bounds)
+    monkeypatch.setattr(matching, "_centred", spy_centred)
+    return bounds, per_lag
+
+
 @pytest.fixture(scope="module")
 def day_long():
     """A 30-minute query at 1 s frames, cut at lag 51,234 from a 24-hour
@@ -291,20 +311,7 @@ class TestBestLag:
         g[8000], g[9000] = np.inf, -np.inf
         g[step + 2000 : step + 2005] = 1e150
         f = g[12000 : 12000 + k] + 1e-4 * rng.normal(size=k)
-        bounds, per_lag = [], []
-
-        def spy_bounds(*args):
-            per_lag.append(0)
-            bounds.append(block_bounds(*args))
-            return bounds[-1]
-
-        def spy_sure(sums, *args):
-            per_lag[-1] += sums.shape[1]
-            return lag_bounds(sums, *args)
-
-        block_bounds, lag_bounds = matching._bounds, matching._sure
-        monkeypatch.setattr(matching, "_bounds", spy_bounds)
-        monkeypatch.setattr(matching, "_sure", spy_sure)
+        bounds, per_lag = spy_on_tiers(monkeypatch)
         for centered in (False, True):
             assert_same_match(f, g, centered)
             bounds.clear()
@@ -321,6 +328,67 @@ class TestBestLag:
             defined = np.isfinite(scores)
             assert np.all(scores[defined] <= upper[defined])
             assert bounds[0][1] <= scores[:step].max() and bounds[1][1] <= scores[step:].max()
+
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_zero_run_gets_per_lag_bounds_not_rescored(self, monkeypatch, centered):
+        # A dropout written as 100 frames of 0.0 instead of NaN, in the
+        # first of two FFT blocks of a random walk like the day-long
+        # reference, loosens that block's FFT error bounds: centered, most
+        # of its lags fall to per-lag bounds, which still rule them out.
+        # Scoring those lags directly instead would score thousands.
+        k = 1800
+        step = _fft_length(k, 2**20) - k + 1
+        rng = np.random.default_rng(86400)
+        g = 60.0 + np.cumsum(rng.normal(0.0, 0.002, step + k - 1 + 500))
+        for start in (2500, 12000):
+            g[start : start + rng.integers(50, 400)] = np.nan
+        g[4000:4100] = 0.0
+        f = g[9000 : 9000 + k] + rng.normal(0.0, 1e-3, k)
+        f[rng.choice(k, size=18, replace=False)] = np.nan
+        assert repr(best_lag(f, g, centered)) == repr(best_lag_scan(f, g, centered))
+        bounds, per_lag = spy_on_tiers(monkeypatch)
+        scored = []
+
+        def counted(*args, **kwargs):
+            scored.append(args)
+            return correlation(*args, **kwargs)
+
+        monkeypatch.setattr(matching, "correlation", counted)
+        assert best_lag(f, g, centered).best_lag == 9000
+        assert 1 <= len(scored) <= 2
+        assert per_lag[0] > 0 or not centered  # uncentered, every lag is regular
+        upper, low = bounds[0]
+        scores = np.full(step, -np.inf)  # -inf where undefined
+        for lag in range(step):
+            with contextlib.suppress(UndefinedCorrelationError):
+                scores[lag] = correlation(f, g[lag : lag + k], centered)
+        defined = np.isfinite(scores)
+        assert np.all(scores[defined] <= upper[defined]) and low <= scores.max()
+
+    def test_flat_query_around_the_shift_is_not_decided_by_its_bounds(self, monkeypatch):
+        # The reference is mostly exactly 60.0, so the shift is 60.0, and the
+        # query is 60 within 1e-13.  Centered, `correlation`'s own rounding
+        # then bounds its error by more than 1 at every lag, beyond the range
+        # where the bound is derived: no lag is decided by its bound.  A
+        # bound that is used has err < 1, so it lies within 2 of the lag's
+        # correlation.
+        rng = np.random.default_rng(5)
+        k = 40
+        g = 60.0 + 1e-3 * np.cumsum(rng.normal(size=3000))
+        g[1000:2600] = 60.0
+        f = 60.0 + 1e-13 * rng.normal(size=k)
+        bounds, _ = spy_on_tiers(monkeypatch)
+        for centered in (False, True):
+            bounds.clear()
+            assert_same_match(f, g, centered)
+            (upper, _), = bounds
+            scores = np.full(upper.size, np.nan)
+            for lag in range(upper.size):
+                with contextlib.suppress(UndefinedCorrelationError):
+                    scores[lag] = correlation(f, g[lag : lag + k], centered)
+            used = np.isfinite(upper) & np.isfinite(scores)
+            assert np.all(upper[used] - scores[used] < 2)
+            assert np.isfinite(upper).any() != centered  # centered, err > 1 at every lag
 
     def test_gap_handling(self, rng):
         f = rng.normal(size=30) + 60.0
@@ -375,6 +443,7 @@ class TestFisher:
     @pytest.mark.parametrize("args", [
         (1.0, 0.5, 100, 0.05), (0.5, math.nan, 100, 0.05), (0.5, 0.4, 3, 0.05),
         (0.5, 0.4, 10**400, 0.05), (0.5, 0.4, 100, 0.0), (0.5, 0.4, 100, 5e-324),
+        (0.5, 0.4, 10.5, 0.05),
     ])
     def test_every_rejection_is_incompatible_input(self, args):
         with pytest.raises(IncompatibleInputError):
