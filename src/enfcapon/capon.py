@@ -1,16 +1,15 @@
-"""Fast filter-bank Capon spectral estimation over all frames at once.
+"""Fast filter-bank Capon spectral estimation over many frames at once.
 
 Per frame: biased Toeplitz autocovariance of order m+1, Levinson-Durbin
 solve, the one Gohberg-Semencul generator the inverse needs, and its
 diagonal sums in one pass as the coefficients x_i of the trigonometric
 polynomial phi_den(omega) = x_0 + 2 sum_i x_i cos(omega i).  The PSD is
-(m+1) over that denominator.  Every stage runs once over the frame axis;
-only the recursions over the order m loop in Python.
-
-The inverted matrix has order M = m + 1 (the filter length, default 11),
-not the frame length, so the displacement machinery is cheap and the
-autocovariance dominates.  capon_band_power evaluates the
-denominator only at the in-band bins the peak search reads.
+(m+1) over that denominator at the in-band bins the peak search reads.
+Every stage runs once over the rows it is given; only the recursions
+over the order m loop in Python.  M = m + 1 (default 11), not the frame
+length, sizes all but the autocovariance, the one stage that reads the
+frames: capon_coeffs and capon_power go on from its rows, so a caller
+can give each stage its own row count.  capon_band_power chains them.
 """
 
 import numpy as np
@@ -96,21 +95,33 @@ def denom_coeffs(gamma):
     return np.stack(sums, axis=-1)
 
 
-def capon_band_power(frames, bins, grid_size, order=DEFAULT_ORDER):
-    """Capon PSD (m+1)/phi_den of every frame (K, N) at the grid bins
-    omega_q = 2 pi q / Q listed in bins, as one (M x B) cosine sum.
-
-    Returns (power, valid); a frame is invalid when it has no energy,
-    fails a Levinson step, or has a non-positive denominator at a bin.
-    """
-    rho = estimate_autocovariance(frames, order)
+def capon_coeffs(rho):
+    """Denominator coefficients (..., M) and valid mask of every
+    autocovariance row rho (..., M), rho_0 loaded in a copy."""
+    rho = np.array(rho, dtype=np.float64)
     rho[..., 0] *= 1.0 + DEFAULT_LOADING
     w, alpha, valid = levinson_solve(rho)
-    coeffs = denom_coeffs(gs_factors(w, alpha))
+    return denom_coeffs(gs_factors(w, alpha)), valid
+
+
+def cosine_table(bins, grid_size, order=DEFAULT_ORDER):
+    """(M, B) table whose product with coefficient rows is phi_den at bins."""
     lags = np.arange(order + 1)
     phase = spectral.phase_table(lags, bins, grid_size)
-    phi_den = coeffs @ (np.where(lags == 0, 1.0, 2.0)[:, None] * np.cos(phase))
-    valid = valid & np.all(phi_den > 0.0, axis=-1)
-    with np.errstate(divide="ignore"):
-        return (order + 1) / phi_den, valid
+    return np.where(lags == 0, 1.0, 2.0)[:, None] * np.cos(phase)
 
+
+def capon_power(coeffs, valid, table):
+    """(power, valid): the Capon PSD (m+1)/phi_den, phi_den = coeffs @ table,
+    of every coefficient row; a row with phi_den <= 0 at a bin turns invalid."""
+    phi_den = coeffs @ table
+    with np.errstate(divide="ignore"):
+        return coeffs.shape[-1] / phi_den, valid & np.all(phi_den > 0.0, axis=-1)
+
+
+def capon_band_power(frames, bins, grid_size, order=DEFAULT_ORDER):
+    """Capon PSD of every frame (K, N) at the grid bins omega_q = 2 pi q / Q
+    listed in bins, as (power, valid); a frame is invalid when it has no
+    energy, fails a Levinson step, or has a non-positive phi_den at a bin."""
+    coeffs, valid = capon_coeffs(estimate_autocovariance(frames, order))
+    return capon_power(coeffs, valid, cosine_table(bins, grid_size, order))

@@ -70,6 +70,8 @@ def correlation(f, g_seg, centered=False):
             if not math.isfinite(f.sum() + g_seg.sum()):  # then a norm overflows too
                 raise UndefinedCorrelationError(
                     "correlation undefined for a vector of infinite norm")
+        if f.min() == f.max() or g_seg.min() == g_seg.max():  # f - f.mean() may round off 0
+            raise UndefinedCorrelationError("correlation undefined for constant vector")
         f = f - f.mean()
         g_seg = g_seg - g_seg.mean()
     norm_f = np.linalg.norm(f)
@@ -96,7 +98,8 @@ def best_lag(f, g, centered=False):
     k = f.size
     if g.size < k:
         raise IncompatibleInputError(f"reference length {g.size} shorter than track length {k}")
-    if k < 2:
+    finite = f[np.isfinite(f)]  # all equal (centered) or 0: every lag undefined
+    if k < 2 or not np.any(finite != (finite[:1] if centered else 0.0)):
         raise UndefinedCorrelationError("correlation undefined at every lag")
     nfft, o = _fft_length(k, g.size), _shift(g)
     low, kept = -np.inf, []

@@ -142,16 +142,40 @@ def _decimation_factor(sample_rate_hz, working_rate_hz):
 
 def estimate_frames(frames, config):
     """Peak frequency in Hz of every row of frames (K, N) at the working
-    rate, from the config's estimator evaluated only at its search bins.
-    NaN marks a frame with no usable estimate.
+    rate, from the config's estimator evaluated only at its search bins,
+    each stage in one pass over all rows.  NaN marks an unusable frame.
     """
-    grid_size, bins = config.grid_size, config.search_bins
-    if config.estimator == "capon":
-        power, valid = capon.capon_band_power(frames, bins, grid_size, config.capon_order)
-    else:
-        power, valid = spectral.stft_band_power(frames, bins, grid_size)
-    freqs, _ = spectral.band_peak(power, bins, grid_size, config.working_rate_hz)
-    return np.where(valid, freqs, np.nan)
+    return _peak_freqs(lambda i, j: frames[i:j], len(frames), config, sys.maxsize)
+
+
+def _peak_freqs(frames, count, config, half):
+    """estimate_frames of the count rows frames(i, j) gives, each stage over
+    max(1, half // width) rows of its own width at a time (once if none):
+    N samples for the STFT and the autocovariance, M = m + 1 for the
+    recursions, which run outermost, and B bins for the cosine sum and the
+    peak search."""
+    bins, m, n = config.search_bins, config.capon_order, config.frame_samples[0]
+
+    def blocks(width, size, stage):
+        step = max(1, half // width)
+        return np.concatenate([stage(i, min(i + step, size)) for i in range(0, max(size, 1), step)])
+
+    def peaks(power, valid):
+        freqs, _ = spectral.band_peak(power, bins, config.grid_size, config.working_rate_hz)
+        return np.where(valid, freqs, np.nan)
+
+    if config.estimator == "stft":
+        return blocks(n, count, lambda i, j: peaks(*spectral.stft_band_power(
+            frames(i, j), bins, config.grid_size)))
+    table = capon.cosine_table(bins, config.grid_size, m)
+
+    def recursions(i, j):
+        coeffs, valid = capon.capon_coeffs(  # rho is not kept: its loaded copy replaces it
+            blocks(n, j - i, lambda a, b: capon.estimate_autocovariance(frames(i + a, i + b), m)))
+        return blocks(len(bins), j - i,
+                      lambda a, b: peaks(*capon.capon_power(coeffs[a:b], valid[a:b], table)))
+
+    return blocks(m + 1, count, recursions)
 
 
 def prepare(signal, config):
@@ -179,10 +203,10 @@ def prepare(signal, config):
 
 
 def estimate(filtered, config):
-    """Per-frame ENF track of a prepared signal, mapped to the fundamental.
-
-    Frames whose estimate is degenerate or falls outside the sanity
-    envelope around nominal are recorded as NaN entries.
+    """Per-frame ENF track of a prepared signal, mapped to the fundamental,
+    each stage over half a block of its own rows (_peak_freqs), so no work
+    array grows with the signal.  Frames whose estimate is degenerate or
+    falls outside the sanity envelope around nominal are NaN entries.
     """
     rate = config.working_rate_hz
     if filtered.sample_rate_hz != rate:
@@ -195,14 +219,8 @@ def estimate(filtered, config):
         )
     window = make_window(config.window, frame_len)
     rows = np.lib.stride_tricks.sliding_window_view(filtered.samples, frame_len)[::shift]
-    # Windowed frames are formed min(len(filtered), BLOCK_SAMPLES) //
-    # frame_len rows at a time (at least one), so a block and the
-    # estimator's work arrays stay a few MB however long the signal.
-    block = max(1, min(len(filtered), BLOCK_SAMPLES) // frame_len)
-    freqs = np.concatenate([
-        estimate_frames(rows[start : start + block] * window, config)
-        for start in range(0, len(rows), block)
-    ]) / config.harmonic
+    freqs = _peak_freqs(lambda i, j: rows[i:j] * window, len(rows), config, BLOCK_SAMPLES // 2)
+    freqs /= config.harmonic
     freqs[np.abs(freqs - config.nominal_hz) > VALID_ENVELOPE_HZ] = np.nan
 
     indices = np.arange(len(rows), dtype=np.int64)

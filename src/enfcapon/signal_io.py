@@ -27,8 +27,8 @@ PCM16_FULL_SCALE = 32768.0
 # into the outputs per block, which fixes the order in which rows add into
 # each output, so also the outputs' last bits.  A block is multiplied in two
 # halves, so a PCM recording is cast into one reused 1 MB float64 part that
-# stays in a core's L2 cache while BLAS reads it.  pipeline.estimate
-# windows at most this many frame samples at once.
+# stays in a core's L2 cache while BLAS reads it.  pipeline.estimate runs
+# each stage on as many rows of its own width as fill such a half.
 BLOCK_SAMPLES = 1 << 18
 
 

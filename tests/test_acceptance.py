@@ -18,9 +18,9 @@ from conftest import make_tone, random_pd_toeplitz, traced_peak
 from enfcapon.bench import run_bench
 from enfcapon.capon import denom_coeffs, estimate_autocovariance, gs_factors, levinson_solve
 from enfcapon.matching import best_lag, correlation, fisher_test
-from enfcapon.pipeline import (PipelineConfig, estimate, estimate_frames, extract_enf,
-                               power_config)
-from enfcapon.signal_io import SampledSignal
+from enfcapon.pipeline import (VALID_ENVELOPE_HZ, PipelineConfig, estimate, estimate_frames,
+                               extract_enf, power_config, prepare)
+from enfcapon.signal_io import BLOCK_SAMPLES, SampledSignal
 from enfcapon.spectral import band_peak
 from enfcapon.synthetic import make_power_fixture
 from enfcapon.windowing import WINDOW_KINDS, make_window
@@ -160,6 +160,22 @@ def test_batched_matches_per_frame_oracle(power_fixture):
     report(10, f"batched track equals per-frame oracle (max |df| {worst:.1e} Hz)")
 
 
+def test_estimate_blocks_keep_the_bits_of_one_whole_array_pass(power_fixture):
+    # At 1 s frames the autocovariance runs in chunks of 297 of the 1,797
+    # frames, and the recursions and the cosine sum each in one block.
+    config = power_config()
+    filtered = prepare(power_fixture.signal, config)
+    n, shift = config.frame_samples
+    frames = np.lib.stride_tricks.sliding_window_view(filtered.samples, n)[::shift]
+    frames = frames * make_window(config.window, n)
+    half = BLOCK_SAMPLES // 2
+    assert 2 * (half // n) < len(frames) <= half // max(config.capon_order + 1,
+                                                        config.search_bins.size)
+    whole = estimate_frames(frames, config) / config.harmonic
+    whole[np.abs(whole - config.nominal_hz) > VALID_ENVELOPE_HZ] = np.nan
+    assert estimate(filtered, config).freq_hz.tobytes() == whole.tobytes()
+
+
 @pytest.fixture(scope="module")
 def five_minute_fixture():
     return make_power_fixture(FIXTURE_SEED, duration_s=300.0)
@@ -208,7 +224,8 @@ def test_full_rate_zero_run_matches_per_frame_oracle(factor):
         assert 0 < np.isnan(batched).sum() < batched.size
 
 
-@pytest.mark.parametrize("estimator, pad_factor", [("capon", 4), ("stft", 4), ("stft", 64)])
+@pytest.mark.parametrize("estimator, pad_factor",
+                         [("capon", 4), ("capon", 64), ("stft", 4), ("stft", 64)])
 def test_long_overlapping_frames_stay_within_a_few_signal_copies(five_minute_fixture,
                                                                  estimator, pad_factor):
     signal = five_minute_fixture.signal

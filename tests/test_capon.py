@@ -311,6 +311,11 @@ class TestEstimateFrame:
         assert np.isfinite(est[0])
         assert np.isnan(est[1])
 
+    @pytest.mark.parametrize("estimator", ["capon", "stft"])
+    def test_no_frames_give_no_estimates(self, estimator):
+        est = estimate_frames(np.zeros((0, 441)), power_config(estimator=estimator))
+        assert est.shape == (0,)
+
     def test_monte_carlo_median_error(self):
         rng = np.random.default_rng(21)
         window = make_window("parzen", 441)

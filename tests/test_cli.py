@@ -360,6 +360,15 @@ class TestMatch:
         assert f"{paths[bad]}: frame indices must be consecutive" in result.output
         assert str(paths[1 - bad]) not in result.output
 
+    def test_constant_query_centered_exit_code(self, runner, fixture_files, tmp_path):
+        _, ref = fixture_files
+        query = tmp_path / "flat.csv"
+        write_cadence_track(query, 40, 1.0, np.full(40, 60.01))
+        result = runner.invoke(main, ["match", str(query), str(ref), "--centered"])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "correlation undefined at every lag" in result.output
+
     def test_lag_seconds_uses_track_cadence(self, runner, tmp_path):
         rng = np.random.default_rng(9)
         freqs = 60.0 + 0.01 * rng.normal(size=200)

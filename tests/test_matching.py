@@ -194,6 +194,37 @@ class TestBestLag:
         assert result.best_lag == 50
         assert result.correlation == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("query, centered", [(np.full(1800, 60.01), True),
+                                                 (np.zeros(1800), False)])
+    def test_query_undefined_at_every_lag_is_rejected_unscored(self, day_long, monkeypatch,
+                                                               query, centered):
+        # A constant query (centered) or a zero one (uncentered), with NaNs
+        # and an infinity, has no correlation at any lag: it is rejected
+        # before any of the 84,601 lags is scored.
+        query = query.copy()
+        query[[5, 900]] = np.nan
+        query[17] = np.inf
+        _, g, _ = day_long
+        scored = []
+        monkeypatch.setattr(matching, "correlation", lambda *args, **kw: scored.append(args))
+        with pytest.raises(UndefinedCorrelationError, match="undefined at every lag"):
+            best_lag(query, g, centered)
+        assert scored == []
+
+    def test_constant_query_uncentered_keeps_its_match(self, day_long):
+        _, g, _ = day_long
+        assert_same_match(np.full(1800, 60.01), g, False)
+
+    def test_constant_stretches_have_no_centered_correlation(self):
+        # The mean of 3 x 0.1 rounds, so 0.1 - mean is not 0: a vector's
+        # values, not its centred norm, show that it is constant.
+        g = np.array([0.3, 0.1, 0.1, 0.1, 0.7, 0.2])
+        with pytest.raises(UndefinedCorrelationError, match="constant"):
+            correlation(np.full(3, 0.1), g[:3], centered=True)
+        with pytest.raises(UndefinedCorrelationError, match="constant"):
+            correlation(g[3:], g[1:4], centered=True)
+        assert_same_match(np.array([1.0, 2.0, 4.0]), g, True)
+
     def test_reference_too_short(self):
         with pytest.raises(ValueError):
             best_lag(np.ones(10), np.ones(5))

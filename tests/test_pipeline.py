@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from conftest import make_tone, overlap_save_call, resident_bytes, traced_peak
+from enfcapon import capon, spectral
 from enfcapon.bandpass import apply_zero_phase, design_bandpass
 from enfcapon.errors import DegenerateInputError, IncompatibleInputError
-from enfcapon.pipeline import (PipelineConfig, estimate, extract_enf, power_config,
-                               prepare, speech_config)
+from enfcapon.pipeline import (PipelineConfig, estimate, estimate_frames, extract_enf,
+                               power_config, prepare, speech_config)
 from enfcapon.signal_io import BLOCK_SAMPLES, SampledSignal, decimate, read_wav, write_wav
 from enfcapon.spectral import band_bins
 from enfcapon.synthetic import make_power_fixture
 from enfcapon.track import read_track, write_track
+from enfcapon.windowing import make_window
 from oracle import per_frame_track
 
 
@@ -296,9 +298,10 @@ class TestExtract:
         # silence.  extract_enf holds the signal once, band-passed where it
         # was read, and beside it work arrays of a block or so: while it
         # reads, one block of codes and one of float64; while it
-        # estimates, one block of windowed frames and the Capon work on
-        # them.  The allowance is those two blocks plus 1 MB; the peak
-        # measured 3.2 MB over the signal, 0.47 MB inside the allowance.
+        # estimates, half a block of windowed frames and the Capon work on
+        # the frames' autocovariance.  The allowance is those two blocks
+        # plus 1 MB; the peak measured 1.9 MB over the signal (3.0 MB when
+        # each 2 MB block of frames ran every Capon stage).
         # Holding the decimated and the band-passed signal at once, or
         # windowing a signal's worth of frames, would not fit.
         rate, seconds = 441, 1200
@@ -310,6 +313,44 @@ class TestExtract:
         track, peak = traced_peak(lambda: extract_enf(read_wav(path), power_config()))
         assert len(track) == (seconds * rate - 1000) // rate
         assert peak <= 8 * samples.size + allowance
+
+    @pytest.mark.parametrize("estimator, frame_len_s, shift_s, count", [
+        ("capon", 0.1, 0.01, 12_500), ("capon", 20.0, 1.0, 100), ("stft", 0.1, 0.01, 12_500)])
+    def test_each_stage_takes_half_a_block_of_its_own_rows(self, rng, monkeypatch, estimator,
+                                                           frame_len_s, shift_s, count):
+        # 12,500 frames of 0.1 s run the recursions in two blocks, with the
+        # autocovariance and the cosine sum in their own chunks inside each;
+        # at 20 s the ~7,600 band bins of pad 64 give cosine sums of 17 rows.
+        config = power_config(estimator=estimator, frame_len_s=frame_len_s, shift_s=shift_s,
+                              pad_factor=64)
+        n, shift = config.frame_samples
+        samples = make_tone(180.0, 441.0, (n + (count - 1) * shift) / 441.0)
+        filtered = SampledSignal(samples + 0.1 * rng.normal(size=samples.size), 441.0)
+        stages = {"estimate_autocovariance": (capon, n),
+                  "capon_coeffs": (capon, config.capon_order + 1),
+                  "capon_power": (capon, config.search_bins.size),
+                  "stft_band_power": (spectral, n)}
+        rows = {name: [] for name in stages}
+        for name, (module, _) in stages.items():
+            def spy(first, *args, stage=getattr(module, name), sizes=rows[name]):
+                sizes.append(len(first))
+                return stage(first, *args)
+            monkeypatch.setattr(module, name, spy)
+        track = estimate(filtered, config)
+        for name, (_, width) in stages.items():
+            if rows[name]:
+                step = BLOCK_SAMPLES // 2 // width
+                assert sum(rows[name]) == count
+                assert max(rows[name]) <= step and len(rows[name]) >= -(-count // step)
+        # The recursions, of the narrowest rows, run outermost in whole blocks.
+        blocks = -(-count // (BLOCK_SAMPLES // 2 // (config.capon_order + 1)))
+        assert len(rows["capon_coeffs"]) == (blocks if estimator == "capon" else 0)
+        monkeypatch.undo()
+        frames = np.lib.stride_tricks.sliding_window_view(filtered.samples, n)[::shift]
+        whole = estimate_frames(frames * make_window(config.window, n), config) / 3.0
+        whole[np.abs(whole - 60.0) > 1.0] = np.nan
+        np.testing.assert_array_equal(np.isnan(track.freq_hz), np.isnan(whole))
+        assert np.nanmax(np.abs(track.freq_hz - whole)) <= 1e-9
 
     def test_timestamps_account_for_filter_delay(self):
         track = extract_enf(tone_signal(180.0), power_config())

@@ -89,11 +89,12 @@ class TestPeriodogram:
 
     @pytest.mark.parametrize("frame_len_s", [1.0, 20.0])
     def test_one_estimate_block_holds_one_complex_buffer(self, rng, frame_len_s):
-        # One estimate block of BLOCK_SAMPLES // N frames is transformed in
-        # one zero-padded (rows, L) complex buffer, which the power rows
-        # join.  The rest (chirps, kernel, the power's temporaries) measured
-        # 0.29 MB at 1 s and 0.60 MB at 20 s; the margin is 1 MB.  A second
-        # complex copy of the frames, or of the buffer, would not fit.
+        # BLOCK_SAMPLES // N frames, twice the rows estimate windows at a
+        # time, are transformed in one zero-padded (rows, L) complex buffer,
+        # which the power rows join.  The rest (chirps, kernel, the power's
+        # temporaries) measured 0.29 MB at 1 s and 0.60 MB at 20 s; the
+        # margin is 1 MB.  A second complex copy of the frames, or of the
+        # buffer, would not fit.
         config = power_config(estimator="stft", frame_len_s=frame_len_s)
         n, bins = config.frame_samples[0], config.search_bins
         frames = rng.normal(size=(BLOCK_SAMPLES // n, n)) * make_window("parzen", n)
