@@ -1,19 +1,15 @@
-"""Timing harness: the pipeline's in-band Capon kernel vs an explicit
-inverse, and its STFT band kernel at each frame length of the window study.
+"""Timing harness: the pipeline's Capon chain vs an explicit inverse, both
+estimators at each frame length of the window study, and the lag scan.
 
-Both Capon paths take the same batch of windowed frames to the Capon
-power at the same in-band bins, laid out as the default power config
-lays them out at the 441 Hz working rate.  The fast path is
-capon_band_power.  The dense baseline gathers the same loaded
-autocovariance into (K, M, M) Toeplitz matrices, inverts them with
-np.linalg.inv, and evaluates the quadratic form a*(omega) R^-1 a(omega)
-at every bin as batched matrix products.
-
-The STFT rows time stft_band_power alone, taking Parzen-windowed noise
-frames to |DFT|^2 / N at the default power config's in-band bins.
-
-The lag scan row times best_lag in each mode on `enf match`'s usual
-scale: a 30-minute query at 1 s frames along a 24-hour reference.
+Every estimator row takes Parzen-windowed white-noise frames to one peak
+frequency per frame at the in-band bins, laid out as the default power
+config lays them out at the 441 Hz working rate, through
+pipeline.estimate_frames, the chain estimate runs.  The dense baseline
+gathers the same loaded autocovariance into (K, M, M) Toeplitz matrices,
+inverts them with np.linalg.inv, evaluates a*(omega) R^-1 a(omega) at
+every bin as batched matrix products, and takes the same band_peak.  The
+lag scan row times best_lag in each mode on `enf match`'s usual scale: a
+30-minute query at 1 s frames along a 24-hour reference.
 """
 
 import contextlib
@@ -26,16 +22,16 @@ import numpy as np
 
 from . import capon, spectral
 from .matching import best_lag
-from .pipeline import power_config
+from .pipeline import ESTIMATORS, estimate_frames, power_config
 from .windowing import make_window
 
 # Frames of a 30-minute recording at the default 1 s frames and shift,
 # after the band-pass trims its 1000-sample edge.
 BENCH_FRAMES = 1797
 
-# The window study's frame lengths, each timed on a batch of STFT_FRAMES frames.
-STFT_FRAME_SECONDS = (1.0, 5.0, 10.0, 20.0)
-STFT_FRAMES = 60
+# The window study's frame lengths, each timed on a batch of STUDY_FRAMES frames.
+STUDY_FRAME_SECONDS = (1.0, 5.0, 10.0, 20.0)
+STUDY_FRAMES = 60
 
 # The lag scan row's query and reference lengths, in frames.
 LAG_SCAN_FRAMES = (1800, 86400)
@@ -79,53 +75,53 @@ def _spread_s(path, trials, prefix=""):
             zip(("min", "q1", "median", "q3"), np.percentile(times, [0, 25, 50, 75]))}
 
 
-def run_bench(trials=100, seed=0):
-    """Time of capon_band_power vs dense_band_power at the default order,
-    on one seeded batch of white-noise frames under the default window at
-    the bins and on the grid the default power config searches; under
-    "stft_band", of stft_band_power at each of STFT_FRAME_SECONDS; under
-    "lag_scan", of best_lag in each mode on LAG_SCAN_FRAMES.  Each
-    time is reported as its minimum, quartiles and median over the
-    trials; "host" records what else the times depend on."""
-    config = power_config()
-    frame_len, grid_size, bins = config.frame_samples[0], config.grid_size, config.search_bins
-    rng = np.random.default_rng(seed)
-    frames = rng.standard_normal((BENCH_FRAMES, frame_len)) * make_window(
-        config.window, frame_len)
+def _noise_frames(rng, count, config):
+    """count white-noise frames under the config's window, and their layout."""
+    n = config.frame_samples[0]
+    layout = {"frames": count, "frame_len": n, "grid_size": config.grid_size,
+              "bins": int(config.search_bins.size)}
+    return rng.standard_normal((count, n)) * make_window(config.window, n), layout
 
-    fast = partial(capon.capon_band_power, frames, bins, grid_size)
-    dense = partial(dense_band_power, frames, bins, grid_size)
-    # Sanity: both paths agree while we are at it.
-    np.testing.assert_allclose(fast()[0], dense(), rtol=1e-6)
+
+def run_bench(trials=100, seed=0):
+    """Time of estimate_frames vs dense_band_power then band_peak on
+    BENCH_FRAMES frames under the default power config; under
+    "frame_lengths", of estimate_frames under each estimator at each of
+    STUDY_FRAME_SECONDS; under "lag_scan", of best_lag in each mode on
+    LAG_SCAN_FRAMES.  Each time is reported as its minimum, quartiles and
+    median over the trials; "host" records what else the times depend on."""
+    config = power_config()
+    bins, grid_size = config.search_bins, config.grid_size
+    rng = np.random.default_rng(seed)
+    frames, layout = _noise_frames(rng, BENCH_FRAMES, config)
+
+    def dense():
+        power = dense_band_power(frames, bins, grid_size)
+        return spectral.band_peak(power, bins, grid_size, config.working_rate_hz)[0]
+
+    fast = partial(estimate_frames, frames, config)
+    # Sanity: both paths agree, NaN masks included, while we are at it.
+    np.testing.assert_allclose(fast(), dense(), rtol=0.0, atol=1e-9)
     spread = {**_spread_s(fast, trials, "fast_"), **_spread_s(dense, trials, "dense_")}
     return {
         "order": capon.DEFAULT_ORDER,
         "trials": trials,
         "seed": seed,
-        "frames": BENCH_FRAMES,
-        "frame_len": frame_len,
-        "grid_size": grid_size,
-        "bins": int(bins.size),
+        **layout,
         **spread,
         "speedup": spread["dense_median_s"] / spread["fast_median_s"],
-        "stft_band": [_bench_stft_band(trials, rng, seconds) for seconds in STFT_FRAME_SECONDS],
+        "frame_lengths": [_bench_frame_length(trials, rng, s) for s in STUDY_FRAME_SECONDS],
         "lag_scan": _bench_lag_scan(trials, rng),
         "host": host(),
     }
 
 
-def _bench_stft_band(trials, rng, frame_len_s):
-    config = power_config(frame_len_s=frame_len_s)
-    frame_len, grid_size, bins = config.frame_samples[0], config.grid_size, config.search_bins
-    frames = rng.standard_normal((STFT_FRAMES, frame_len)) * make_window("parzen", frame_len)
-    return {
-        "frame_len_s": frame_len_s,
-        "frames": STFT_FRAMES,
-        "frame_len": frame_len,
-        "grid_size": grid_size,
-        "bins": int(bins.size),
-        **_spread_s(partial(spectral.stft_band_power, frames, bins, grid_size), trials),
-    }
+def _bench_frame_length(trials, rng, frame_len_s):
+    frames, row = _noise_frames(rng, STUDY_FRAMES, power_config(frame_len_s=frame_len_s))
+    for estimator in ESTIMATORS:
+        config = power_config(frame_len_s=frame_len_s, estimator=estimator)
+        row.update(_spread_s(partial(estimate_frames, frames, config), trials, f"{estimator}_"))
+    return {"frame_len_s": frame_len_s, **row}
 
 
 def _bench_lag_scan(trials, rng):

@@ -9,7 +9,7 @@ Every stage runs once over the rows it is given; only the recursions
 over the order m loop in Python.  M = m + 1 (default 11), not the frame
 length, sizes all but the autocovariance, the one stage that reads the
 frames: capon_coeffs and capon_power go on from its rows, so a caller
-can give each stage its own row count.  capon_band_power chains them.
+can give each stage its own row count, as pipeline.estimate_frames does.
 """
 
 import numpy as np
@@ -88,10 +88,11 @@ def denom_coeffs(gamma):
     b = M - i - a, delta's sum is sum_b b gamma_b gamma_{b+i}, so the
     difference is one sum (Musicus, IEEE Trans. ASSP 33(5), 1985).  The
     full sequence is symmetric (x_{-i} = x_i); only i >= 0 is returned.
+    einsum sums each row alone, so a row's bits do not depend on the batch.
     """
     m = gamma.shape[-1]
-    sums = [(gamma[..., : m - i] * gamma[..., i:])
-            @ np.arange(m - i, i - m, -2, dtype=np.float64) for i in range(m)]
+    sums = [np.einsum("...j,...j,j->...", gamma[..., : m - i], gamma[..., i:],
+                      np.arange(m - i, i - m, -2, dtype=np.float64)) for i in range(m)]
     return np.stack(sums, axis=-1)
 
 
@@ -117,11 +118,3 @@ def capon_power(coeffs, valid, table):
     phi_den = coeffs @ table
     with np.errstate(divide="ignore"):
         return coeffs.shape[-1] / phi_den, valid & np.all(phi_den > 0.0, axis=-1)
-
-
-def capon_band_power(frames, bins, grid_size, order=DEFAULT_ORDER):
-    """Capon PSD of every frame (K, N) at the grid bins omega_q = 2 pi q / Q
-    listed in bins, as (power, valid); a frame is invalid when it has no
-    energy, fails a Levinson step, or has a non-positive phi_den at a bin."""
-    coeffs, valid = capon_coeffs(estimate_autocovariance(frames, order))
-    return capon_power(coeffs, valid, cosine_table(bins, grid_size, order))

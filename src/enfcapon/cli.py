@@ -341,9 +341,9 @@ def compare_windows(wav, reference, windows, frame_lengths, output, centered, **
 @click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def bench(trials, seed):
-    """Time the pipeline's in-band Capon kernel against an explicit inverse,
-    its STFT band kernel at each frame length of the window study, and the
-    lag scan of a 30-minute track along a 24-hour one."""
+    """Time the pipeline's Capon chain against an explicit inverse, both
+    estimators at each frame length of the window study, and the lag scan
+    of a 30-minute track along a 24-hour one."""
     click.echo(json.dumps(run_bench(trials=trials, seed=seed), indent=1))
 
 

@@ -142,22 +142,22 @@ def _decimation_factor(sample_rate_hz, working_rate_hz):
 
 def estimate_frames(frames, config):
     """Peak frequency in Hz of every row of frames (K, N) at the working
-    rate, from the config's estimator evaluated only at its search bins,
-    each stage in one pass over all rows.  NaN marks an unusable frame.
+    rate, from the config's estimator evaluated only at its search bins.
+    NaN marks an unusable frame.
     """
-    return _peak_freqs(lambda i, j: frames[i:j], len(frames), config, sys.maxsize)
+    return _peak_freqs(lambda i, j: frames[i:j], len(frames), config)
 
 
-def _peak_freqs(frames, count, config, half):
+def _peak_freqs(frames, count, config):
     """estimate_frames of the count rows frames(i, j) gives, each stage over
-    max(1, half // width) rows of its own width at a time (once if none):
-    N samples for the STFT and the autocovariance, M = m + 1 for the
-    recursions, which run outermost, and B bins for the cosine sum and the
-    peak search."""
+    as many rows as fill half a block (BLOCK_SAMPLES // 2) of its own width:
+    N samples for the STFT and the autocovariance, B bins for the cosine
+    sum and the peak search, and the five (rows, M) arrays, M = m + 1, the
+    recursions hold at once; the recursions run outermost."""
     bins, m, n = config.search_bins, config.capon_order, config.frame_samples[0]
 
     def blocks(width, size, stage):
-        step = max(1, half // width)
+        step = max(1, BLOCK_SAMPLES // 2 // width)
         return np.concatenate([stage(i, min(i + step, size)) for i in range(0, max(size, 1), step)])
 
     def peaks(power, valid):
@@ -175,7 +175,7 @@ def _peak_freqs(frames, count, config, half):
         return blocks(len(bins), j - i,
                       lambda a, b: peaks(*capon.capon_power(coeffs[a:b], valid[a:b], table)))
 
-    return blocks(m + 1, count, recursions)
+    return blocks(5 * (m + 1), count, recursions)
 
 
 def prepare(signal, config):
@@ -219,7 +219,7 @@ def estimate(filtered, config):
         )
     window = make_window(config.window, frame_len)
     rows = np.lib.stride_tricks.sliding_window_view(filtered.samples, frame_len)[::shift]
-    freqs = _peak_freqs(lambda i, j: rows[i:j] * window, len(rows), config, BLOCK_SAMPLES // 2)
+    freqs = _peak_freqs(lambda i, j: rows[i:j] * window, len(rows), config)
     freqs /= config.harmonic
     freqs[np.abs(freqs - config.nominal_hz) > VALID_ENVELOPE_HZ] = np.nan
 

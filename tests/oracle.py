@@ -7,7 +7,9 @@ takes one frame at a time through an explicit inverse, the full-grid
 spectrum, a peak search over the whole band and a scalar quadratic
 refinement.  The full-grid spectrum comes from one Hermitian FFT of the
 denominator coefficients (capon_psd) or from an explicit inverse and
-its quadratic form at every bin (capon_psd_dense).  The dense helpers
+its quadratic form at every bin (capon_psd_dense).  The package runs
+each stage of a batch over its own blocks of rows; stage_band_power and
+stage_peaks call each stage once over all rows.  The dense helpers
 form the Toeplitz machinery with explicit matrices.  The package reads
 a WAV's data chunk one block at a time into a reused int16 buffer and
 makes float64 samples of each block; wav_floats here reads and converts
@@ -26,7 +28,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, toeplitz
 from scipy.signal import fftconvolve
 
-from enfcapon import capon
+from enfcapon import capon, spectral
 from enfcapon.bandpass import design_bandpass
 from enfcapon.errors import IncompatibleInputError, UndefinedCorrelationError
 from enfcapon.matching import MatchResult, correlation
@@ -184,6 +186,24 @@ def capon_estimate_frame(frame, sample_rate_hz, band, order=10, pad_factor=4):
     coeffs = [np.trace(inverse, offset=i) for i in range(order + 1)]
     values = capon_psd(coeffs, pad_factor * frame.size)
     return peak_frequency(values, sample_rate_hz, band)
+
+
+def stage_band_power(frames, bins, grid_size, order=capon.DEFAULT_ORDER):
+    """(power, valid) of every frame (K, N) at the grid bins, each Capon
+    stage called once over all K rows."""
+    coeffs, valid = capon.capon_coeffs(capon.estimate_autocovariance(frames, order))
+    return capon.capon_power(coeffs, valid, capon.cosine_table(bins, grid_size, order))
+
+
+def stage_peaks(frames, config):
+    """estimate_frames(frames, config), each stage called once over all rows."""
+    bins, grid_size = config.search_bins, config.grid_size
+    if config.estimator == "stft":
+        power, valid = spectral.stft_band_power(frames, bins, grid_size)
+    else:
+        power, valid = stage_band_power(frames, bins, grid_size, config.capon_order)
+    freqs, _ = spectral.band_peak(power, bins, grid_size, config.working_rate_hz)
+    return np.where(valid, freqs, np.nan)
 
 
 def per_frame_track(signal, config):

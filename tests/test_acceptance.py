@@ -24,7 +24,7 @@ from enfcapon.signal_io import BLOCK_SAMPLES, SampledSignal
 from enfcapon.spectral import band_peak
 from enfcapon.synthetic import make_power_fixture
 from enfcapon.windowing import WINDOW_KINDS, make_window
-from oracle import capon_psd, inverse_from_gs, per_frame_track
+from oracle import capon_psd, inverse_from_gs, per_frame_track, stage_peaks
 
 FIXTURE_SEED = 20260823
 PSD_GRID = 64
@@ -162,16 +162,17 @@ def test_batched_matches_per_frame_oracle(power_fixture):
 
 def test_estimate_blocks_keep_the_bits_of_one_whole_array_pass(power_fixture):
     # At 1 s frames the autocovariance runs in chunks of 297 of the 1,797
-    # frames, and the recursions and the cosine sum each in one block.
+    # frames, and the recursions and the cosine sum each in one block:
+    # the track has the bits of each stage called once over all frames.
     config = power_config()
     filtered = prepare(power_fixture.signal, config)
     n, shift = config.frame_samples
     frames = np.lib.stride_tricks.sliding_window_view(filtered.samples, n)[::shift]
     frames = frames * make_window(config.window, n)
     half = BLOCK_SAMPLES // 2
-    assert 2 * (half // n) < len(frames) <= half // max(config.capon_order + 1,
+    assert 2 * (half // n) < len(frames) <= half // max(5 * (config.capon_order + 1),
                                                         config.search_bins.size)
-    whole = estimate_frames(frames, config) / config.harmonic
+    whole = stage_peaks(frames, config) / config.harmonic
     whole[np.abs(whole - config.nominal_hz) > VALID_ENVELOPE_HZ] = np.nan
     assert estimate(filtered, config).freq_hz.tobytes() == whole.tobytes()
 

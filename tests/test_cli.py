@@ -909,14 +909,14 @@ class TestBench:
         assert (report["frames"], report["frame_len"]) == (1797, 441)
         assert (report["grid_size"], report["bins"]) == (1764, 25)
         assert report["speedup"] > 0
-        stft = report["stft_band"]
+        lengths = report["frame_lengths"]
         assert [(row["frame_len_s"], row["frames"], row["frame_len"], row["bins"])
-                for row in stft] == [(1.0, 60, 441, 25), (5.0, 60, 2205, 121),
-                                     (10.0, 60, 4410, 239), (20.0, 60, 8820, 475)]
-        assert all(row["median_s"] > 0 for row in stft)
+                for row in lengths] == [(1.0, 60, 441, 25), (5.0, 60, 2205, 121),
+                                        (10.0, 60, 4410, 239), (20.0, 60, 8820, 475)]
         scan = report["lag_scan"]
         assert (scan["query_frames"], scan["reference_frames"]) == (1800, 86400)
-        for row, prefix in [(report, "fast_"), (report, "dense_"), *((r, "") for r in stft),
+        for row, prefix in [(report, "fast_"), (report, "dense_"),
+                            *((r, p) for r in lengths for p in ("capon_", "stft_")),
                             (scan, "uncentered_"), (scan, "centered_")]:
             spread = [row[f"{prefix}{name}_s"] for name in ("min", "q1", "median", "q3")]
             assert 0 < spread[0] <= spread[1] <= spread[2] <= spread[3]

@@ -16,7 +16,7 @@ from enfcapon.spectral import band_bins
 from enfcapon.synthetic import make_power_fixture
 from enfcapon.track import read_track, write_track
 from enfcapon.windowing import make_window
-from oracle import per_frame_track
+from oracle import per_frame_track, stage_peaks
 
 
 def tone_signal(freq_hz, duration_s=60.0, rate=441.0):
@@ -318,16 +318,17 @@ class TestExtract:
         ("capon", 0.1, 0.01, 12_500), ("capon", 20.0, 1.0, 100), ("stft", 0.1, 0.01, 12_500)])
     def test_each_stage_takes_half_a_block_of_its_own_rows(self, rng, monkeypatch, estimator,
                                                            frame_len_s, shift_s, count):
-        # 12,500 frames of 0.1 s run the recursions in two blocks, with the
-        # autocovariance and the cosine sum in their own chunks inside each;
-        # at 20 s the ~7,600 band bins of pad 64 give cosine sums of 17 rows.
+        # 12,500 frames of 0.1 s run the recursions, whose rows hold five
+        # (rows, M) arrays at once, in six blocks, with the autocovariance
+        # and the cosine sum in their own chunks inside each; at 20 s the
+        # ~7,600 band bins of pad 64 give cosine sums of 17 rows.
         config = power_config(estimator=estimator, frame_len_s=frame_len_s, shift_s=shift_s,
                               pad_factor=64)
         n, shift = config.frame_samples
         samples = make_tone(180.0, 441.0, (n + (count - 1) * shift) / 441.0)
         filtered = SampledSignal(samples + 0.1 * rng.normal(size=samples.size), 441.0)
         stages = {"estimate_autocovariance": (capon, n),
-                  "capon_coeffs": (capon, config.capon_order + 1),
+                  "capon_coeffs": (capon, 5 * (config.capon_order + 1)),
                   "capon_power": (capon, config.search_bins.size),
                   "stft_band_power": (spectral, n)}
         rows = {name: [] for name in stages}
@@ -343,14 +344,34 @@ class TestExtract:
                 assert sum(rows[name]) == count
                 assert max(rows[name]) <= step and len(rows[name]) >= -(-count // step)
         # The recursions, of the narrowest rows, run outermost in whole blocks.
-        blocks = -(-count // (BLOCK_SAMPLES // 2 // (config.capon_order + 1)))
+        blocks = -(-count // (BLOCK_SAMPLES // 2 // stages["capon_coeffs"][1]))
         assert len(rows["capon_coeffs"]) == (blocks if estimator == "capon" else 0)
         monkeypatch.undo()
         frames = np.lib.stride_tricks.sliding_window_view(filtered.samples, n)[::shift]
-        whole = estimate_frames(frames * make_window(config.window, n), config) / 3.0
+        whole = stage_peaks(frames * make_window(config.window, n), config) / 3.0
         whole[np.abs(whole - 60.0) > 1.0] = np.nan
         np.testing.assert_array_equal(np.isnan(track.freq_hz), np.isnan(whole))
         assert np.nanmax(np.abs(track.freq_hz - whole)) <= 1e-9
+
+    def test_long_capon_estimate_holds_a_fixed_few_blocks(self, rng):
+        # 3.5 hours at 1 s frames: 12,600 frames, beyond the 11,915 rows
+        # that would fill half a block at M = 11.  estimate alone peaked at
+        # 1.40 MB (5.27 MB when the recursions took half a block of M-wide
+        # rows, so five such arrays at once).
+        filtered = SampledSignal(rng.normal(size=int(3.5 * 3600 * 441)), 441.0)
+        track, peak = traced_peak(lambda: estimate(filtered, power_config()))
+        assert len(track) == 12_600
+        assert peak <= 2 << 20
+
+    @pytest.mark.parametrize("estimator", ["capon", "stft"])
+    def test_estimate_frames_work_stays_bounded(self, rng, estimator):
+        # 5,000 overlapping rows viewed on 5,440 samples.  The peak measured
+        # 2.73 MB for the STFT and 1.25 MB for Capon (40.5 and 2.58 MB when
+        # each stage ran once over all 5,000 rows).
+        rows = np.lib.stride_tricks.sliding_window_view(rng.normal(size=5440), 441)
+        freqs, peak = traced_peak(lambda: estimate_frames(rows, power_config(estimator=estimator)))
+        assert freqs.shape == (5000,)
+        assert peak <= 4 << 20
 
     def test_timestamps_account_for_filter_delay(self):
         track = extract_enf(tone_signal(180.0), power_config())
