@@ -1,5 +1,6 @@
 """Timing harness: the pipeline's Capon chain vs an explicit inverse, both
-estimators at each frame length of the window study, and the lag scan.
+estimators at each frame length of the window study, the lag scan, and
+the band-pass.
 
 Every estimator row takes Parzen-windowed white-noise frames to one peak
 frequency per frame at the in-band bins, laid out as the default power
@@ -9,7 +10,9 @@ gathers the same loaded autocovariance into (K, M, M) Toeplitz matrices,
 inverts them with np.linalg.inv, evaluates a*(omega) R^-1 a(omega) at
 every bin as batched matrix products, and takes the same band_peak.  The
 lag scan row times best_lag in each mode on `enf match`'s usual scale: a
-30-minute query at 1 s frames along a 24-hour reference.
+30-minute query at 1 s frames along a 24-hour reference.  The band-pass
+rows filter 30 minutes of noise at the working rate in place, as prepare
+does, with each preset's filter.
 """
 
 import contextlib
@@ -21,8 +24,10 @@ from functools import partial
 import numpy as np
 
 from . import capon, spectral
+from .bandpass import apply_zero_phase, design_bandpass
 from .matching import best_lag
-from .pipeline import ESTIMATORS, estimate_frames, power_config
+from .pipeline import ESTIMATORS, estimate_frames, power_config, speech_config
+from .signal_io import SampledSignal
 from .windowing import make_window
 
 # Frames of a 30-minute recording at the default 1 s frames and shift,
@@ -32,6 +37,9 @@ BENCH_FRAMES = 1797
 # The window study's frame lengths, each timed on a batch of STUDY_FRAMES frames.
 STUDY_FRAME_SECONDS = (1.0, 5.0, 10.0, 20.0)
 STUDY_FRAMES = 60
+
+# The band-pass rows' signal length, in seconds at the working rate.
+BANDPASS_SECONDS = 1800
 
 # The lag scan row's query and reference lengths, in frames.
 LAG_SCAN_FRAMES = (1800, 86400)
@@ -88,7 +96,8 @@ def run_bench(trials=100, seed=0):
     BENCH_FRAMES frames under the default power config; under
     "frame_lengths", of estimate_frames under each estimator at each of
     STUDY_FRAME_SECONDS; under "lag_scan", of best_lag in each mode on
-    LAG_SCAN_FRAMES.  Each time is reported as its minimum, quartiles and
+    LAG_SCAN_FRAMES; under "bandpass", of apply_zero_phase with each
+    preset's filter.  Each time is reported as its minimum, quartiles and
     median over the trials; "host" records what else the times depend on."""
     config = power_config()
     bins, grid_size = config.search_bins, config.grid_size
@@ -112,6 +121,8 @@ def run_bench(trials=100, seed=0):
         "speedup": spread["dense_median_s"] / spread["fast_median_s"],
         "frame_lengths": [_bench_frame_length(trials, rng, s) for s in STUDY_FRAME_SECONDS],
         "lag_scan": _bench_lag_scan(trials, rng),
+        "bandpass": [_bench_bandpass(trials, rng, preset)
+                     for preset in (power_config, speech_config)],
         "host": host(),
     }
 
@@ -122,6 +133,16 @@ def _bench_frame_length(trials, rng, frame_len_s):
         config = power_config(frame_len_s=frame_len_s, estimator=estimator)
         row.update(_spread_s(partial(estimate_frames, frames, config), trials, f"{estimator}_"))
     return {"frame_len_s": frame_len_s, **row}
+
+
+def _bench_bandpass(trials, rng, preset):
+    config = preset()
+    rate = config.working_rate_hz
+    coeffs = design_bandpass(rate, config.center_hz, config.passband_hz, config.taps)
+    signal = SampledSignal(rng.standard_normal(round(BANDPASS_SECONDS * rate)), rate)
+    out = signal.samples[: len(signal) - config.taps + 1]
+    return {"taps": config.taps, "samples": len(signal),
+            **_spread_s(partial(apply_zero_phase, coeffs, signal, out=out), trials)}
 
 
 def _bench_lag_scan(trials, rng):

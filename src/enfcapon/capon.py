@@ -114,7 +114,9 @@ def cosine_table(bins, grid_size, order=DEFAULT_ORDER):
 
 def capon_power(coeffs, valid, table):
     """(power, valid): the Capon PSD (m+1)/phi_den, phi_den = coeffs @ table,
-    of every coefficient row; a row with phi_den <= 0 at a bin turns invalid."""
-    phi_den = coeffs @ table
+    of every coefficient row; a row with phi_den <= 0 at a bin turns invalid.
+    einsum sums each row alone, where a BLAS product's order follows the
+    row count, so a row's bits do not depend on the batch."""
+    phi_den = np.einsum("...m,mb->...b", coeffs, table)
     with np.errstate(divide="ignore"):
         return coeffs.shape[-1] / phi_den, valid & np.all(phi_den > 0.0, axis=-1)

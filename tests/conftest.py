@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from enfcapon.bandpass import _BLOCKS_PER_CALL, _block_length
+from enfcapon.bandpass import _PAIRS_PER_CALL, _block_length
 
 
 def random_pd_toeplitz(rng, order, near_singular=False):
@@ -31,7 +31,7 @@ def make_tone(freq_hz, sample_rate_hz, duration_s, amplitude=1.0, phase=0.0):
 
 def overlap_save_call(taps):
     """Outputs of one overlap-save FFT call of a taps-long band-pass."""
-    return _BLOCKS_PER_CALL * (_block_length(taps) - (taps - 1))
+    return 2 * _PAIRS_PER_CALL * (_block_length(taps) - (taps - 1))
 
 
 def traced_peak(fn):

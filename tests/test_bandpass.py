@@ -4,7 +4,7 @@ from scipy.signal import firwin
 
 from conftest import make_tone, overlap_save_call, traced_peak
 from enfcapon import bandpass
-from enfcapon.bandpass import _BLOCKS_PER_CALL, _block_length, apply_zero_phase, design_bandpass
+from enfcapon.bandpass import _PAIRS_PER_CALL, _block_length, apply_zero_phase, design_bandpass
 from enfcapon.signal_io import BLOCK_SAMPLES, SampledSignal
 from oracle import apply_zero_phase_full
 
@@ -135,15 +135,16 @@ def _layout_lengths(taps):
     """Signal lengths at the edges of the overlap-save layout: one output
     more than the taps need, a signal one short of a block, output counts
     at, and one either side of, one and five block steps, and output
-    counts that leave 1 to _BLOCKS_PER_CALL real blocks in a padded last
-    call."""
+    counts that leave 1, 2, 3, 2 * _PAIRS_PER_CALL - 1 and 2 * _PAIRS_PER_CALL
+    blocks in a padded last call; odd counts leave a lone last block to
+    pair with zeros."""
     step = _block_step(taps)
     call = overlap_save_call(taps)
     lengths = {taps + 1, _block_length(taps) - 1}
     for k in (1, 5):
         for delta in (-1, 0, 1):
             lengths.add(k * step + delta + taps - 1)
-    for r in (1, step - 1, step, step + 1, call - 1):
+    for r in (1, step - 1, step, step + 1, 2 * step + 1, call - step, call - 1):
         lengths.add(call + r + taps - 1)
     return sorted(lengths)
 
@@ -162,14 +163,34 @@ def test_block_layout_edges_match_full_fft_convolution(rng, taps, n):
     assert np.max(np.abs(out.samples - expected.samples)) <= 1e-12
 
 
-@pytest.mark.parametrize("boundary_blocks", [1, _BLOCKS_PER_CALL, 5])
+@pytest.mark.parametrize("taps", [1001, 4801])
+def test_a_quiet_block_keeps_its_pairs_roundoff(rng, taps):
+    # Blocks 0 and 1 share one complex transform, so block 0's roundoff
+    # scales with the pair's norm, not its own: with block 0's inputs at
+    # 1e-6 of block 1's, it read 9.3e-16 and 8.0e-16 of the pair's RMS
+    # against direct convolution at 1,001 and 4,801 taps (6.3e-10 and
+    # 4.9e-10 of its own RMS), and block 1 2.3e-15 and 1.8e-15.
+    flt = design_bandpass(441.0, 180.0, 0.1, taps)
+    step = _block_step(taps)
+    n = 2 * step + taps - 1
+    samples = np.sin(2 * np.pi * 180.01 * np.arange(n) / 441.0) + rng.normal(0.0, 0.5, n)
+    samples[: step + taps - 1] *= 1e-6  # every input of block 0's outputs
+    out = apply_zero_phase(flt, SampledSignal(samples, 441.0)).samples
+    direct = np.convolve(samples, flt, mode="valid")
+    pair_rms = np.sqrt(np.mean(direct**2))
+    assert np.max(np.abs(out[:step] - direct[:step])) <= 1e-13 * pair_rms
+    assert np.max(np.abs(out[step:] - direct[step:])) <= 1e-13 * pair_rms
+
+
+@pytest.mark.parametrize("boundary_blocks", [1, 2, 5, 2 * _PAIRS_PER_CALL])
 def test_silence_across_a_block_boundary_filters_to_exact_zero(rng, power_filter,
                                                                boundary_blocks):
-    # Five full blocks and a partial one; the zero run's outputs straddle
-    # the first output of block boundary_blocks.
+    # One call's full blocks, one more and a partial one; the zero run's
+    # outputs straddle the first output of block boundary_blocks, inside a
+    # pair, at a pair edge or at a call edge.
     taps = power_filter.size
     step = _block_step(taps)
-    samples = rng.normal(size=5 * step + step // 2 + taps - 1)
+    samples = rng.normal(size=(2 * _PAIRS_PER_CALL + 1) * step + step // 2 + taps - 1)
     boundary = boundary_blocks * step
     samples[boundary - 1500 : boundary + 1500] = 0.0
     out = apply_zero_phase(power_filter, SampledSignal(samples, 441.0)).samples
@@ -240,7 +261,7 @@ def test_zero_runs_across_overlap_save_calls_filter_to_exact_zero(rng, power_fil
     # for zeros at a stride longer than taps would miss some of them.
     taps = power_filter.size
     call = overlap_save_call(taps)
-    samples = rng.normal(size=2 * BLOCK_SAMPLES + 5000)
+    samples = rng.normal(size=3 * BLOCK_SAMPLES + 5000)
     runs = [(0, 2000), (BLOCK_SAMPLES - 1500, BLOCK_SAMPLES + 1500),
             (2 * BLOCK_SAMPLES - taps, 2 * BLOCK_SAMPLES),
             (2 * BLOCK_SAMPLES + 1, 2 * BLOCK_SAMPLES + 1 + taps),
@@ -264,20 +285,21 @@ def test_zero_runs_across_overlap_save_calls_filter_to_exact_zero(rng, power_fil
 
 @pytest.mark.parametrize("taps", [3, 1001, 4801])
 def test_blocks_per_call_never_move_a_bit(rng, monkeypatch, taps):
-    # Every block's transform is the same whether or not it shares an FFT
-    # call, so the padded last call and any retuning of _BLOCKS_PER_CALL
+    # Every pair's transform is the same whether or not it shares an FFT
+    # call, so the padded last call and any retuning of _PAIRS_PER_CALL
     # leave the output as it is.  Zero runs cross call edges for every
-    # batching tried, and the signal ends inside a call.
+    # batching tried, and the signal ends inside a call, in a lone block
+    # paired with zeros.
     flt = (design_bandpass(441.0, 110.0, 100.0, 3) if taps == 3
            else design_bandpass(441.0, 180.0, 0.1, taps))
     step = _block_step(taps)
-    samples = rng.normal(size=17 * step + step // 3 + taps - 1)
+    samples = rng.normal(size=16 * step + step // 3 + taps - 1)
     for k in (1, 2, 3, 8, 12):
         samples[k * step - taps - 50 : k * step + taps + 50] = 0.0
     signal = SampledSignal(samples, 441.0)
     expected = apply_zero_phase(flt, signal).samples.tobytes()
-    for blocks_per_call in (1, 2, 3, 8):
-        monkeypatch.setattr(bandpass, "_BLOCKS_PER_CALL", blocks_per_call)
+    for pairs_per_call in (1, 2, 3, 4):
+        monkeypatch.setattr(bandpass, "_PAIRS_PER_CALL", pairs_per_call)
         assert apply_zero_phase(flt, signal).samples.tobytes() == expected
 
 
@@ -293,14 +315,15 @@ def test_traced_peak_stays_within_two_signal_copies(rng, taps):
 
 @pytest.mark.parametrize("taps", [1001, 4801])
 def test_filtering_in_place_holds_one_call_in_flight(rng, taps):
-    # In place, the transient is the FFT call in flight: its blocks, their
-    # spectra and their inverse transforms, written straight into the
-    # output, within four times the call's block bytes (1.05 and 4.19 MB).
-    # Padding the last run to a whole call and copying each call's outputs
-    # on the way traced 1.10 and 4.35 MB; without them, 0.98 and 3.41 MB.
+    # In place, the transient is the FFT call in flight: one complex
+    # buffer of its block pairs, filled from the run, transformed in place
+    # and written straight into the output, within twice its bytes (1.05
+    # and 2.10 MB at 4 pairs of 8,192 and 16,384 points).  It traced 0.66
+    # and 1.31 MB; zero-padding the last run on the way traced 1.23 and
+    # 2.08 MB, and the real-FFT blocks this layout replaced 0.98 and 3.41.
     flt = design_bandpass(441.0, 180.0, 0.1, taps)
     samples = rng.normal(size=1800 * 441)
     signal = SampledSignal(samples, 441.0)
     out = samples[: samples.size - taps + 1]
-    budget = 4 * _BLOCKS_PER_CALL * _block_length(taps) * 8
+    budget = 2 * _PAIRS_PER_CALL * _block_length(taps) * 16
     assert traced_peak(lambda: apply_zero_phase(flt, signal, out=out))[1] <= budget

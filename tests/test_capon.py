@@ -5,12 +5,16 @@ from scipy.linalg import toeplitz
 from conftest import make_tone, random_pd_toeplitz
 from enfcapon.bench import dense_band_power
 from enfcapon.capon import (
+    capon_coeffs,
+    capon_power,
+    cosine_table,
     denom_coeffs,
     estimate_autocovariance,
     gs_factors,
     levinson_solve,
 )
 from enfcapon.pipeline import MAX_CAPON_ORDER, estimate_frames, power_config
+from enfcapon.signal_io import BLOCK_SAMPLES
 from enfcapon.spectral import band_bins
 from enfcapon.windowing import make_window
 from oracle import (
@@ -210,6 +214,29 @@ class TestDenomCoeffs:
         gamma = gs_factors(w, alpha)
         parts = [denom_coeffs(gamma[i : i + split]) for i in range(0, len(gamma), split)]
         assert np.concatenate(parts).tobytes() == denom_coeffs(gamma).tobytes()
+
+
+class TestCaponPower:
+    @pytest.mark.parametrize("frame_len_s", [1.0, 20.0])
+    def test_row_bits_do_not_depend_on_the_batch(self, rng, frame_len_s):
+        # 30 minutes of noise framed as the pipeline frames it.  A BLAS
+        # coeffs @ table moved every row under 1-row splits, and at 20 s
+        # 1,565 of 1,781 rows under 7-row splits and 169 under the
+        # pipeline's 275-row spectrum blocks (one BLAS thread).
+        config = power_config(frame_len_s=frame_len_s)
+        (n, shift), bins = config.frame_samples, config.search_bins
+        rows = np.lib.stride_tricks.sliding_window_view(rng.normal(size=1800 * 441), n)[::shift]
+        window = make_window("parzen", n)
+        coeffs, valid = capon_coeffs(np.concatenate(
+            [estimate_autocovariance(rows[i : i + 100] * window)
+             for i in range(0, len(rows), 100)]))
+        table = cosine_table(bins, config.grid_size)
+        whole = capon_power(coeffs, valid, table)
+        for split in (1, 7, BLOCK_SAMPLES // 2 // bins.size):
+            parts = [capon_power(coeffs[i : i + split], valid[i : i + split], table)
+                     for i in range(0, len(coeffs), split)]
+            assert np.concatenate([power for power, _ in parts]).tobytes() == whole[0].tobytes()
+            np.testing.assert_array_equal(np.concatenate([v for _, v in parts]), whole[1])
 
 
 class TestCaponPsd:

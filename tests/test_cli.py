@@ -913,10 +913,14 @@ class TestBench:
         assert [(row["frame_len_s"], row["frames"], row["frame_len"], row["bins"])
                 for row in lengths] == [(1.0, 60, 441, 25), (5.0, 60, 2205, 121),
                                         (10.0, 60, 4410, 239), (20.0, 60, 8820, 475)]
+        bandpass = report["bandpass"]
+        assert [(row["taps"], row["samples"]) for row in bandpass] == [(1001, 793800),
+                                                                      (4801, 793800)]
         scan = report["lag_scan"]
         assert (scan["query_frames"], scan["reference_frames"]) == (1800, 86400)
         for row, prefix in [(report, "fast_"), (report, "dense_"),
                             *((r, p) for r in lengths for p in ("capon_", "stft_")),
+                            *((r, "") for r in bandpass),
                             (scan, "uncentered_"), (scan, "centered_")]:
             spread = [row[f"{prefix}{name}_s"] for name in ("min", "q1", "median", "q3")]
             assert 0 < spread[0] <= spread[1] <= spread[2] <= spread[3]
