@@ -7,6 +7,8 @@ nominal frequency, must be requested explicitly.
 FFT sums over every lag's valid pairs (Lewis, "Fast Normalized
 Cross-Correlation", 1995) nominate lags; `correlation` scores, in lag
 order, those an error bound cannot rule out: the result is a full scan's.
+Per reference block, one rfft takes its three series and one irfft per
+series gives that series' sums with the query's.
 
 Lags are 0-based internally; reports use 1-based indexing.
 """
@@ -24,6 +26,7 @@ from .errors import IncompatibleInputError, UndefinedCorrelationError
 
 _U = np.finfo(np.float64).eps / 2  # unit roundoff
 _FAR = 2.0 ** 16  # how far a regular lag's ff and gg lie above their error bounds
+_PART = 2048  # lags given per-lag bounds at a time
 
 
 @dataclass(frozen=True)
@@ -139,32 +142,49 @@ def _fft_length(k, n):
 
 
 def _shift(g):
-    """The value both series are shifted by: the median of at most 4,096 of
-    the finite reference values.  Any shift gives valid bounds; one near the
+    """The value both series are shifted by: the median of the finite values
+    among at most 4,096 evenly strided reference values, or of all finite
+    values if those hold none.  Any shift gives valid bounds; one near the
     values only makes them tight, and a sample serves as well as all."""
-    finite = g[np.isfinite(g)]
-    return float(np.median(finite[:: finite.size // 4096 + 1])) if finite.size else 0.0
+    sample = g[:: g.size // 4096 + 1]
+    sample = sample[np.isfinite(sample)]
+    if not sample.size:
+        sample = g[np.isfinite(g)]
+    return float(np.median(sample)) if sample.size else 0.0
 
 
 def _bounds(k, f_side, seg, o, centered, nfft):
     """Upper bounds on `correlation` at the lags of a k-frame query in seg
     (inf if unsure, NaN below two pairs), and the best lower bound.  n and
     s* are each lag's valid-pair count and sums of a = f - o, a^2,
-    b = seg - o, ab and b^2, within e*.  `err` grows with n, |c|, 1 / ff
-    and 1 / gg, so E, err at their extremes over the regular lags, holds at
-    each of them; the other lags get err at their own n, ff, gg and |c|.
+    b = seg - o, ab and b^2, within e*: each is one real series, a product
+    of two real series' spectra, through one real transform.  `err` grows
+    with n, |c|, 1 / ff and 1 / gg, so E, err at their extremes over the
+    regular lags, holds at each of them; the other lags get err at their own
+    n, ff, gg and |c|, _PART lags at a time.
     """
-    b = np.where(np.isfinite(seg), seg - o, 0.0)
+    # The series of seg: its valid mask, b = seg - o and b^2, each 0 where
+    # seg is not finite.
+    series = np.zeros((3, seg.size))
+    series[0] = ~np.isnan(seg)
+    b = np.subtract(seg, o, out=series[1], where=np.isfinite(seg))
     amax, bmax = f_side[2], max(b.max(), -b.min())
     x, y = [0, 1, 2, 0, 1, 0], [0, 0, 0, 1, 1, 2]  # the series paired in each sum
-    e = np.array([np.count_nonzero(~np.isnan(seg)), np.abs(b).sum(), np.square(b).sum()])
+    e = np.array([series[0].sum(), np.abs(b).sum(), np.square(b, out=series[2]).sum()])
     e = 32 * _U * math.log2(nfft) * f_side[1][x] * e[y]
-    sums = np.empty((6, seg.size - k + 1))
-    for row, i, j in zip(sums, x, y):  # one sum, and one series of seg, at a time
-        if i == 0:  # the first sum of seg's count, b and b^2
-            spectrum = rfft(b * b if j == 2 else b if j == 1 else ~np.isnan(seg), nfft)
-        row[:] = irfft(f_side[0][i] * spectrum, nfft)[: row.size]
-    del b, spectrum
+    spectra = rfft(series, nfft)
+    del series, b
+    # Series j of seg pairs with the query's first 3 - j series: their
+    # products go in place into spectra rows j on, row j's last as the
+    # others read it, and one irfft turns them into sums.  b^2 goes first
+    # and the mask last, so no spectrum is overwritten before its use.
+    fs, sums = f_side[0], np.empty((6, nfft))
+    for j, row in (2, 5), (1, 3), (0, 0):
+        np.multiply(fs[1 : 3 - j], spectra[j], out=spectra[j + 1 :])
+        np.multiply(fs[0], spectra[j], out=spectra[j])
+        irfft(spectra[j:], nfft, out=sums[row : row + 3 - j])
+    del spectra
+    sums = sums[:, : seg.size - k + 1]
     n = np.rint(sums[0], out=sums[0])
     clean = np.full(n.size, f_side[3])  # no infinity at the lag
     if np.isinf(seg).any():
@@ -172,12 +192,11 @@ def _bounds(k, f_side, seg, o, centered, nfft):
         clean &= infs[k:] == infs[:-k]
     K, _, ea, eaa, eb, eab, ebb = f_side[1][0], *e
     two = n >= 2
-    p_max = q_max = abs(o)  # |p| and |q| at most
+    p_max, q_max = _centre(sums, o, centered, two)  # |p| and |q| at most
     mf = mg = 0.0  # |p + o| and |q + o| at most: raw sums of squares <= ff + n mf^2
     if centered:
-        p_max, q_max = _abs_max(sums[1] / n, two), _abs_max(sums[3] / n, two)
         mf, mg = p_max + abs(o), q_max + abs(o)
-    ff, gg, fg = _centred(sums, o, centered)
+    ff, gg, fg = sums[2], sums[5], sums[4]
 
     def errors(n):
         """Bounds on the errors of ff, gg and fg at lags of 2 to n pairs."""
@@ -197,41 +216,49 @@ def _bounds(k, f_side, seg, o, centered, nfft):
     eff, egg, _ = errors(K)  # regular lags: ff and gg far above their errors
     regular = two & clean & (ff > _FAR * eff + 1e-250) & (gg > _FAR * egg + 1e-250)
     ffmin, ggmin = ff.min(where=regular, initial=np.inf), gg.min(where=regular, initial=np.inf)
-    c = np.sqrt(ff, out=ff)
-    c *= np.sqrt(gg, out=gg)
+    c = np.sqrt(ff)
+    c *= np.sqrt(gg)
     c = np.divide(fg, c, out=c)
-    del gg, fg
     cmax, cmin = c.max(where=regular, initial=-np.inf), c.min(where=regular, initial=np.inf)
     E = err(K, ffmin, ggmin, max(cmax, -cmin))
     upper, low = np.add(c, E, out=c), cmax - E
     if not (E < 1 and K * (max(amax, bmax) + abs(o)) ** 2 < 1e250):
         regular[:], low = False, -np.inf
     rest = np.flatnonzero(~regular)
-    if rest.size:
-        n = sums[0, rest]
-        ff, gg, fg = _centred(sums[:, rest], o, centered)
+    for i in range(0, rest.size, _PART):
+        part = rest[i : i + _PART]
+        n, ff, gg, fg = (sums[row, part] for row in (0, 2, 5, 4))
         c = fg / (np.sqrt(ff) * np.sqrt(gg))  # ff * gg may underflow
         eff, egg, _ = errors(n)
         e = err(n, ff, gg, abs(c))
-        sure = (clean[rest] & two[rest] & (e < 1)
+        sure = (clean[part] & two[part] & (e < 1)
                 & (np.minimum(ff - 4 * eff, gg - 4 * egg) > 1e-250)
                 & (np.maximum(ff + n * mf * mf, gg + n * mg * mg) < 1e250))  # raw sums of squares
-        upper[rest] = np.where(two[rest], np.where(sure, c + e, np.inf), np.nan)
+        upper[part] = np.where(two[part], np.where(sure, c + e, np.inf), np.nan)
         low = max(low, np.where(sure, c - e, -np.inf).max())
     return upper, low
 
 
-def _centred(sums, o, centered):
-    """ff, gg and fg: the sums of a^2, b^2 and ab about p = sa / n and
-    q = sb / n, or about -o uncentered."""
+def _centre(sums, o, centered, two):
+    """Overwrite the sums of a^2, b^2 and ab with ff, gg and fg: the same
+    sums about p = sa / n and q = sb / n, or about -o uncentered.  Returns
+    |p| and |q| at most over the lags of `two` (|o| uncentered)."""
     n, sa, saa, sb, sab, sbb = sums
-    if centered:
-        p = sa / n
-        ff, fg = saa - p * sa, sab - p * sb
-        q = np.divide(sb, n, out=p)  # in p's place: one array fewer at a time
-        return ff, sbb - q * sb, fg
-    no2 = n * (o * o)
-    return saa + 2 * o * sa + no2, sbb + 2 * o * sb + no2, sab + o * (sa + sb) + no2
+    if not centered:
+        no2 = n * (o * o)
+        saa += 2 * o * sa
+        sbb += 2 * o * sb
+        sab += o * (sa + sb)
+        for row in saa, sbb, sab:
+            row += no2
+        return abs(o), abs(o)
+    p = sa / n
+    saa -= p * sa
+    sab -= p * sb
+    p_max = _abs_max(p, two)
+    q = np.divide(sb, n, out=p)  # in p's place: one array fewer at a time
+    sbb -= q * sb
+    return p_max, _abs_max(q, two)
 
 
 def _abs_max(x, where):
@@ -240,7 +267,7 @@ def _abs_max(x, where):
 
 
 def _about_bound(k, mx, my, p, q, exy, ex, ey):
-    """A bound on the error of the sum of (x - p')(y - q') that `_centred`
+    """A bound on the error of the sum of (x - p')(y - q') that `_centre`
     forms, at every lag of 2 to k pairs with |x| <= mx, |y| <= my,
     |p'| <= p and |q'| <= q."""
     sx, sy = k * mx + ex, k * my + ey  # |sx| and |sy| at most

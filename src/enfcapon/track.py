@@ -159,8 +159,7 @@ def _frequency(value):
 
 def _track(idx, times, freqs):
     try:
-        return EnfTrack(np.array(idx, dtype=np.int64), np.array(times, dtype=np.float64),
-                        np.array(freqs, dtype=np.float64))
+        return EnfTrack(idx, times, freqs)
     except OverflowError as exc:
         raise TrackFormatError(f"frame index outside the int64 range: {exc}") from exc
     except ValueError as exc:

@@ -75,21 +75,25 @@ def match_inputs(draw):
 
 def spy_on_tiers(monkeypatch):
     """Lists that fill, one entry per FFT block, with `_bounds`'s result and
-    the number of lags given per-lag bounds."""
-    bounds, per_lag = [], []
-    block_bounds, centred = matching._bounds, matching._centred
+    the number of lags given per-lag bounds: the lags whose pair counts
+    `_about_bound` takes as arrays, a part of them at a time, rather than
+    as the block's one count."""
+    bounds, per_lag, part = [], [], [None]
+    block_bounds, about_bound = matching._bounds, matching._about_bound
 
     def spy_bounds(*args):
-        per_lag.append(None)
+        per_lag.append(0)
         bounds.append(block_bounds(*args))
         return bounds[-1]
 
-    def spy_centred(sums, *args):  # a block's first call takes every lag
-        per_lag[-1] = 0 if per_lag[-1] is None else per_lag[-1] + sums.shape[1]
-        return centred(sums, *args)
+    def spy_about_bound(k, *args):  # each part's counts come in more than once
+        if isinstance(k, np.ndarray) and k is not part[0]:
+            per_lag[-1] += k.size
+            part[0] = k  # held, so no later part's array can take its place
+        return about_bound(k, *args)
 
     monkeypatch.setattr(matching, "_bounds", spy_bounds)
-    monkeypatch.setattr(matching, "_centred", spy_centred)
+    monkeypatch.setattr(matching, "_about_bound", spy_about_bound)
     return bounds, per_lag
 
 
@@ -275,11 +279,37 @@ class TestBestLag:
             assert_same_match(f, g, centered)
             assert_same_match(f + 1e-9 * rng.normal(size=f.size), g, centered)
 
+    @pytest.mark.parametrize("k, blocks, last, nan_run, at", [
+        (40, 2, 0, None, -3),             # two full blocks, 32,729 frames
+        (40, 3, 100, None, -3),           # a last block of 100 lags
+        (40, 2, 3000, (-20, 60), 50),     # a NaN run across both ends of block 0
+        (1, 2, 500, None, -3),            # no lag has two pairs
+        (2000, 2, 700, (-900, 5), -3),    # a NaN run across the block edge
+    ])
+    def test_references_of_several_blocks_match_scan(self, k, blocks, last, nan_run, at):
+        # The lags go through the FFT in blocks of step = nfft - k + 1 lags,
+        # each over the nfft = 16,384 frames from its first lag; `last` is
+        # the last block's lag count, 0 for a full block.  A copy of the
+        # query sits at lag step + at, next to the first block edge.
+        rng = np.random.default_rng(k + last)
+        step = _fft_length(k, 2**20) - k + 1
+        n = (blocks - 1) * step + (last or step) + k - 1
+        assert _fft_length(k, n) == 16384 < n
+        assert len(range(0, n - k + 1, step)) == blocks
+        g = 60.0 + 1e-3 * np.cumsum(rng.normal(size=n))
+        g[rng.integers(0, n, 30)] = np.nan
+        if nan_run is not None:
+            g[step + nan_run[0] : step + nan_run[1]] = np.nan
+        f = g[step + at : step + at + k] + 1e-4 * rng.normal(size=k)
+        for centered in (False, True):
+            assert_same_match(f, g, centered)
+
     def test_shift_from_a_sample_of_the_reference_matches_scan(self):
-        # The shift is the median of every (n // 4096 + 1)-th finite reference
-        # value.  Outliers near 1e150 on most of those positions make it
-        # 1e150, while the full median stays near 60 Hz: the bounds then rule
-        # out few lags, and the scan's result must still come out.
+        # The shift is the median of the finite values among every
+        # (n // 4096 + 1)-th reference value.  Outliers near 1e150 on most of
+        # those positions make it 1e150, while the full median stays near
+        # 60 Hz: the bounds then rule out few lags, and the scan's result
+        # must still come out.
         rng = np.random.default_rng(9)
         n = 8200
         g = 60.0 + 1e-3 * np.cumsum(rng.normal(size=n))
@@ -289,6 +319,30 @@ class TestBestLag:
         f = g[6000:6040] + 1e-4 * rng.normal(size=40)
         for centered in (False, True):
             assert best_lag(f, g, centered).best_lag == 6000
+            assert_same_match(f, g, centered)
+
+    def test_shift_of_a_reference_finite_only_off_its_sample(self):
+        # Every sampled position (every other one at 4,096 frames) is NaN, so
+        # the shift is the median of all finite values instead.
+        rng = np.random.default_rng(11)
+        g = 60.0 + 1e-3 * np.cumsum(rng.normal(size=4096))
+        g[::2] = np.nan
+        assert g.size // 4096 + 1 == 2
+        assert matching._shift(g) == np.median(g[1::2])
+        f = g[1001:1041] + 1e-4 * rng.normal(size=40)
+        for centered in (False, True):
+            assert best_lag(f, g, centered).best_lag == 1001
+            assert_same_match(f, g, centered)
+
+    @pytest.mark.parametrize("fill", [np.nan, np.inf])
+    def test_reference_without_a_finite_value_matches_scan(self, fill):
+        # No lag has a correlation: the reference is all NaN, or NaN with a
+        # few infinities.
+        g = np.full(5000, np.nan)
+        g[::997] = fill
+        assert matching._shift(g) == 0.0
+        f = 60.0 + 1e-3 * np.random.default_rng(12).normal(size=40)
+        for centered in (False, True):
             assert_same_match(f, g, centered)
 
     def test_day_long_reference_matches_scan(self, day_long):
@@ -317,12 +371,66 @@ class TestBestLag:
     @pytest.mark.parametrize("centered", [False, True])
     def test_day_long_scan_stays_within_two_megabytes(self, day_long, centered):
         # One FFT block's sums and bounds, the query's spectra and the lags
-        # kept for scoring: 1.84 MB in 16,384-point blocks.  The scan that
+        # kept for scoring: 1.72 MB in 16,384-point blocks.  The scan that
         # kept one bound per lag in 8,192-point blocks traced 2.08 MB
         # (uncentered) and 2.18 MB (centered).
         f, g, _ = day_long
         best_lag(f, g, centered)  # numpy's first-call allocations
         assert traced_peak(lambda: best_lag(f, g, centered))[1] <= 2_000_000
+
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_day_long_scan_batches_its_transforms(self, day_long, monkeypatch, centered):
+        # One rfft of the query's three series, then per FFT block one rfft
+        # of the reference's three (valid mask, b and b^2) and one irfft per
+        # reference series: b^2's product with the query's mask, b's with
+        # its mask and a, and the mask's with its mask, a and a^2.
+        f, g, _ = day_long
+        calls = []
+
+        def counted(name, transform):
+            def call(x, *args, **kwargs):
+                calls.append((name, math.prod(np.shape(x)[:-1])))  # rows
+                return transform(x, *args, **kwargs)
+            return call
+
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(matching, name, counted(name, getattr(matching, name)))
+        best_lag(f, g, centered)
+        block = [("rfft", 3), ("irfft", 1), ("irfft", 2), ("irfft", 3)]
+        assert calls == [("rfft", 3)] + 6 * block  # 84,601 lags, 14,585 a block
+
+    @pytest.fixture(scope="class")
+    def zero_run(self, day_long):
+        """The day-long query and reference with a dropout written as 100
+        frames of 0.0 instead of NaN into the reference's first FFT block,
+        and the scan's result in each mode."""
+        f, g, lag = day_long
+        g = g.copy()
+        g[4000:4100] = 0.0
+        return f, g, lag, [best_lag_scan(f, g, centered) for centered in (False, True)]
+
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_day_long_zero_run_matches_scan_within_two_megabytes(self, zero_run, monkeypatch,
+                                                                 centered):
+        # The run loosens its block's FFT error bounds, and centered, 8,496
+        # of its 14,585 lags fall to per-lag bounds.  Those go a part at a
+        # time, so the peak stays where it is without the run (1.74 against
+        # 2.51 MB all at once), and they still rule out every lag but the
+        # winner.
+        f, g, lag, scans = zero_run
+        assert repr(best_lag(f, g, centered)) == repr(scans[centered])
+        assert traced_peak(lambda: best_lag(f, g, centered))[1] <= 2_000_000
+        _, per_lag = spy_on_tiers(monkeypatch)
+        scored = []
+
+        def counted(*args, **kwargs):
+            scored.append(args)
+            return correlation(*args, **kwargs)
+
+        monkeypatch.setattr(matching, "correlation", counted)
+        assert best_lag(f, g, centered).best_lag == lag
+        assert 1 <= len(scored) <= 2
+        assert (per_lag[0] > 0) == centered and per_lag[1:] == [0] * 5
 
     def test_irregular_lags_in_one_block_match_scan(self, monkeypatch):
         # The first FFT block holds a near-constant stretch, values near

@@ -302,11 +302,12 @@ def test_day_long_csv_track_takes_the_fast_path(tmp_path, monkeypatch):
 
 
 def test_day_long_csv_track_reads_within_a_few_file_sizes(tmp_path):
-    # The file's bytes, the parsed rows and the track's columns trace about
-    # 2.8 times the file's size (2.76 MB here).  A reader that decodes the
+    # The file's bytes and the parsed rows, which the track's columns view,
+    # trace about 2.0 times the file's size (2.76 MB here); copying the
+    # columns out of the rows traced 2.8 times.  A reader that decodes the
     # file into a str and copies its body into a StringIO (4 bytes a
-    # character) traces about 6.9 times.  The bound sits 25% above the one
-    # and at half the other.
+    # character) traces about 6.9 times.  The bound sits 25% above the
+    # copying reader and at half the decoding one.
     path = tmp_path / "day.csv"
     write_day_track(path)
     read_track(path)
