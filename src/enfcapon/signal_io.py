@@ -22,11 +22,10 @@ from .errors import DegenerateInputError, UnsupportedFormatError
 
 PCM16_FULL_SCALE = 32768.0
 
-# Input samples per decimation block: decimation views the input as rows of
-# `factor` samples and adds max(1, BLOCK_SAMPLES // factor) rows' products
-# into the outputs per block, which fixes the order in which rows add into
-# each output, so also the outputs' last bits.  A block is multiplied in two
-# halves, so a PCM recording is cast into one reused 1 MB float64 part that
+# Input samples per decimation block, a memory and cache setting that moves
+# no output bit: decimation views the input as rows of `factor` samples and
+# reads and multiplies max(1, BLOCK_SAMPLES // 2 // factor) of them at a
+# time, so a PCM recording is cast into one reused 1 MB float64 part that
 # stays in a core's L2 cache while BLAS reads it.  pipeline.estimate runs
 # each stage on as many rows of its own width as fill such a half.
 BLOCK_SAMPLES = 1 << 18
@@ -211,15 +210,15 @@ def decimate(signal, factor):
     SampledSignal.  The low-pass group delay is compensated so the output
     is time-aligned with the input; origin_offset_s is unchanged.  Only
     the kept outputs are computed, by polyphase decomposition (Crochiere &
-    Rabiner, Multirate Digital Signal Processing, 1983, ch. 3), in blocks of
-    max(1, 2**18 // factor) rows of `factor` samples, each multiplied in
-    two halves, so a recording is cast into one reused 1 MB float64 part
-    unless one row is longer.  A recording is read from its file here, in
-    increasing order, so a recording of a pipe is decimated once.  The
-    products run on unscaled values and each output is scaled once.  At
-    factor 1 the blocks are cast or copied into a new array and scaled
-    there; the caller may overwrite it, as it never shares the input's
-    memory.
+    Rabiner, Multirate Digital Signal Processing, 1983, ch. 3), with the
+    bits of one product over the whole signal, in parts of max(1, 2**17 //
+    factor) rows of `factor` samples, so a recording is cast into one
+    reused 1 MB float64 part unless one row is longer.  A recording is
+    read from its file here, in increasing order, so a recording of a pipe
+    is decimated once.  The products run on unscaled values and each
+    output is scaled once.  At factor 1 the blocks are cast or copied into
+    a new array and scaled there; the caller may overwrite it, as it never
+    shares the input's memory.
     """
     if not isinstance(factor, (int, np.integer)) or factor <= 0:
         raise ValueError("decimation factor must be a positive integer")
@@ -258,14 +257,15 @@ def _polyphase_filter(taps, signal, factor):
     phases[i, q] = taps[i * factor - q] (zero outside the taps) and
     width = 11; phase 0 is [taps[0], 0, ..., 0], so its line is taps[0]
     times each row's first sample.  The ceil(len / factor) rows go in
-    blocks of max(1, BLOCK_SAMPLES // factor), each in two parts, read (a
-    recording's cast into one reused part, a SampledSignal's a view) and
-    multiplied while in cache into the columns of one product whose 11
-    lines add into the outputs once per block, as one product per block
-    would.  The signal's last part is zero-padded to its rows in a whole
-    block, as narrower products take other OpenBLAS kernels with other
-    bits.  The products run on unscaled values, and the outputs are
-    multiplied by signal.scale at the end.
+    blocks of two parts of half = max(1, BLOCK_SAMPLES // 2 // factor)
+    rows, each read (a recording's cast into one reused part, a
+    SampledSignal's a view) and multiplied while in cache into the columns
+    of one product, whose 11 lines then add into the outputs last phase
+    first.  Earlier rows carry higher phases, so every output adds its
+    terms in one order wherever the block edges fall; the signal's last
+    part is zero-padded to half rows, as narrower products take other
+    OpenBLAS kernels with other bits.  The products run on unscaled
+    values, and the outputs are multiplied by signal.scale at the end.
     """
     width = (taps.size - 1) // factor + 1
     phases = np.ascontiguousarray(
@@ -275,25 +275,23 @@ def _polyphase_filter(taps, signal, factor):
     # Output j accumulates at j + width // 2, so rows near either end need
     # no clipping; the margins are sliced off at the end.
     acc = np.zeros(n_rows + width - 1)
-    step = max(1, BLOCK_SAMPLES // factor)
-    half = -(-step // 2)
-    product = np.empty((width, step))
+    half = max(1, BLOCK_SAMPLES // 2 // factor)
+    product = np.empty((width, 2 * half))
     part = np.empty(half * factor)
-    for first in range(0, n_rows, step):
-        stop = min(first + step, n_rows)
+    for first in range(0, n_rows, 2 * half):
+        stop = min(first + 2 * half, n_rows)
         for start in range(first, stop, half):
-            end = min(start + half, first + step)  # the part as in a whole block
-            rows = signal.unscaled(start * factor, min(end, stop) * factor, part)
-            if rows.size < (end - start) * factor:
-                part[rows.size : (end - start) * factor] = 0.0
+            rows = signal.unscaled(start * factor, (start + half) * factor, part)
+            if rows.size < part.size:
+                part[rows.size :] = 0.0
                 part[: rows.size] = rows  # numpy skips a recording's own part
-                rows = part[: (end - start) * factor]
-            rows = rows.reshape(end - start, factor)
-            columns = product[:, start - first : end - first]
+                rows = part
+            rows = rows.reshape(half, factor)
+            columns = product[:, start - first : start - first + half]
             np.multiply(rows[:, 0], taps[0], out=columns[0])
             np.matmul(phases, rows.T, out=columns[1:])
-        for i, line in enumerate(product[:, : stop - first]):
-            acc[first + i : stop + i] += line
+        for i in range(width - 1, -1, -1):
+            acc[first + i : stop + i] += product[i, : stop - first]
     outputs = acc[width // 2 : acc.size - width // 2]
     outputs *= signal.scale
     return outputs

@@ -13,9 +13,9 @@ stage_peaks call each stage once over all rows.  The dense helpers
 form the Toeplitz machinery with explicit matrices.  The package reads
 a WAV's data chunk one block at a time into a reused int16 buffer and
 makes float64 samples of each block; wav_floats here reads and converts
-the whole data chunk at once.  It decimates by matrix products over half
-blocks of polyphase rows, which decimate_whole_blocks here takes as one
-product per block, and band-passes by overlap-save in fixed real-FFT
+the whole data chunk at once.  It decimates by matrix products over parts
+of polyphase rows, which decimate_one_product here takes as one product
+over the whole signal, and band-passes by overlap-save in fixed real-FFT
 blocks; the full-rate helpers here convolve the whole signal with one
 FFT and keep the outputs they need.  The package matches a
 track by FFT sums that nominate candidate lags; the scan here scores
@@ -66,26 +66,23 @@ def decimate_full_rate(signal, factor):
                          signal.origin_offset_s)
 
 
-def decimate_whole_blocks(signal, factor):
-    """decimate() at factor > 1 with one matrix product of all 11 phases
-    per block of max(1, 2**18 // factor) rows, then the 11 line adds: the
-    layout whose order of additions, and so whose bits, decimate keeps.
-    signal is read whole: a SampledSignal or a seekable PcmRecording."""
+def decimate_one_product(signal, factor):
+    """decimate() at factor > 1 as one product of all 11 phases and every
+    row, zero-padded to at least one part's rows (narrower products take
+    other BLAS kernels), then the 11 line adds, last phase first.  signal
+    is read whole: a SampledSignal or a seekable PcmRecording."""
     taps = anti_alias_filter(factor, signal.sample_rate_hz)
     width = (taps.size - 1) // factor + 1
     phases = np.ascontiguousarray(
         np.concatenate((np.zeros(factor - 1), taps)).reshape(width, factor)[:, ::-1])
     n_rows = -(-len(signal) // factor)
-    samples = np.zeros(n_rows * factor)
+    samples = np.zeros(max(n_rows, BLOCK_SAMPLES // 2 // factor, 1) * factor)
     samples[: len(signal)] = signal.unscaled(0, len(signal), samples)
-    acc = np.zeros(n_rows + width - 1)
-    step = max(1, BLOCK_SAMPLES // factor)
-    for first in range(0, n_rows, step):
-        stop = min(first + step, n_rows)
-        product = phases @ samples[first * factor : stop * factor].reshape(-1, factor).T
-        for i, line in enumerate(product):
-            acc[first + i : stop + i] += line
-    outputs = acc[width // 2 : acc.size - width // 2] * signal.scale
+    product = phases @ samples.reshape(-1, factor).T
+    acc = np.zeros(product.shape[1] + width - 1)
+    for i in range(width - 1, -1, -1):
+        acc[i : i + product.shape[1]] += product[i]
+    outputs = acc[width // 2 : width // 2 + n_rows] * signal.scale
     return SampledSignal(outputs, signal.sample_rate_hz / factor, signal.origin_offset_s)
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.signal import firwin
 
 from conftest import fed_pipe, make_tone, needs_pipes, resident_bytes, traced_peak
+from enfcapon import signal_io
 from enfcapon.errors import (
     DegenerateInputError,
     EnfError,
@@ -24,7 +25,7 @@ from enfcapon.signal_io import (
     read_wav,
     write_wav,
 )
-from oracle import decimate_full_rate, decimate_whole_blocks, wav_floats
+from oracle import decimate_full_rate, decimate_one_product, wav_floats
 
 
 def write_raw_wav(path, pcm, n_channels=1, sampwidth=2, rate=44100):
@@ -294,17 +295,18 @@ class TestPcmRecording:
     @pytest.mark.parametrize("last_block", ["one_part", "past_one_part"])
     def test_parts_keep_the_bits_of_whole_block_products(self, tmp_path, rng, source,
                                                          n_channels, factor, last_block):
-        # Each block of rows is multiplied in two parts, yet every output
-        # keeps the bits of one product per block: the same rows add into
-        # it in the same order.  The last block holds at least one part,
-        # so the parent layout took no narrow product either, and the last
-        # row is partial.
-        step = BLOCK_SAMPLES // factor
-        last_rows = -(-step // 2) + (3 if last_block == "past_one_part" else 0)
-        n_frames = (step + last_rows) * factor - factor // 2
+        # Each block of rows is multiplied in two parts of `half` rows, the
+        # signal's last part zero-padded to `half`, and its 11 lines add
+        # into the outputs last phase first, yet every output keeps the
+        # bits of one product over the whole signal: its terms add in the
+        # same order wherever the block edges fall.  The last block holds
+        # one part or three rows past it, and the last row is partial.
+        half = BLOCK_SAMPLES // 2 // factor
+        last_rows = half + (3 if last_block == "past_one_part" else 0)
+        n_frames = (2 * half + last_rows) * factor - factor // 2
         path = tmp_path / "pcm.wav"
         write_random_wav(path, rng, n_frames, n_channels)
-        expected = decimate_whole_blocks(read_wav(path), factor)
+        expected = decimate_one_product(read_wav(path), factor)
         if source == "pipe":
             if not hasattr(os, "mkfifo"):
                 pytest.skip("needs named pipes")
@@ -314,6 +316,31 @@ class TestPcmRecording:
             out = decimate(read_wav(path), factor)
         assert len(out) == -(-n_frames // factor)
         assert out.samples.tobytes() == expected.samples.tobytes()
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    @pytest.mark.parametrize("n_channels", [1, 2, 3])
+    @pytest.mark.parametrize("factor", [2, 7, 20, 100, 109, 400])
+    def test_the_block_size_moves_no_bit(self, tmp_path, rng, monkeypatch, source,
+                                         n_channels, factor):
+        # BLOCK_SAMPLES sets only how many rows are read and multiplied at
+        # once: at each size, decimate's bytes are those of one product
+        # over the whole signal.  The recording spans more than a block at
+        # every size, and ends in a partial block and a partial row.
+        if source == "pipe" and not hasattr(os, "mkfifo"):
+            pytest.skip("needs named pipes")
+        n_frames = 3 * (1 << 18) + 12347
+        assert n_frames % factor
+        path = tmp_path / "pcm.wav"
+        write_random_wav(path, rng, n_frames, n_channels)
+        expected = decimate_one_product(read_wav(path), factor).samples.tobytes()
+        for block_samples in (1 << 17, 1 << 18, 1 << 19, 3 << 17):
+            monkeypatch.setattr(signal_io, "BLOCK_SAMPLES", block_samples)
+            if source == "pipe":
+                with fed_pipe(tmp_path / f"{block_samples}.wav", path.read_bytes()) as pipe:
+                    out = decimate(read_wav(pipe), factor)
+            else:
+                out = decimate(read_wav(path), factor)
+            assert out.samples.tobytes() == expected, block_samples
 
     def test_file_truncated_after_read_wav(self, tmp_path, rng):
         path = tmp_path / "pcm.wav"
@@ -510,15 +537,15 @@ class TestDecimate:
 
     @pytest.mark.parametrize("factor", [2, 7, 20, 100, 109, 400])
     def test_extending_the_signal_keeps_earlier_outputs_bit_for_bit(self, rng, factor):
-        # Blocks of rows, and the two parts each is multiplied in, are laid
-        # out from the first sample at sizes fixed by the factor alone, the
-        # signal's last part zero-padded to its rows in a whole block.  So
-        # a prefix of whole rows whose last block is narrow, down to one
-        # row, gives every output but the last width // 2 = 5, which read
-        # rows past its end, the bits that a longer signal (ending in a
-        # partial block and a partial row) gives them.
-        step = max(1, BLOCK_SAMPLES // factor)
-        half = -(-step // 2)
+        # Every part of rows is multiplied at one width, `half` rows, the
+        # signal's last part zero-padded to it, and each output adds its
+        # terms last phase first.  So a prefix of whole rows whose last
+        # block is narrow, down to one row, gives every output but the
+        # last width // 2 = 5, which read rows past its end, the bits that
+        # a longer signal (ending in a partial block and a partial row)
+        # gives them.
+        half = max(1, BLOCK_SAMPLES // 2 // factor)
+        step = 2 * half
         samples = rng.normal(size=(3 * step + 3) * factor + factor // 2 + 1)
         full = decimate(SampledSignal(samples, 441.0 * factor), factor)
         for last_rows in [*range(1, 65), half, half + 3, step]:
@@ -548,9 +575,9 @@ class TestDecimate:
         n_frames = 120 * 44100
         path = tmp_path / "pcm.wav"
         write_random_wav(path, rng, n_frames, n_channels)
-        step = BLOCK_SAMPLES // 100
-        part = -(-step // 2) * 100
-        bound = 8 * (n_frames // 100) + (8 + 2 * n_channels) * part + 8 * 11 * step + (1 << 18)
+        half = BLOCK_SAMPLES // 2 // 100
+        part = half * 100
+        bound = 8 * (n_frames // 100) + (8 + 2 * n_channels) * part + 8 * 11 * 2 * half + (1 << 18)
         assert bound < 8 * (n_frames // 100) + 8 * 2 * part
 
         def decimated():
