@@ -196,10 +196,10 @@ def design_fir(taps, lo, hi):
 def anti_alias_filter(factor, input_rate_hz):
     """Linear-phase low-pass FIR for decimation by `factor`.
 
-    Hamming-designed, length 10*factor + 1, cutoff at 0.45x the output
-    rate, leaving a guard band below the output Nyquist.
+    Hamming-designed, length 10*factor + 1, cutoff at 0.42x the output
+    rate, so 261 Hz, which folds onto 3 x 60 Hz at 441 Hz, is stopped.
     """
-    cutoff_hz = 0.45 * (input_rate_hz / factor)
+    cutoff_hz = 0.42 * (input_rate_hz / factor)
     return design_fir(_anti_alias_taps(factor), 0.0, cutoff_hz / (0.5 * input_rate_hz))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from scipy.signal import firwin
+from scipy.signal import firwin, freqz
 
 from conftest import fed_pipe, make_tone, needs_pipes, resident_bytes, traced_peak
 from enfcapon import signal_io
@@ -16,6 +16,7 @@ from enfcapon.errors import (
     EnfError,
     UnsupportedFormatError,
 )
+from enfcapon.pipeline import PipelineConfig
 from enfcapon.signal_io import (
     BLOCK_SAMPLES,
     PcmRecording,
@@ -489,10 +490,31 @@ class TestDecimate:
         tone_amp = spectrum[np.argmin(np.abs(freqs - 60.0))]
         assert alias_amp < tone_amp * 10 ** (-60.0 / 20.0)
 
+    # Every nominal x harmonic PipelineConfig accepts but 50 Hz x 4, whose
+    # nearest alias source, 241 Hz, is stopped by only 18-20 dB.
+    @pytest.mark.parametrize("nominal, harmonic",
+                             [(60, 1), (60, 2), (60, 3), (50, 1), (50, 2), (50, 3)])
+    @pytest.mark.parametrize("taps", [1001, 4801])
+    @pytest.mark.parametrize("factor", [2, 10, 100])
+    def test_bands_folding_onto_the_estimation_band_are_stopped(self, factor, taps,
+                                                                 nominal, harmonic):
+        # Input at k * 441 Hz -/+ f folds onto f at the working rate, so
+        # for every f in the estimation band (of either preset's tap count)
+        # the low-pass must sit at least 40 dB below its gain at the band
+        # centre.  The worst case, 60 Hz x 3 at 261 Hz, reads 43.8 dB.
+        config = PipelineConfig(nominal_hz=nominal, harmonic=harmonic, taps=taps)
+        rate = 441.0 * factor
+        band = np.linspace(*config.estimation_band, 400)
+        sources = np.arange(1, factor // 2 + 2)[:, None, None] * 441.0 + [[-1.0], [1.0]] * band
+        sources = sources[sources < rate / 2]
+        gains = np.abs(freqz(anti_alias_filter(factor, rate),
+                             worN=np.append(config.center_hz, sources), fs=rate)[1])
+        assert 20.0 * np.log10(gains[0] / gains[1:].max()) >= 40.0
+
     @pytest.mark.parametrize("factor", [2, 3, 7, 100, 109])
     def test_anti_alias_filter_matches_scipy_firwin(self, factor):
         rate = 441.0 * factor
-        expected = firwin(10 * factor + 1, 0.45 * 441.0, fs=rate, window="hamming")
+        expected = firwin(10 * factor + 1, 0.42 * 441.0, fs=rate, window="hamming")
         np.testing.assert_allclose(anti_alias_filter(factor, rate), expected, rtol=0, atol=1e-15)
 
     def test_bad_factor(self):
