@@ -342,8 +342,8 @@ def compare_windows(wav, reference, windows, frame_lengths, output, centered, **
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def bench(trials, seed):
     """Time the pipeline's Capon chain against an explicit inverse, both
-    estimators at each frame length of the window study, and the lag scan
-    of a 30-minute track along a 24-hour one."""
+    estimators at each frame length of the window study, the lag scan of a
+    30-minute track along a 24-hour one, and each preset's band-pass."""
     click.echo(json.dumps(run_bench(trials=trials, seed=seed), indent=1))
 
 
