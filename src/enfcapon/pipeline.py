@@ -150,14 +150,14 @@ def estimate_frames(frames, config):
 
 def _peak_freqs(frames, count, config):
     """estimate_frames of the count rows frames(i, j) gives, each stage over
-    as many rows as fill half a block (BLOCK_SAMPLES // 2) of its own width:
-    N samples for the STFT and the autocovariance, B bins for the cosine
-    sum and the peak search, and the five (rows, M) arrays, M = m + 1, the
-    recursions hold at once; the recursions run outermost."""
+    max(1, BLOCK_SAMPLES // width) rows of its own width: N samples for the
+    STFT and the autocovariance, B bins for the cosine sum and the peak
+    search, and the five (rows, M) arrays, M = m + 1, the recursions hold
+    at once; the recursions run outermost."""
     bins, m, n = config.search_bins, config.capon_order, config.frame_samples[0]
 
     def blocks(width, size, stage):
-        step = max(1, BLOCK_SAMPLES // 2 // width)
+        step = max(1, BLOCK_SAMPLES // width)
         return np.concatenate([stage(i, min(i + step, size)) for i in range(0, max(size, 1), step)])
 
     def peaks(power, valid):
@@ -204,7 +204,7 @@ def prepare(signal, config):
 
 def estimate(filtered, config):
     """Per-frame ENF track of a prepared signal, mapped to the fundamental,
-    each stage over half a block of its own rows (_peak_freqs), so no work
+    each stage over a block of its own rows (_peak_freqs), so no work
     array grows with the signal.  Frames whose estimate is degenerate or
     falls outside the sanity envelope around nominal are NaN entries.
     """

@@ -2,7 +2,7 @@
 
 WAV input is restricted to PCM 16-bit; anything else is rejected loudly
 rather than silently re-quantized.  read_wav reads only the header, and
-decimation reads a recording's samples half a block at a time.
+decimation reads a recording's samples a block at a time.
 
 Both signal kinds serve unscaled blocks, a SampledSignal's as views and
 a PcmRecording's codes cast into the caller's float64 buffer, and carry
@@ -22,13 +22,14 @@ from .errors import DegenerateInputError, UnsupportedFormatError
 
 PCM16_FULL_SCALE = 32768.0
 
-# Input samples per decimation block, a memory and cache setting that moves
-# no output bit: decimation views the input as rows of `factor` samples and
-# reads and multiplies max(1, BLOCK_SAMPLES // 2 // factor) of them at a
-# time, so a PCM recording is cast into one reused 1 MB float64 part that
-# stays in a core's L2 cache while BLAS reads it.  pipeline.estimate runs
-# each stage on as many rows of its own width as fill such a half.
-BLOCK_SAMPLES = 1 << 18
+# Samples per block, the one unit of every stage that reads rows, a memory
+# and cache setting that moves no output bit: a stage whose rows hold
+# `width` samples takes max(1, BLOCK_SAMPLES // width) of them at a time,
+# 1 MB of float64 that stays in a core's L2 cache while BLAS reads it.
+# Decimation's rows hold `factor` samples (one at factor 1), so a PCM
+# recording is cast into one reused part of that size; pipeline.estimate's
+# stages take rows of their own widths.
+BLOCK_SAMPLES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -68,11 +69,11 @@ class PcmRecording:
     samples, and closes it when dropped.
 
     unscaled(start, stop, out) reads frames start:stop into one reused
-    int16 buffer and casts their channel mean into out; floats(start,
-    stop) is that x scale, 1/32768, so the full negative scale maps to
-    -1.0.  Only the mean's divide rounds, so any range gives the same bits
-    as converting the whole recording at once.  A pipe (offset None)
-    serves ranges only in order, each from where the last one stopped.
+    int16 buffer and casts their channel mean into out, before x scale
+    (1/32768, so the full negative scale maps to -1.0).  Only the mean's
+    divide rounds, so any range gives the same bits as converting the whole
+    recording at once.  A pipe (offset None) serves ranges only in order,
+    each from where the last one stopped.
     """
 
     origin_offset_s = 0.0  # a recording starts at its own origin
@@ -89,13 +90,6 @@ class PcmRecording:
 
     def __len__(self):
         return self._n_frames
-
-    def floats(self, start=0, stop=None):
-        """Mono float64 samples of frames start:stop."""
-        n = len(range(self._n_frames)[start:stop])
-        samples = self.unscaled(start, stop, np.empty(n))
-        samples *= self.scale
-        return samples
 
     def unscaled(self, start, stop, out):
         """Mono samples of frames start:stop before x scale, in out[:n]
@@ -211,13 +205,14 @@ def decimate(signal, factor):
     is time-aligned with the input; origin_offset_s is unchanged.  Only
     the kept outputs are computed, by polyphase decomposition (Crochiere &
     Rabiner, Multirate Digital Signal Processing, 1983, ch. 3), with the
-    bits of one product over the whole signal, in parts of max(1, 2**17 //
-    factor) rows of `factor` samples, so a recording is cast into one
-    reused 1 MB float64 part unless one row is longer.  A recording is
-    read from its file here, in increasing order, so a recording of a pipe
-    is decimated once.  The products run on unscaled values and each
-    output is scaled once.  At factor 1 the blocks are cast or copied into
-    a new array and scaled there; the caller may overwrite it, as it never
+    bits of one product over the whole signal, in parts of max(1,
+    BLOCK_SAMPLES // factor) rows of `factor` samples, so a recording is
+    cast into one reused 1 MB float64 part unless one row is longer.  A
+    recording is read from its file here, in increasing order, so a
+    recording of a pipe is decimated once.  The products run on unscaled
+    values and each output is scaled once.  At factor 1 the rows are
+    single samples, and each block of them is cast or copied into a new
+    array and scaled there; the caller may overwrite it, as it never
     shares the input's memory.
     """
     if not isinstance(factor, (int, np.integer)) or factor <= 0:
@@ -257,15 +252,15 @@ def _polyphase_filter(taps, signal, factor):
     phases[i, q] = taps[i * factor - q] (zero outside the taps) and
     width = 11; phase 0 is [taps[0], 0, ..., 0], so its line is taps[0]
     times each row's first sample.  The ceil(len / factor) rows go in
-    blocks of two parts of half = max(1, BLOCK_SAMPLES // 2 // factor)
-    rows, each read (a recording's cast into one reused part, a
-    SampledSignal's a view) and multiplied while in cache into the columns
-    of one product, whose 11 lines then add into the outputs last phase
-    first.  Earlier rows carry higher phases, so every output adds its
-    terms in one order wherever the block edges fall; the signal's last
-    part is zero-padded to half rows, as narrower products take other
-    OpenBLAS kernels with other bits.  The products run on unscaled
-    values, and the outputs are multiplied by signal.scale at the end.
+    pairs of parts of step = max(1, BLOCK_SAMPLES // factor) rows, each
+    read (a recording's cast into one reused part, a SampledSignal's a
+    view) and multiplied while in cache into the columns of one product,
+    whose 11 lines then add into the outputs last phase first.  Earlier
+    rows carry higher phases, so every output adds its terms in one order
+    wherever the part edges fall; the signal's last part is zero-padded
+    to step rows, as narrower products take other OpenBLAS kernels with
+    other bits.  The products run on unscaled values, and the outputs are
+    multiplied by signal.scale at the end.
     """
     width = (taps.size - 1) // factor + 1
     phases = np.ascontiguousarray(
@@ -275,19 +270,19 @@ def _polyphase_filter(taps, signal, factor):
     # Output j accumulates at j + width // 2, so rows near either end need
     # no clipping; the margins are sliced off at the end.
     acc = np.zeros(n_rows + width - 1)
-    half = max(1, BLOCK_SAMPLES // 2 // factor)
-    product = np.empty((width, 2 * half))
-    part = np.empty(half * factor)
-    for first in range(0, n_rows, 2 * half):
-        stop = min(first + 2 * half, n_rows)
-        for start in range(first, stop, half):
-            rows = signal.unscaled(start * factor, (start + half) * factor, part)
+    step = max(1, BLOCK_SAMPLES // factor)
+    product = np.empty((width, 2 * step))
+    part = np.empty(step * factor)
+    for first in range(0, n_rows, 2 * step):
+        stop = min(first + 2 * step, n_rows)
+        for start in range(first, stop, step):
+            rows = signal.unscaled(start * factor, (start + step) * factor, part)
             if rows.size < part.size:
                 part[rows.size :] = 0.0
                 part[: rows.size] = rows  # numpy skips a recording's own part
                 rows = part
-            rows = rows.reshape(half, factor)
-            columns = product[:, start - first : start - first + half]
+            rows = rows.reshape(step, factor)
+            columns = product[:, start - first : start - first + step]
             np.multiply(rows[:, 0], taps[0], out=columns[0])
             np.matmul(phases, rows.T, out=columns[1:])
         for i in range(width - 1, -1, -1):

@@ -12,14 +12,15 @@ each stage of a batch over its own blocks of rows; stage_band_power and
 stage_peaks call each stage once over all rows.  The dense helpers
 form the Toeplitz machinery with explicit matrices.  The package reads
 a WAV's data chunk one block at a time into a reused int16 buffer and
-makes float64 samples of each block; wav_floats here reads and converts
-the whole data chunk at once.  It decimates by matrix products over parts
-of polyphase rows, which decimate_one_product here takes as one product
-over the whole signal, and band-passes by overlap-save in fixed real-FFT
-blocks; the full-rate helpers here convolve the whole signal with one
-FFT and keep the outputs they need.  The package matches a
-track by FFT sums that nominate candidate lags; the scan here scores
-every lag through `correlation`.
+casts each block into float64; wav_floats here reads and converts the
+whole data chunk at once.  It decimates by matrix products over parts
+of a block of polyphase rows, which decimate_one_product here takes as
+one product over the whole signal, and band-passes by overlap-save in
+fixed real-FFT blocks; the full-rate helpers here convolve the whole
+signal with one FFT and keep the outputs they need, and windowed_frames
+frames what they filter.  The package matches a track by FFT sums that
+nominate candidate lags; the scan here scores every lag through
+`correlation`.
 """
 
 import wave
@@ -38,8 +39,8 @@ from enfcapon.windowing import make_window
 
 
 def wav_floats(path):
-    """read_wav(path).floats(): the data chunk read whole, its whole
-    frames' channel mean, then x 1/32768."""
+    """decimate(read_wav(path), 1).samples: the data chunk read whole,
+    its whole frames' channel mean, then x 1/32768."""
     with wave.open(str(path), "rb") as reader:
         n_channels = reader.getnchannels()
         raw = reader.readframes(reader.getnframes())
@@ -68,15 +69,16 @@ def decimate_full_rate(signal, factor):
 
 def decimate_one_product(signal, factor):
     """decimate() at factor > 1 as one product of all 11 phases and every
-    row, zero-padded to at least one part's rows (narrower products take
-    other BLAS kernels), then the 11 line adds, last phase first.  signal
-    is read whole: a SampledSignal or a seekable PcmRecording."""
+    row, zero-padded to at least one part's BLOCK_SAMPLES // factor rows
+    (narrower products take other BLAS kernels), then the 11 line adds,
+    last phase first.  signal is read whole: a SampledSignal or a
+    seekable PcmRecording."""
     taps = anti_alias_filter(factor, signal.sample_rate_hz)
     width = (taps.size - 1) // factor + 1
     phases = np.ascontiguousarray(
         np.concatenate((np.zeros(factor - 1), taps)).reshape(width, factor)[:, ::-1])
     n_rows = -(-len(signal) // factor)
-    samples = np.zeros(max(n_rows, BLOCK_SAMPLES // 2 // factor, 1) * factor)
+    samples = np.zeros(max(n_rows, BLOCK_SAMPLES // factor, 1) * factor)
     samples[: len(signal)] = signal.unscaled(0, len(signal), samples)
     product = phases @ samples.reshape(-1, factor).T
     acc = np.zeros(product.shape[1] + width - 1)
@@ -203,21 +205,26 @@ def stage_peaks(frames, config):
     return np.where(valid, freqs, np.nan)
 
 
-def per_frame_track(signal, config):
-    """freq_hz of extract_enf(signal, config), estimated one frame at a time."""
+def windowed_frames(signal, config):
+    """The windowed frames (K, N) that extract_enf(signal, config)
+    estimates, from the full-rate helpers' filtered signal."""
     working = decimate_full_rate(signal, _decimation_factor(signal.sample_rate_hz,
                                                             config.working_rate_hz))
     coeffs = design_bandpass(working.sample_rate_hz, config.center_hz,
                              config.passband_hz, config.taps)
-    filtered = apply_zero_phase_full(coeffs, working)
-    rate = filtered.sample_rate_hz
-    frame_len = round(config.frame_len_s * rate)
-    shift = round(config.shift_s * rate)
+    filtered = apply_zero_phase_full(coeffs, working).samples
+    frame_len, shift = config.frame_samples
     taps = make_window(config.window, frame_len)
-    band = config.estimation_band
-    freqs = np.empty((len(filtered) - frame_len) // shift + 1)
-    for k in range(freqs.size):
-        frame = filtered.samples[k * shift : k * shift + frame_len] * taps
+    return np.stack([filtered[start : start + frame_len] * taps
+                     for start in range(0, filtered.size - frame_len + 1, shift)])
+
+
+def per_frame_track(signal, config):
+    """freq_hz of extract_enf(signal, config), estimated one frame at a time."""
+    rate, band = config.working_rate_hz, config.estimation_band
+    frames = windowed_frames(signal, config)
+    freqs = np.empty(len(frames))
+    for k, frame in enumerate(frames):
         if config.estimator == "capon":
             freqs[k] = capon_estimate_frame(frame, rate, band, config.capon_order,
                                             config.pad_factor)

@@ -169,9 +169,8 @@ def test_estimate_blocks_keep_the_bits_of_one_whole_array_pass(power_fixture):
     n, shift = config.frame_samples
     frames = np.lib.stride_tricks.sliding_window_view(filtered.samples, n)[::shift]
     frames = frames * make_window(config.window, n)
-    half = BLOCK_SAMPLES // 2
-    assert 2 * (half // n) < len(frames) <= half // max(5 * (config.capon_order + 1),
-                                                        config.search_bins.size)
+    assert 2 * (BLOCK_SAMPLES // n) < len(frames) <= BLOCK_SAMPLES // max(
+        5 * (config.capon_order + 1), config.search_bins.size)
     whole = stage_peaks(frames, config) / config.harmonic
     whole[np.abs(whole - config.nominal_hz) > VALID_ENVELOPE_HZ] = np.nan
     assert estimate(filtered, config).freq_hz.tobytes() == whole.tobytes()

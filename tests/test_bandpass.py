@@ -5,7 +5,7 @@ from scipy.signal import firwin
 from conftest import make_tone, overlap_save_call, traced_peak
 from enfcapon import bandpass
 from enfcapon.bandpass import _PAIRS_PER_CALL, _block_length, apply_zero_phase, design_bandpass
-from enfcapon.signal_io import BLOCK_SAMPLES, SampledSignal
+from enfcapon.signal_io import SampledSignal
 from oracle import apply_zero_phase_full
 
 
@@ -261,10 +261,9 @@ def test_zero_runs_across_overlap_save_calls_filter_to_exact_zero(rng, power_fil
     # for zeros at a stride longer than taps would miss some of them.
     taps = power_filter.size
     call = overlap_save_call(taps)
-    samples = rng.normal(size=3 * BLOCK_SAMPLES + 5000)
-    runs = [(0, 2000), (BLOCK_SAMPLES - 1500, BLOCK_SAMPLES + 1500),
-            (2 * BLOCK_SAMPLES - taps, 2 * BLOCK_SAMPLES),
-            (2 * BLOCK_SAMPLES + 1, 2 * BLOCK_SAMPLES + 1 + taps),
+    samples = rng.normal(size=3 * 2**18 + 5000)
+    runs = [(0, 2000), (2**18 - 1500, 2**18 + 1500), (2 * 2**18 - taps, 2 * 2**18),
+            (2 * 2**18 + 1, 2 * 2**18 + 1 + taps),
             (samples.size - 1500, samples.size),
             # Silent outputs that end on call 7's last output and start on
             # call 10's first.

@@ -232,7 +232,7 @@ class TestCaponPower:
              for i in range(0, len(rows), 100)]))
         table = cosine_table(bins, config.grid_size)
         whole = capon_power(coeffs, valid, table)
-        for split in (1, 7, BLOCK_SAMPLES // 2 // bins.size):
+        for split in (1, 7, BLOCK_SAMPLES // bins.size):
             parts = [capon_power(coeffs[i : i + split], valid[i : i + split], table)
                      for i in range(0, len(coeffs), split)]
             assert np.concatenate([power for power, _ in parts]).tobytes() == whole[0].tobytes()

@@ -297,9 +297,9 @@ class TestExtract:
         # 20 minutes at 441 Hz, 4.2 MB as float64, with a minute of digital
         # silence.  extract_enf holds the signal once, band-passed where it
         # was read, and beside it work arrays of a block or so: while it
-        # reads, one block of codes and one of float64; while it
-        # estimates, half a block of windowed frames and the Capon work on
-        # the frames' autocovariance.  The allowance is those two blocks
+        # reads, one block of codes; while it estimates, a block of
+        # windowed frames and the Capon work on the frames'
+        # autocovariance.  The allowance is those two blocks
         # plus 1 MB; the peak measured 1.9 MB over the signal (3.0 MB when
         # each 2 MB block of frames ran every Capon stage).
         # Holding the decimated and the band-passed signal at once, or
@@ -316,8 +316,8 @@ class TestExtract:
 
     @pytest.mark.parametrize("estimator, frame_len_s, shift_s, count", [
         ("capon", 0.1, 0.01, 12_500), ("capon", 20.0, 1.0, 100), ("stft", 0.1, 0.01, 12_500)])
-    def test_each_stage_takes_half_a_block_of_its_own_rows(self, rng, monkeypatch, estimator,
-                                                           frame_len_s, shift_s, count):
+    def test_each_stage_takes_a_block_of_its_own_rows(self, rng, monkeypatch, estimator,
+                                                      frame_len_s, shift_s, count):
         # 12,500 frames of 0.1 s run the recursions, whose rows hold five
         # (rows, M) arrays at once, in six blocks, with the autocovariance
         # and the cosine sum in their own chunks inside each; at 20 s the
@@ -340,11 +340,11 @@ class TestExtract:
         track = estimate(filtered, config)
         for name, (_, width) in stages.items():
             if rows[name]:
-                step = BLOCK_SAMPLES // 2 // width
+                step = BLOCK_SAMPLES // width
                 assert sum(rows[name]) == count
                 assert max(rows[name]) <= step and len(rows[name]) >= -(-count // step)
         # The recursions, of the narrowest rows, run outermost in whole blocks.
-        blocks = -(-count // (BLOCK_SAMPLES // 2 // stages["capon_coeffs"][1]))
+        blocks = -(-count // (BLOCK_SAMPLES // stages["capon_coeffs"][1]))
         assert len(rows["capon_coeffs"]) == (blocks if estimator == "capon" else 0)
         monkeypatch.undo()
         frames = np.lib.stride_tricks.sliding_window_view(filtered.samples, n)[::shift]
@@ -355,9 +355,9 @@ class TestExtract:
 
     def test_long_capon_estimate_holds_a_fixed_few_blocks(self, rng):
         # 3.5 hours at 1 s frames: 12,600 frames, beyond the 11,915 rows
-        # that would fill half a block at M = 11.  estimate alone peaked at
-        # 1.40 MB (5.27 MB when the recursions took half a block of M-wide
-        # rows, so five such arrays at once).
+        # that would fill a block at M = 11.  estimate alone peaked at
+        # 1.40 MB (5.27 MB when the recursions took a block of M-wide rows,
+        # so five such arrays at once).
         filtered = SampledSignal(rng.normal(size=int(3.5 * 3600 * 441)), 441.0)
         track, peak = traced_peak(lambda: estimate(filtered, power_config()))
         assert len(track) == 12_600

@@ -29,6 +29,11 @@ from enfcapon.signal_io import (
 from oracle import decimate_full_rate, decimate_one_product, wav_floats
 
 
+def frames(recording, start, stop):
+    """Frames start:stop of a recording in float64: unscaled, then x scale."""
+    return recording.unscaled(start, stop, np.empty(stop - start)) * recording.scale
+
+
 def write_raw_wav(path, pcm, n_channels=1, sampwidth=2, rate=44100):
     with wave.open(str(path), "wb") as writer:
         writer.setnchannels(n_channels)
@@ -59,14 +64,14 @@ class TestReadWav:
         loaded = read_wav(path)
         assert len(loaded) == 44100
         assert loaded.sample_rate_hz == 44100.0
-        assert np.allclose(loaded.floats(), signal.samples, atol=1.0 / 32768)
+        assert np.allclose(decimate(loaded, 1).samples, signal.samples, atol=1.0 / 32768)
 
     def test_full_scale_normalization(self, tmp_path):
         path = tmp_path / "fs.wav"
         pcm = np.full(100, 32767, dtype="<i2").tobytes()
         write_raw_wav(path, pcm)
         loaded = read_wav(path)
-        assert np.all(np.abs(loaded.floats() - 32767.0 / 32768.0) < 1e-9)
+        assert np.all(np.abs(decimate(loaded, 1).samples - 32767.0 / 32768.0) < 1e-9)
 
     def test_stereo_opposite_channels_cancel(self, tmp_path, rng):
         path = tmp_path / "stereo.wav"
@@ -76,7 +81,7 @@ class TestReadWav:
         interleaved[1::2] = -left
         write_raw_wav(path, interleaved.tobytes(), n_channels=2)
         loaded = read_wav(path)
-        assert np.all(loaded.floats() == 0.0)
+        assert np.all(decimate(loaded, 1).samples == 0.0)
 
     def test_rejects_non_16bit(self, tmp_path):
         path = tmp_path / "8bit.wav"
@@ -119,7 +124,7 @@ class TestReadWav:
             data[index] = value
         path.write_bytes(bytes(data))
         try:
-            read_wav(path).floats()
+            decimate(read_wav(path), 1)
         except EnfError:
             pass
 
@@ -134,7 +139,8 @@ class TestReadWav:
         write_raw_wav(path, np.arange(400, dtype="<i2").tobytes(), n_channels=2)
         cut = tmp_path / "cut.wav"
         cut.write_bytes(path.read_bytes()[:-3])
-        assert np.array_equal(read_wav(cut).floats(), read_wav(path).floats()[:-1])
+        assert np.array_equal(decimate(read_wav(cut), 1).samples,
+                              decimate(read_wav(path), 1).samples[:-1])
 
     @pytest.mark.parametrize("n_channels", [1, 2])
     def test_bit_identical_to_two_step_scaling(self, tmp_path, rng, n_channels):
@@ -143,7 +149,7 @@ class TestReadWav:
         path = tmp_path / "pcm.wav"
         write_raw_wav(path, pcm.tobytes(), n_channels=n_channels)
         two_step = pcm.astype(np.float64).reshape(-1, n_channels).mean(axis=1) / 32768.0
-        assert read_wav(path).floats().tobytes() == two_step.tobytes()
+        assert decimate(read_wav(path), 1).samples.tobytes() == two_step.tobytes()
 
     @needs_proc
     @pytest.mark.parametrize("n_channels", [1, 2])
@@ -169,7 +175,7 @@ class TestReadWav:
         # 1 MB of codes whose RIFF and data chunks claim 2 GB: a buffer sized
         # from the claim would take that much, and the frame count is the
         # file's.  Reading the last 1,000 frames holds only those.
-        n_frames = 2 * BLOCK_SAMPLES + 1000
+        n_frames = (1 << 19) + 1000
         pcm = rng.integers(-32768, 32768, n_frames).astype("<i2")
         path = tmp_path / "claims.wav"
         write_raw_wav(path, pcm.tobytes())
@@ -181,7 +187,7 @@ class TestReadWav:
         def read_tail():
             resident = resident_bytes()
             loaded = read_wav(path)
-            tail = loaded.floats(n_frames - 1000)
+            tail = frames(loaded, n_frames - 1000, n_frames)
             return loaded, tail, resident_bytes() - resident
 
         (loaded, tail, grown), peak = traced_peak(read_tail)
@@ -196,9 +202,9 @@ class TestReadWav:
         write_raw_wav(path, np.arange(-500, 500, dtype="<i2").tobytes(), n_channels=2)
         with fed_pipe(tmp_path / "pipe.wav", path.read_bytes()) as pipe:
             loaded = read_wav(pipe)
-            floats = loaded.floats()
+            floats = decimate(loaded, 1).samples
         assert (len(loaded), loaded.n_channels) == (500, 2)
-        assert floats.tobytes() == read_wav(path).floats().tobytes()
+        assert floats.tobytes() == decimate(read_wav(path), 1).samples.tobytes()
 
     @pytest.mark.parametrize("source", ["file", "pipe"])
     def test_chunk_after_data_is_not_read(self, tmp_path, source):
@@ -214,10 +220,10 @@ class TestReadWav:
                 pytest.skip("needs named pipes")
             with fed_pipe(tmp_path / "pipe.wav", bytes(data)) as pipe:
                 loaded = read_wav(pipe)
-                floats = loaded.floats()
+                floats = decimate(loaded, 1).samples
         else:
             loaded = read_wav(path)
-            floats = loaded.floats()
+            floats = decimate(loaded, 1).samples
         assert (len(loaded), loaded.n_channels) == (500, 2)
         two_step = pcm.astype(np.float64).reshape(-1, 2).mean(axis=1) / 32768.0
         assert floats.tobytes() == two_step.tobytes()
@@ -239,9 +245,9 @@ class TestPcmRecording:
         write_random_wav(path, rng, 3000, n_channels)
         recording, expected = read_wav(path), wav_floats(path)
         assert (len(recording), recording.n_channels) == (3000, n_channels)
-        assert recording.floats().tobytes() == expected.tobytes()
-        for start, stop in [(0, 1), (5, 17), (1000, None), (2999, 3000)]:
-            assert recording.floats(start, stop).tobytes() == expected[start:stop].tobytes()
+        assert decimate(recording, 1).samples.tobytes() == expected.tobytes()
+        for start, stop in [(0, 1), (5, 17), (1000, 3000), (2999, 3000)]:
+            assert frames(recording, start, stop).tobytes() == expected[start:stop].tobytes()
 
     @pytest.mark.parametrize("n_channels, cut", [(2, 3), (3, 1), (3, 5)])
     def test_truncated_file_with_a_partial_last_frame(self, tmp_path, rng, n_channels, cut):
@@ -250,7 +256,7 @@ class TestPcmRecording:
         path.write_bytes(path.read_bytes()[:-cut])
         recording = read_wav(path)
         assert len(recording) == 2999
-        assert recording.floats().tobytes() == wav_floats(path).tobytes()
+        assert decimate(recording, 1).samples.tobytes() == wav_floats(path).tobytes()
 
     @pytest.mark.parametrize("n_channels", [1, 2, 3])
     @pytest.mark.parametrize("factor", [1, 20, 100])
@@ -272,19 +278,19 @@ class TestPcmRecording:
         # The file reaches read_wav through a pipe in pieces of read_bytes,
         # so a read gathers many pieces, and 3-channel frames of 6 bytes
         # straddle them.  Factor 20 does not divide BLOCK_SAMPLES, so a
-        # decimation block holds fewer samples than that; each frame's 3
+        # decimation part holds fewer samples than that; each frame's 3
         # channels are averaged.  A pipe is read once, so the whole read
         # and the decimation each take their own.
         factor, n_channels = 20, 3
         assert BLOCK_SAMPLES % factor
-        n_frames = (2 * (BLOCK_SAMPLES // factor) + 5) * factor + 7
+        n_frames = (4 * (BLOCK_SAMPLES // factor) + 5) * factor + 7
         assert n_frames * 2 * n_channels > read_bytes
         assert read_bytes % (2 * n_channels)
         path = tmp_path / "pcm.wav"
         write_random_wav(path, rng, n_frames, n_channels)
         data, expected = path.read_bytes(), wav_floats(path)
         with fed_pipe(tmp_path / "whole.wav", data, read_bytes) as pipe:
-            assert read_wav(pipe).floats().tobytes() == expected.tobytes()
+            assert decimate(read_wav(pipe), 1).samples.tobytes() == expected.tobytes()
         with fed_pipe(tmp_path / "blocks.wav", data, read_bytes) as pipe:
             out = decimate(read_wav(pipe), factor)
         assert out.samples.tobytes() == decimate(
@@ -296,15 +302,16 @@ class TestPcmRecording:
     @pytest.mark.parametrize("last_block", ["one_part", "past_one_part"])
     def test_parts_keep_the_bits_of_whole_block_products(self, tmp_path, rng, source,
                                                          n_channels, factor, last_block):
-        # Each block of rows is multiplied in two parts of `half` rows, the
-        # signal's last part zero-padded to `half`, and its 11 lines add
-        # into the outputs last phase first, yet every output keeps the
-        # bits of one product over the whole signal: its terms add in the
-        # same order wherever the block edges fall.  The last block holds
-        # one part or three rows past it, and the last row is partial.
-        half = BLOCK_SAMPLES // 2 // factor
-        last_rows = half + (3 if last_block == "past_one_part" else 0)
-        n_frames = (2 * half + last_rows) * factor - factor // 2
+        # Rows are multiplied a part of `step` = BLOCK_SAMPLES // factor rows
+        # at a time, two parts into one product, the signal's last part
+        # zero-padded to `step`, and each product's 11 lines add into the
+        # outputs last phase first, yet every output keeps the bits of one
+        # product over the whole signal: its terms add in the same order
+        # wherever the part edges fall.  The last pair of parts holds one
+        # part or three rows past it, and the last row is partial.
+        step = BLOCK_SAMPLES // factor
+        last_rows = step + (3 if last_block == "past_one_part" else 0)
+        n_frames = (2 * step + last_rows) * factor - factor // 2
         path = tmp_path / "pcm.wav"
         write_random_wav(path, rng, n_frames, n_channels)
         expected = decimate_one_product(read_wav(path), factor)
@@ -325,8 +332,9 @@ class TestPcmRecording:
                                          n_channels, factor):
         # BLOCK_SAMPLES sets only how many rows are read and multiplied at
         # once: at each size, decimate's bytes are those of one product
-        # over the whole signal.  The recording spans more than a block at
-        # every size, and ends in a partial block and a partial row.
+        # over the whole signal.  The sizes span the default part widths
+        # and twice them.  The recording spans more than a pair of parts at
+        # every size, and ends in a partial part and a partial row.
         if source == "pipe" and not hasattr(os, "mkfifo"):
             pytest.skip("needs named pipes")
         n_frames = 3 * (1 << 18) + 12347
@@ -334,7 +342,7 @@ class TestPcmRecording:
         path = tmp_path / "pcm.wav"
         write_random_wav(path, rng, n_frames, n_channels)
         expected = decimate_one_product(read_wav(path), factor).samples.tobytes()
-        for block_samples in (1 << 17, 1 << 18, 1 << 19, 3 << 17):
+        for block_samples in (2**16, 2**17, 2**18, 3 * 2**16):
             monkeypatch.setattr(signal_io, "BLOCK_SAMPLES", block_samples)
             if source == "pipe":
                 with fed_pipe(tmp_path / f"{block_samples}.wav", path.read_bytes()) as pipe:
@@ -370,12 +378,12 @@ class TestPcmRecording:
         expected = wav_floats(path)
         with fed_pipe(tmp_path / "pipe.wav", path.read_bytes()) as pipe:
             recording = read_wav(pipe)
-            assert recording.floats(0, 1000).tobytes() == expected[:1000].tobytes()
-            assert recording.floats(1000, 2000).tobytes() == expected[1000:2000].tobytes()
+            assert frames(recording, 0, 1000).tobytes() == expected[:1000].tobytes()
+            assert frames(recording, 1000, 2000).tobytes() == expected[1000:2000].tobytes()
             with pytest.raises(UnsupportedFormatError,
                                match="frame 500 was asked for at frame 2000"):
-                recording.floats(500, 1000)
-            assert recording.floats(2000).tobytes() == expected[2000:].tobytes()
+                frames(recording, 500, 1000)
+            assert frames(recording, 2000, 3000).tobytes() == expected[2000:].tobytes()
 
     @needs_proc
     @pytest.mark.parametrize("factor", [20, 1000])
@@ -545,8 +553,8 @@ class TestDecimate:
         lambda f: 37 * f + 1,
         lambda f: 37 * f,
         lambda f: 400 * f - 1,
-        lambda f: 2 * (BLOCK_SAMPLES // f) * f,
-        lambda f: (2 * (BLOCK_SAMPLES // f) + 1) * f + 1,
+        lambda f: 4 * (BLOCK_SAMPLES // f) * f,
+        lambda f: (4 * (BLOCK_SAMPLES // f) + 1) * f + 1,
     ], ids=["taps_plus_one", "not_a_multiple", "multiple", "long_not_a_multiple",
             "two_blocks", "past_two_blocks"])
     def test_matches_full_rate_filtering(self, rng, factor, length):
@@ -559,19 +567,19 @@ class TestDecimate:
 
     @pytest.mark.parametrize("factor", [2, 7, 20, 100, 109, 400])
     def test_extending_the_signal_keeps_earlier_outputs_bit_for_bit(self, rng, factor):
-        # Every part of rows is multiplied at one width, `half` rows, the
+        # Every part of rows is multiplied at one width, `step` rows, the
         # signal's last part zero-padded to it, and each output adds its
         # terms last phase first.  So a prefix of whole rows whose last
-        # block is narrow, down to one row, gives every output but the
-        # last width // 2 = 5, which read rows past its end, the bits that
-        # a longer signal (ending in a partial block and a partial row)
+        # pair of parts is narrow, down to one row, gives every output but
+        # the last width // 2 = 5, which read rows past its end, the bits
+        # that a longer signal (ending in a partial part and a partial row)
         # gives them.
-        half = max(1, BLOCK_SAMPLES // 2 // factor)
-        step = 2 * half
-        samples = rng.normal(size=(3 * step + 3) * factor + factor // 2 + 1)
+        step = max(1, BLOCK_SAMPLES // factor)
+        pair = 2 * step
+        samples = rng.normal(size=(3 * pair + 3) * factor + factor // 2 + 1)
         full = decimate(SampledSignal(samples, 441.0 * factor), factor)
-        for last_rows in [*range(1, 65), half, half + 3, step]:
-            n_rows = step + last_rows
+        for last_rows in [*range(1, 65), step, step + 3, pair]:
+            n_rows = pair + last_rows
             prefix = decimate(SampledSignal(samples[: n_rows * factor], 441.0 * factor), factor)
             n = len(prefix) - 5
             assert n == n_rows - 5
@@ -589,17 +597,17 @@ class TestDecimate:
     @needs_proc
     @pytest.mark.parametrize("n_channels", [1, 2])
     def test_a_recording_holds_one_block_of_float64_at_a_time(self, tmp_path, rng, n_channels):
-        # Two minutes of 44.1 kHz codes, multiplied half a block at a time:
+        # Two minutes of 44.1 kHz codes, multiplied a block at a time:
         # beside the outputs the recording holds one part's float64
-        # (1.05 MB) and codes (0.26 MB a channel), the block's (11, rows)
-        # product and nothing resident that tracemalloc does not see.
-        # A whole block's float64 would not fit.
+        # (1.05 MB) and codes (0.26 MB a channel), the (11, rows) product
+        # of a pair of parts and nothing resident that tracemalloc does
+        # not see.  A pair of parts' float64 would not fit.
         n_frames = 120 * 44100
         path = tmp_path / "pcm.wav"
         write_random_wav(path, rng, n_frames, n_channels)
-        half = BLOCK_SAMPLES // 2 // 100
-        part = half * 100
-        bound = 8 * (n_frames // 100) + (8 + 2 * n_channels) * part + 8 * 11 * 2 * half + (1 << 18)
+        step = BLOCK_SAMPLES // 100
+        part = step * 100
+        bound = 8 * (n_frames // 100) + (8 + 2 * n_channels) * part + 8 * 11 * 2 * step + (1 << 18)
         assert bound < 8 * (n_frames // 100) + 8 * 2 * part
 
         def decimated():

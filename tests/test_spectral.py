@@ -89,15 +89,15 @@ class TestPeriodogram:
 
     @pytest.mark.parametrize("frame_len_s", [1.0, 20.0])
     def test_one_estimate_block_holds_one_complex_buffer(self, rng, frame_len_s):
-        # BLOCK_SAMPLES // N frames, twice the rows estimate windows at a
-        # time, are transformed in one zero-padded (rows, L) complex buffer,
-        # which the power rows join.  The rest (chirps, kernel, the power's
+        # 2 * BLOCK_SAMPLES // N frames, twice the rows estimate windows at
+        # a time, are transformed in one zero-padded (rows, L) complex
+        # buffer, which the power rows join.  The rest (chirps, kernel, the power's
         # temporaries) measured 0.29 MB at 1 s and 0.60 MB at 20 s; the
         # margin is 1 MB.  A second complex copy of the frames, or of the
         # buffer, would not fit.
         config = power_config(estimator="stft", frame_len_s=frame_len_s)
         n, bins = config.frame_samples[0], config.search_bins
-        frames = rng.normal(size=(BLOCK_SAMPLES // n, n)) * make_window("parzen", n)
+        frames = rng.normal(size=(2 * BLOCK_SAMPLES // n, n)) * make_window("parzen", n)
         length = _fast_length(n + bins.size - 1)
         bound = (16 * length + 8 * bins.size) * len(frames) + (1 << 20)
         (power, valid), peak = traced_peak(lambda: stft_band_power(frames, bins,
